@@ -10,9 +10,9 @@ realizations are independent and may be evaluated in any order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .entanglement import (
@@ -20,8 +20,6 @@ from .entanglement import (
     concurrence_from_eta,
     eta_analytic,
     eta_thermodynamic,
-    mode_index,
-    rdm_from_restriction,
     rdm_pair,
 )
 from .errors import (
@@ -31,16 +29,17 @@ from .errors import (
     ParityError,
     WindowError,
 )
-from .gaussian import flatten_from_fill, restrict, spectral_flatten
 from .models import (
     Boundary,
-    Family,
     GAP_TOL,
     DisorderSpec,
     ModelSpec,
-    bloch_vector,
+    bloch_norm,
+    bz_mean,
+    kitaev_bloch,
     momentum_grid,
-    realspace_hamiltonian,
+    ssh_bloch,
+    unit_derivative,
 )
 
 SQRT2_MINUS_1 = np.sqrt(2.0) - 1.0
@@ -48,52 +47,25 @@ SQRT2_MINUS_1 = np.sqrt(2.0) - 1.0
 
 # ---------------------------------------------------------------- eta values
 
-def eta_finite(N: int, lam: float, pair: str = "intra") -> float:
-    """Discrete Brillouin-zone sum for eta1 (intra) or eta2 (inter)."""
-    spec = ModelSpec.ssh(N, lam)
-    ks = momentum_grid(N)
-    s = 0.0
-    for k in ks:
-        h = bloch_vector(spec, k).normalized()
-        s += h.hx if pair == "intra" else np.cos(k) * h.hx + np.sin(k) * h.hy
-    return s / N
-
-
 def eta1(lam: float, N: int | None = None) -> float:
     """eta1 = BZ average of normalized h_x; quadrature when N is None."""
     if N is None:
         return eta_thermodynamic(lam, "intra").value
-    return eta_finite(N, lam, "intra")
+    return eta_analytic(ModelSpec.ssh(N, lam), (0, "a"), (0, "b")).value
 
 
 def eta2(lam: float, N: int | None = None) -> float:
     if N is None:
         return eta_thermodynamic(lam, "inter").value
-    return eta_finite(N, lam, "inter")
-
-
-def _deta1_integrand(lam: float):
-    # d(hx/|h|)/dlambda, with dhx/dlam = -1 + cos k, dhy/dlam = sin k
-    def f(k):
-        t1, t2 = 1.0 - lam, 1.0 + lam
-        hx = t1 + t2 * np.cos(k)
-        hy = t2 * np.sin(k)
-        r2 = hx * hx + hy * hy
-        r = np.sqrt(r2)
-        return hy * (hy * (np.cos(k) - 1.0) - hx * np.sin(k)) / (r2 * r)
-    return f
+    return eta_analytic(ModelSpec.ssh(N, lam), (0, "b"), (1, "a")).value
 
 
 def deta1(lam: float, N: int | None = None) -> float:
     """d(eta1)/d(lambda), exact per momentum (no finite differences)."""
     if abs(lam) < GAP_TOL:
         raise GaplessError("derivative undefined at lambda = 0")
-    if N is None:
-        val, _ = quad(_deta1_integrand(lam), 0.0, np.pi,
-                      points=[np.pi], epsabs=1e-12, epsrel=1e-12, limit=400)
-        return val / np.pi
-    f = _deta1_integrand(lam)
-    return float(np.mean([f(k) for k in momentum_grid(N)]))
+    return bz_mean(lambda k, h: unit_derivative(h, ssh_bloch, k)[0],
+                   partial(ssh_bloch, lam), N, points=[np.pi])
 
 
 # -------------------------------------------------------------------- sweeps
@@ -158,6 +130,16 @@ def derivative(values, grid) -> np.ndarray:
 
 # --------------------------------------------------------- critical analysis
 
+def _sudden_death(eta, name, N, bracket, xtol) -> float:
+    """Root of eta(lambda, N) = sqrt(2) - 1 inside ``bracket``."""
+    def f(lam):
+        return eta(lam, N) - SQRT2_MINUS_1
+    fa, fb = f(bracket[0]), f(bracket[1])
+    if fa * fb > 0:
+        raise NoRootError(f"{name} - (sqrt(2)-1) does not change sign on {bracket}")
+    return float(brentq(f, bracket[0], bracket[1], xtol=xtol))
+
+
 def find_lambda_plus(N: int | None = None,
                      bracket=(1e-6, 0.9), xtol=1e-12) -> float:
     """Root of eta1(lambda) = sqrt(2) - 1 on (0, 1): where C1 dies.
@@ -165,23 +147,13 @@ def find_lambda_plus(N: int | None = None,
     Finite chains with N in {2, 4} have no root (eta1(0+) already sits below
     the threshold) and raise NoRootError.
     """
-    def f(lam):
-        return eta1(lam, N) - SQRT2_MINUS_1
-    fa, fb = f(bracket[0]), f(bracket[1])
-    if fa * fb > 0:
-        raise NoRootError(f"eta1 - (sqrt(2)-1) does not change sign on {bracket}")
-    return float(brentq(f, bracket[0], bracket[1], xtol=xtol))
+    return _sudden_death(eta1, "eta1", N, bracket, xtol)
 
 
 def find_lambda_minus(N: int | None = None,
                       bracket=(-0.9, -1e-6), xtol=1e-12) -> float:
     """Root of eta2(lambda) = sqrt(2) - 1 on (-1, 0): where C2 dies."""
-    def f(lam):
-        return eta2(lam, N) - SQRT2_MINUS_1
-    fa, fb = f(bracket[0]), f(bracket[1])
-    if fa * fb > 0:
-        raise NoRootError(f"eta2 - (sqrt(2)-1) does not change sign on {bracket}")
-    return float(brentq(f, bracket[0], bracket[1], xtol=xtol))
+    return _sudden_death(eta2, "eta2", N, bracket, xtol)
 
 
 def jump_at_zero(N: int) -> float:
@@ -194,7 +166,8 @@ def jump_at_zero(N: int) -> float:
     if N % 2:
         raise ParityError("eta1 is continuous for odd N")
     ks = momentum_grid(N)
-    smooth = sum(abs(np.cos(k / 2.0)) for k in ks if abs(k - np.pi) > 1e-12)
+    h = ssh_bloch(0.0, ks[np.abs(ks - np.pi) > 1e-12])
+    smooth = float(np.sum(h[0] / bloch_norm(h)))
     eta_plus = (smooth - 1.0) / N
     eta_minus = (smooth + 1.0) / N
     return abs(eta_plus - eta_minus)
@@ -222,8 +195,12 @@ def logfit(window=(1e-5, 1e-3), N: int | None = None,
     if lo >= hi:
         raise WindowError("empty fit window")
     lams = np.geomspace(lo, hi, num_points)
-    y = np.array([deta1(lam, N) for lam in lams])
-    x = np.log(lams)
+    return _fit_log(np.log(lams), np.array([deta1(lam, N) for lam in lams]))
+
+
+def _fit_log(x, y) -> LogFitResult:
+    """Least-squares y = slope * x + intercept, flagged asymptotic when the
+    worst residual stays under 1% of max |y|."""
     design = np.vstack([x, np.ones_like(x)]).T
     (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = np.max(np.abs(design @ np.array([slope, intercept]) - y))
@@ -268,8 +245,7 @@ def critical_report(N: int | None = None) -> CriticalReport:
 
 def ground_state_energy(N: int, lam: float) -> float:
     """E(lambda) = -sum_k |h(k)|, the T -> 0 free energy."""
-    spec = ModelSpec.ssh(N, lam)
-    return -sum(bloch_vector(spec, k).magnitude for k in momentum_grid(N))
+    return -float(np.sum(bloch_norm(ssh_bloch(lam, momentum_grid(N)))))
 
 
 def free_energy_check(N: int, lam: float, h_step: float = 1e-5):
@@ -280,7 +256,7 @@ def free_energy_check(N: int, lam: float, h_step: float = 1e-5):
         raise GaplessError("step straddles the critical point")
     lhs = (ground_state_energy(N, lam + h_step)
            - ground_state_energy(N, lam - h_step)) / (2.0 * h_step)
-    rhs = N * (eta_finite(N, lam, "intra") - eta_finite(N, lam, "inter"))
+    rhs = N * (eta1(lam, N) - eta2(lam, N))
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -289,19 +265,8 @@ def free_energy_check(N: int, lam: float, h_step: float = 1e-5):
 def kitaev_eta_z(mu: float, t: float = 1.0, delta: float = 1.0,
                  N: int | None = None) -> float:
     """BZ average of the normalized h_z of the Kitaev chain."""
-    if N is None:
-        def f(k):
-            hz = -mu / 2.0 - t * np.cos(k)
-            hy = delta * np.sin(k)
-            return hz / np.hypot(hz, hy)
-        val, _ = quad(f, 0.0, np.pi, epsabs=1e-12, epsrel=1e-12, limit=400)
-        return val / np.pi
-    spec = ModelSpec.kitaev(N, t=t, delta=delta, mu=mu)
-    s = 0.0
-    for k in momentum_grid(N):
-        h = bloch_vector(spec, k).normalized()
-        s += h.hz
-    return s / N
+    return bz_mean(lambda k, h: h[2] / bloch_norm(h),
+                   partial(kitaev_bloch, mu, t=t, delta=delta), N)
 
 
 def kitaev_local_density(mu: float, t: float = 1.0, delta: float = 1.0,
@@ -347,12 +312,8 @@ def kitaev_density_jump(N: int, t: float = 1.0) -> float:
     raises ParityError."""
     if N % 2:
         raise ParityError("density is continuous in mu for odd N")
-    # the smooth (k != pi) part of eta_z cancels in the one-sided difference
-    eta_pi_below = 1.0 / N    # sign(hz(pi)) = +1 for mu -> 2t-
-    eta_pi_above = -1.0 / N
-    n_below = 0.5 * (1.0 - eta_pi_below)
-    n_above = 0.5 * (1.0 - eta_pi_above)
-    return abs(n_above - n_below)
+    # n = (1 - eta_z) / 2
+    return 0.5 * jump_at_zero(N)
 
 
 def kitaev_compressibility_logfit(window=(1e-5, 1e-3), t: float = 1.0,
@@ -375,27 +336,15 @@ def kitaev_compressibility_logfit(window=(1e-5, 1e-3), t: float = 1.0,
     if lo <= 0 or hi <= 0 or lo >= hi:
         raise WindowError("fit window must not touch mu_c")
     mus = 2.0 * t - np.geomspace(lo, hi, num_points)
+    bloch = partial(kitaev_bloch, t=t, delta=delta)
 
     def dn_dmu(mu):
-        def f(k):
-            hz = -mu / 2.0 - t * np.cos(k)
-            hy = delta * np.sin(k)
-            r2 = hz * hz + hy * hy
-            # dn/dmu integrand: -(1/2) * dhz/dmu * hy^2 / r^3, dhz/dmu = -1/2
-            return 0.25 * hy * hy / (r2 * np.sqrt(r2))
-        val, _ = quad(f, 0.0, np.pi, points=[np.pi],
-                      epsabs=1e-12, epsrel=1e-12, limit=400)
-        return val / np.pi
+        # n = (1 - eta_z)/2, so dn/dmu is -1/2 times the zone mean of du_z/dmu
+        return -0.5 * bz_mean(lambda k, h: unit_derivative(h, bloch, k)[2],
+                              partial(bloch, mu), None, points=[np.pi])
 
-    y = np.array([dn_dmu(mu) for mu in mus])
-    x = np.log(np.abs(mus - 2.0 * t))
-    design = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = np.max(np.abs(design @ np.array([slope, intercept]) - y))
-    scale = max(np.max(np.abs(y)), 1e-300)
-    return LogFitResult(slope=float(slope), intercept=float(intercept),
-                        max_residual=float(resid),
-                        asymptotic=bool(resid < 0.01 * scale))
+    return _fit_log(np.log(np.abs(mus - 2.0 * t)),
+                    np.array([dn_dmu(mu) for mu in mus]))
 
 
 # -------------------------------------------------- disorder / open boundary

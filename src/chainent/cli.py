@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--N", type=int)
     p.add_argument("--grid")
-    p.add_argument("--amplitude", dest="disorder_amplitude", type=float)
+    p.add_argument("--amplitude", type=float)
     p.add_argument("--realizations", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--boundary", choices=["periodic", "open"])

@@ -11,11 +11,11 @@ density matrix as-is).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import GaplessError, InvalidStateError
 from .gaussian import flatten_from_fill, rdm_from_restriction, restrict, spectral_flatten
@@ -24,9 +24,10 @@ from .models import (
     Family,
     GAP_TOL,
     ModelSpec,
-    bloch_vector,
-    momentum_grid,
+    bloch_norm,
+    bz_mean,
     realspace_hamiltonian,
+    ssh_bloch,
 )
 
 CONCURRENCE_ZERO = 1e-12
@@ -54,14 +55,15 @@ class EtaValue:
     route: Route
 
 
-def _phases(spec: ModelSpec, ks: np.ndarray):
-    """Normalized (hx, hy) and phase angle phi(k) with e^{i phi} = hx + i hy."""
-    hx = np.empty_like(ks)
-    hy = np.empty_like(ks)
-    for i, k in enumerate(ks):
-        h = bloch_vector(spec, k).normalized()
-        hx[i], hy[i] = h.hx, h.hy
-    return hx, hy, np.arctan2(hy, hx)
+def eta_summand(k, h, d: int):
+    """Per-momentum term of eta_{a_n b_{n+d}}: cos(kd) u_x - sin(kd) u_y,
+    u = h/|h|; that is cos(kd + phi(k)) with e^{i phi} = u_x + i u_y."""
+    hx, hy, _ = h
+    return (np.cos(k * d) * hx - np.sin(k * d) * hy) / bloch_norm(h)
+
+
+def _ssh_eta(lam: float, d: int, N: int | None) -> float:
+    return bz_mean(partial(eta_summand, d=d), partial(ssh_bloch, lam), N)
 
 
 def eta_analytic(spec: ModelSpec, site1: Site, site2: Site) -> EtaValue:
@@ -80,22 +82,8 @@ def eta_analytic(spec: ModelSpec, site1: Site, site2: Site) -> EtaValue:
         return EtaValue(0.0, (site1, site2), Route.MOMENTUM_ANALYTIC)
     if s1 == "b":  # eta_{b_n a_m} = eta_{a_m b_n}
         n, m = m, n
-    ks = momentum_grid(spec.N)
-    _, _, phi = _phases(spec, ks)
-    value = float(np.mean(np.cos(ks * (m - n) + phi)))
+    value = _ssh_eta(spec.lam, m - n, spec.N)
     return EtaValue(value, (site1, site2), Route.MOMENTUM_ANALYTIC)
-
-
-def _thermo_integrand(lam: float, pair: str):
-    def f(k):
-        t1, t2 = 1.0 - lam, 1.0 + lam
-        hx = t1 + t2 * np.cos(k)
-        hy = t2 * np.sin(k)
-        r = np.hypot(hx, hy)
-        if pair == "intra":
-            return hx / r
-        return (np.cos(k) * hx + np.sin(k) * hy) / r
-    return f
 
 
 def eta_thermodynamic(spec_or_lambda, pair: str = "intra") -> EtaValue:
@@ -103,16 +91,16 @@ def eta_thermodynamic(spec_or_lambda, pair: str = "intra") -> EtaValue:
 
     ``pair`` is ``"intra"`` (a_n b_n) or ``"inter"`` (b_n a_{n+1}).  The
     integrand is symmetric about k = pi, so the integral runs over half the
-    zone.  Absolute tolerance 1e-10.
+    zone.  Absolute and relative tolerance 1e-12.
     """
     lam = spec_or_lambda.lam if isinstance(spec_or_lambda, ModelSpec) else spec_or_lambda
     if abs(lam) < GAP_TOL:
         raise GaplessError("lambda = 0 is the critical point")
     if pair not in ("intra", "inter"):
         raise ValueError("pair must be 'intra' or 'inter'")
-    val, _ = quad(_thermo_integrand(lam, pair), 0.0, np.pi,
-                  epsabs=1e-12, epsrel=1e-12, limit=400)
-    return EtaValue(val / np.pi, (pair, "thermodynamic"), Route.MOMENTUM_ANALYTIC)
+    d = 0 if pair == "intra" else -1  # eta_{b_n a_{n+1}} = eta_{a_{n+1} b_n}
+    return EtaValue(_ssh_eta(lam, d, None), (pair, "thermodynamic"),
+                    Route.MOMENTUM_ANALYTIC)
 
 
 BASIS_DOC = "occupation bitstrings, first listed site = least significant bit"

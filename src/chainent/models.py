@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.integrate import quad
 
 from .errors import DisorderUnsupportedError, GaplessError
 
@@ -121,30 +122,6 @@ class ModelSpec:
         return self.disorder is None and self.boundary is Boundary.PERIODIC
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """Coefficient vector of the two-band momentum-space Hamiltonian."""
-
-    hx: float
-    hy: float
-    hz: float
-    k: float
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.hx, self.hy, self.hz])
-
-    @property
-    def magnitude(self) -> float:
-        return float(np.sqrt(self.hx**2 + self.hy**2 + self.hz**2))
-
-    def normalized(self) -> "BlochVector":
-        r = self.magnitude
-        if r < GAP_TOL:
-            raise GaplessError(f"|h(k)| = {r:g} at k = {self.k:g}: band touching")
-        return BlochVector(self.hx / r, self.hy / r, self.hz / r, self.k)
-
-
 def momentum_grid(N: int) -> np.ndarray:
     """Momenta ``k_j = 2 pi j / N`` for ``j = 0..N-1``.
 
@@ -156,16 +133,71 @@ def momentum_grid(N: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(N) / N
 
 
-def bloch_vector(spec: ModelSpec, k: float) -> BlochVector:
-    """Bloch vector h(k) of a clean periodic chain."""
+# Bloch vectors: plain components (hx, hy, hz), with the model parameter
+# broadcast against k.  ``quad`` calls them once per point, so they stack
+# nothing; a constant zero component is the scalar 0.0.
+
+def ssh_bloch(lam, k):
+    """SSH ``h(k) = (t1 + t2 cos k, t2 sin k, 0)``, ``t1, t2 = 1 -+ lambda``."""
+    t2 = 1.0 + lam
+    return 1.0 - lam + t2 * np.cos(k), t2 * np.sin(k), 0.0
+
+
+def kitaev_bloch(mu, k, t=1.0, delta=1.0):
+    """Kitaev ``h(k) = (0, delta sin k, -mu/2 - t cos k)``."""
+    return 0.0, delta * np.sin(k), -mu / 2.0 - t * np.cos(k)
+
+
+def bloch_vector(spec: ModelSpec, k):
+    """Components (hx, hy, hz) of h(k) of a clean periodic chain."""
     if spec.disorder is not None:
         raise DisorderUnsupportedError("momentum space requires translation invariance")
     if spec.boundary is not Boundary.PERIODIC:
         raise DisorderUnsupportedError("momentum space requires periodic boundaries")
     if spec.family is Family.SSH:
-        return BlochVector(spec.t1 + spec.t2 * np.cos(k), spec.t2 * np.sin(k), 0.0, k)
-    return BlochVector(0.0, spec.delta * np.sin(k),
-                       -spec.mu / 2.0 - spec.t * np.cos(k), k)
+        return ssh_bloch(spec.lam, k)
+    return kitaev_bloch(spec.mu, k, spec.t, spec.delta)
+
+
+def bloch_norm(h):
+    """|h| of a component triple."""
+    hx, hy, hz = h
+    return np.sqrt(hx * hx + hy * hy + hz * hz)
+
+
+def unit_derivative(h, bloch, k):
+    """Components of d(h/|h|)/dp = (h x dh) x h / |h|^3 at h = bloch(p, k).
+
+    Bloch vectors are linear in their first argument p, so the kernel gives
+    dh/dp = bloch(1, k) - bloch(0, k) directly.
+    """
+    hx, hy, hz = h
+    dx, dy, dz = [a - b for a, b in zip(bloch(1.0, k), bloch(0.0, k))]
+    cx, cy, cz = hy * dz - hz * dy, hz * dx - hx * dz, hx * dy - hy * dx
+    r2 = hx * hx + hy * hy + hz * hz
+    r3 = r2 * np.sqrt(r2)
+    return (cy * hz - cz * hy) / r3, (cz * hx - cx * hz) / r3, (cx * hy - cy * hx) / r3
+
+
+def bz_mean(term, bloch, N: int | None = None, points=None) -> float:
+    """Brillouin-zone mean of ``term(k, h)`` with ``h = bloch(k)``.
+
+    Finite ``N`` averages over ``momentum_grid(N)`` and raises GaplessError
+    when |h| < GAP_TOL at a grid momentum.  ``N = None`` integrates over
+    [0, pi] (every term is even about k = pi) with ``points`` passed to
+    ``quad``; the gap is not checked there, callers exclude the touching.
+    """
+    if N is None:
+        val, _ = quad(lambda k: term(k, bloch(k)), 0.0, np.pi, points=points,
+                      epsabs=1e-12, epsrel=1e-12, limit=400)
+        return val / np.pi
+    k = momentum_grid(N)
+    h = bloch(k)
+    r = bloch_norm(h)
+    i = int(np.argmin(r))
+    if r[i] < GAP_TOL:
+        raise GaplessError(f"|h(k)| = {r[i]:g} at k = {k[i]:g}: band touching")
+    return float(np.mean(term(k, h)))
 
 
 def _add_onsite(M: np.ndarray, i: int, e: float) -> None:

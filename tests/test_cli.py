@@ -135,6 +135,17 @@ def test_cli_disorder(tmp_path):
     assert len(rows) == 4
 
 
+def test_cli_disorder_amplitude_flag(tmp_path):
+    assert main(["disorder", "--N", "8", "--grid", "0.4:0.6:2",
+                 "--amplitude", "0.3", "--realizations", "5",
+                 "--outdir", str(tmp_path)]) == 0
+    _, rows = serialize.read_csv(tmp_path / "disorder.csv")
+    want = analysis.disorder_ensemble(8, [0.4, 0.6], amplitude=0.3,
+                                      num_realizations=5)
+    assert [r[1] for r in rows] == pytest.approx(want.mean_c2, abs=1e-12)
+    assert [r[2] for r in rows] == pytest.approx(want.std_c2, abs=1e-12)
+
+
 def test_cli_obc(tmp_path):
     assert main(["obc", "--N", "16", "--grid", "0.05:0.3:5",
                  "--outdir", str(tmp_path)]) == 0

@@ -1,0 +1,84 @@
+"""Golden CLI outputs of the momentum-space commands.
+
+``tests/golden/<case>/`` holds the files each command below wrote before
+the momentum-space code was rebuilt on one Bloch-vector kernel.  The
+refactor must reproduce every number to 1e-12 (absolute) and every text
+field exactly.  Do not re-record these files to make a failing case pass:
+they are the contract, not a snapshot of the current code.
+"""
+
+import json
+import math
+import os
+import re
+
+import pytest
+
+from chainent.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+TOL = 1e-12
+
+CASES = {
+    "sweep_n16_plot": ["sweep", "--N", "16", "--grid", "-0.2:0.2:400",
+                       "--plot-data"],
+    "sweep_thermo_derivative": ["sweep", "--grid", "0.05:0.95:19",
+                                "--derivative"],
+    "critical_thermo": ["critical", "--thermodynamic", "--output",
+                        "critical.csv"],
+    "critical_n16": ["critical", "--N", "16", "--output", "critical.csv"],
+    "graph_n12": ["graph", "--N", "12", "--lambda", "0.5"],
+    "kitaev_thermo": ["kitaev", "--grid", "0:4:81"],
+    # mu = 2t lies on this grid: pins the per-point gapless NaN row
+    "kitaev_n16_json": ["kitaev", "--N", "16", "--grid", "0:4:81",
+                        "--format", "json"],
+}
+
+
+def _tokens(text):
+    return [t for t in re.split(r"[,\s]+", text) if t]
+
+
+def _same(want, got, where):
+    """Numbers agree to TOL (NaN matches NaN); everything else exactly."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(want) == sorted(got), where
+        for key in want:
+            _same(want[key], got[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(want) == len(got), where
+        for i, (w, g) in enumerate(zip(want, got)):
+            _same(w, g, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), where
+        if math.isnan(want):
+            assert math.isnan(got), where
+        else:
+            assert abs(got - want) <= TOL, (where, want, got)
+    else:
+        assert got == want, where
+
+
+def _parse(path):
+    with open(path) as fh:
+        text = fh.read()
+    if path.endswith(".json"):
+        return json.loads(text)
+    out = []
+    for tok in _tokens(text):
+        try:
+            out.append(float(tok))
+        except ValueError:
+            out.append(tok)
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_cli_output(case, tmp_path):
+    assert main(CASES[case] + ["--outdir", str(tmp_path)]) == 0
+    want_dir = os.path.join(GOLDEN, case)
+    names = sorted(os.listdir(want_dir))
+    assert sorted(os.listdir(tmp_path)) == names
+    for name in names:
+        _same(_parse(os.path.join(want_dir, name)),
+              _parse(os.path.join(tmp_path, name)), f"{case}/{name}")
