@@ -159,7 +159,8 @@ def cmd_graph(args) -> int:
                 for s1, s2, c in graph.edges]
         serialize.write_csv(path, rows,
                             header=["site1", "site2", "concurrence"])
-    print(f"phase: {graph.phase.value}")
+    if graph.phase is not None:
+        print(f"phase: {graph.phase.value}")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -242,6 +243,16 @@ def _verify_checks():
         assert np.allclose(rdm.matrix, ref, atol=1e-12)
         assert abs(np.trace(rdm.matrix) - 1.0) < 1e-12
 
+    def closed_form_pairs():
+        for spec in (models.ModelSpec.ssh(6, 0.3, boundary="open"),
+                     models.ModelSpec.kitaev(7, delta=0.7, mu=1.2)):
+            Mbar = gaussian.spectral_flatten(models.realspace_hamiltonian(spec))
+            for i, j in zip(*np.triu_indices(spec.num_modes, k=1)):
+                dense = gaussian.rdm_from_restriction(gaussian.restrict(Mbar, [i, j]))
+                wick = gaussian.pair_correlations(Mbar, i, j)
+                assert abs(entanglement.concurrence(dense.matrix)
+                           - entanglement.x_concurrence(*wick)) < 1e-12
+
     def jump_parity():
         for N in (8, 10, 50):
             assert abs(analysis.jump_at_zero(N) - 2.0 / N) < 1e-12
@@ -255,6 +266,8 @@ def _verify_checks():
             ("block diagonalization round trip", block_roundtrip),
             ("pfaffian squared equals determinant", pfaffian_det),
             ("two-site RDM matches analytic form", rdm_consistency),
+            ("closed-form pair concurrence equals dense RDM concurrence",
+             closed_form_pairs),
             ("even-N jump equals 2/N", jump_parity),
             ("critical points symmetric about 0", symmetry)]
 

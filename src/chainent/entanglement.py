@@ -1,11 +1,11 @@
 """Two-site reduced density matrices, concurrences and entangled graphs.
 
-A lattice site is addressed as ``(cell, 'a' | 'b')`` for SSH.  The two-site
-RDM of a pair of sites is treated as a two-qubit state in the occupation
-basis, following the entangled-graph construction literally; parity
-superselection and exchange strings for non-adjacent pairs are deliberately
-ignored (the pairwise concurrence is defined on the occupation-number
-density matrix as-is).
+A lattice site is addressed as ``(cell, 'a' | 'b')`` for SSH, ``(n, 's')``
+for Kitaev.  The two-site RDM of a pair of sites is treated as a two-qubit
+state in the occupation basis, following the entangled-graph construction
+literally; parity superselection and exchange strings for non-adjacent pairs
+are deliberately ignored (the pairwise concurrence is defined on the
+occupation-number density matrix as-is, an X state by Wick's theorem).
 """
 
 from __future__ import annotations
@@ -18,21 +18,25 @@ from functools import partial
 import numpy as np
 
 from .errors import GaplessError, InvalidStateError
-from .gaussian import flatten_from_fill, rdm_from_restriction, restrict, spectral_flatten
+from .gaussian import flatten_from_fill, pair_correlations, spectral_flatten
 from .models import (
     Boundary,
     Family,
     GAP_TOL,
     ModelSpec,
     bloch_norm,
+    bloch_vector,
     bz_mean,
+    gapped_grid,
     realspace_hamiltonian,
     ssh_bloch,
 )
 
 CONCURRENCE_ZERO = 1e-12
+PSD_TOL = 1e-8
 
-Site = tuple  # (cell, "a" | "b")
+Site = tuple  # (cell, "a" | "b") for SSH, (site, "s") for Kitaev
+SUBLATTICES = {Family.SSH: ("a", "b"), Family.KITAEV: ("s",)}
 
 
 def mode_index(site: Site) -> int:
@@ -94,6 +98,8 @@ def eta_thermodynamic(spec_or_lambda, pair: str = "intra") -> EtaValue:
     zone.  Absolute and relative tolerance 1e-12.
     """
     lam = spec_or_lambda.lam if isinstance(spec_or_lambda, ModelSpec) else spec_or_lambda
+    if not -1.0 <= lam <= 1.0:
+        raise ValueError("lambda must lie in [-1, 1]")
     if abs(lam) < GAP_TOL:
         raise GaplessError("lambda = 0 is the critical point")
     if pair not in ("intra", "inter"):
@@ -120,15 +126,43 @@ class TwoSiteRDM:
     basis: str = BASIS_DOC
 
 
+def _populations(n_i, n_j, G, F):
+    """(p00, p10, p01, p11) of the X state; p10 has site i occupied."""
+    p11 = n_i * n_j - np.abs(G) ** 2 + np.abs(F) ** 2
+    return 1.0 - n_i - n_j + p11, n_i - p11, n_j - p11, p11
+
+
+def x_state(n_i, n_j, G, F) -> np.ndarray:
+    """Two-site RDM from the Wick data of :func:`gaussian.pair_correlations`,
+    site i the least significant bit: diag(p00, p10, p01, p11) with
+    ``p11 = n_i n_j - |G|^2 + |F|^2``, ``rho[2, 1] = G``, ``rho[3, 0] = -F``."""
+    m = np.diag(np.array(_populations(n_i, n_j, G, F), dtype=complex))
+    m[2, 1], m[1, 2], m[3, 0], m[0, 3] = G, np.conj(G), -F, -np.conj(F)
+    return m
+
+
+def x_concurrence(n_i, n_j, G, F):
+    """Concurrence ``2 max(0, |G| - sqrt(p00 p11), |F| - sqrt(p01 p10))`` of
+    the X state, elementwise; rejects non-states like :func:`concurrence`."""
+    p00, p10, p01, p11 = _populations(n_i, n_j, G, F)
+    g, f = np.abs(G), np.abs(F)
+    # twice the lowest eigenvalue of each 2x2 block of the X state
+    if np.any(np.minimum(p00 + p11 - np.hypot(p00 - p11, 2.0 * f),
+                         p10 + p01 - np.hypot(p10 - p01, 2.0 * g)) < -2.0 * PSD_TOL):
+        raise InvalidStateError("matrix is not positive semidefinite")
+    r00, r01 = np.sqrt(np.clip([p00 * p11, p01 * p10], 0.0, None))
+    return 2.0 * np.maximum(0.0, np.maximum(g - r00, f - r01))
+
+
 def rdm_matrix_from_eta(eta: float) -> np.ndarray:
-    e2 = eta * eta
-    m = 0.25 * np.array([
-        [1 - e2, 0.0, 0.0, 0.0],
-        [0.0, 1 + e2, -2 * eta, 0.0],
-        [0.0, -2 * eta, 1 + e2, 0.0],
-        [0.0, 0.0, 0.0, 1 - e2],
-    ])
-    return m.astype(complex)
+    """The X state at half filling without pairing: n = 1/2, G = -eta/2, F = 0."""
+    return x_state(0.5, 0.5, -0.5 * eta, 0.0)
+
+
+def _ground_state(spec: ModelSpec, fill: int | None) -> np.ndarray:
+    """Real-space Mbar filling ``fill`` levels, or every negative one."""
+    M = realspace_hamiltonian(spec)
+    return flatten_from_fill(M, fill) if fill is not None else spectral_flatten(M)
 
 
 def rdm_pair(spec: ModelSpec, site1: Site, site2: Site,
@@ -136,23 +170,19 @@ def rdm_pair(spec: ModelSpec, site1: Site, site2: Site,
     """Two-site reduced density matrix of the ground state.
 
     Clean periodic chains go through the analytic eta; anything else (open
-    boundary, disorder) goes through the full correlation-matrix pipeline.
+    boundary, disorder) goes through the real-space correlation matrix.
     ``fill`` selects the number of occupied single-particle levels for
     fillings other than "all negative levels" (open-boundary zero modes).
     """
     if spec.clean_periodic and fill is None:
         eta = eta_analytic(spec, site1, site2).value
         return TwoSiteRDM(rdm_matrix_from_eta(eta), (site1, site2), eta=eta)
-    M = realspace_hamiltonian(spec)
-    Mbar = flatten_from_fill(M, fill) if fill is not None else spectral_flatten(M)
-    MA = restrict(Mbar, [mode_index(site1), mode_index(site2)])
-    rdm = rdm_from_restriction(MA)
+    n1, n2, G, F = pair_correlations(_ground_state(spec, fill),
+                                     mode_index(site1), mode_index(site2))
     eta = None
-    m = rdm.matrix
-    offdiag_ok = max(abs(m[0, 3]), abs(m[3, 0])) < 1e-12
-    if offdiag_ok and abs(m[1, 1] - m[2, 2]) < 1e-12 and abs(m[0, 0] - m[3, 3]) < 1e-12:
-        eta = float(-2.0 * m[1, 2].real)
-    return TwoSiteRDM(m, (site1, site2), eta=eta)
+    if abs(F) < 1e-12 and abs(n1 - n2) < 1e-12 and abs(1.0 - n1 - n2) < 1e-12:
+        eta = float(-2.0 * G.real)
+    return TwoSiteRDM(x_state(n1, n2, G, F), (site1, site2), eta=eta)
 
 
 _SY_SY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]])).real
@@ -171,7 +201,7 @@ def concurrence(rdm) -> float:
         raise InvalidStateError("trace differs from 1 beyond tolerance")
     if np.max(np.abs(rho - rho.T.conj())) > 1e-8:
         raise InvalidStateError("matrix is not Hermitian")
-    if np.min(np.linalg.eigvalsh(rho)) < -1e-8:
+    if np.min(np.linalg.eigvalsh(rho)) < -PSD_TOL:
         raise InvalidStateError("matrix is not positive semidefinite")
     rho_tilde = _SY_SY @ rho.conj() @ _SY_SY
     mu = np.linalg.eigvals(rho @ rho_tilde)
@@ -216,97 +246,80 @@ def site_label(site: Site) -> str:
 
 @dataclass(frozen=True)
 class EntangledGraph:
-    """Weighted graph of all pairwise concurrences above the zero threshold."""
+    """Weighted graph of all pairwise concurrences above the zero threshold.
+    Kitaev graphs have no phase, c1 or c2 (those need SSH cell bonds)."""
 
     num_cells: int
     edges: list
-    phase: Phase
-    c1: float = 0.0
-    c2: float = 0.0
+    phase: Phase | None
+    c1: float | None = None
+    c2: float | None = None
+    sublattices: tuple = ("a", "b")
 
     def to_json(self) -> str:
         doc = {
             "num_cells": self.num_cells,
-            "phase": self.phase.value,
+            "phase": self.phase and self.phase.value,
             "c1": self.c1,
             "c2": self.c2,
-            "vertices": [site_label((n, s))
-                         for n in range(self.num_cells) for s in ("a", "b")],
+            "vertices": [site_label((n, s)) for n in range(self.num_cells)
+                         for s in self.sublattices],
             "edges": [{"site1": site_label(s1), "site2": site_label(s2),
                        "concurrence": c} for s1, s2, c in self.edges],
         }
         return json.dumps(doc, indent=2)
 
-    def to_edge_list(self) -> str:
-        lines = [f"{site_label(s1)} {site_label(s2)} {c:.17g}"
-                 for s1, s2, c in self.edges]
-        return "\n".join(lines) + ("\n" if lines else "")
 
-
-def _all_sites(N: int):
-    return [(n, s) for n in range(N) for s in ("a", "b")]
-
-
-def _site_distance(site1: Site, site2: Site, N: int, periodic: bool) -> int:
-    d = abs(site2[0] - site1[0])
-    return min(d, N - d) if periodic else d
-
-
-def entangled_graph(spec: ModelSpec, fill: int | None = None,
-                    full_scan: bool = False) -> EntangledGraph:
-    """All pairwise concurrences assembled into an entangled graph.
-
-    Clean periodic chains only need one concurrence per pair offset
-    (translation invariance); disordered or open chains compute every pair
-    through the real-space pipeline.  The default cell-distance cutoff is
-    N/2 (periodic distance); ``full_scan`` lifts it.
-
-    Phase labels: c1 > 0 = c2 -> P0; c1 > c2 > 0 -> Q0; c2 > c1 > 0 -> Q1;
-    c2 > 0 = c1 -> P1; ties within 1e-10 -> Critical.  For non-uniform
-    (disordered/open) chains the label follows the majority bond ordering
-    and c1/c2 report median bond values.
-    """
+def _bloch_correlations(spec: ModelSpec):
+    """Wick data ``corr(i, j)`` of a clean periodic chain from one inverse FFT
+    of the unit Bloch vector; SSH pairs must be (a_n, b_m)."""
     N = spec.N
-    cutoff = N if full_scan else N // 2
-    edges = []
-    if spec.clean_periodic:
-        # same-sublattice etas vanish identically; only (a_n, b_{n+d}) matter
-        conc = {}
-        for d in range(N):
-            if min(d, N - d) > cutoff:
-                continue
-            eta = eta_analytic(spec, (0, "a"), (d, "b")).value
-            conc[d] = concurrence_from_eta(eta)
-        for n in range(N):
-            for d, c in conc.items():
-                if c > CONCURRENCE_ZERO:
-                    edges.append(((n, "a"), ((n + d) % N, "b"), c))
-        c1 = conc.get(0, 0.0)
-        # inter-cell bond pairs a_{n+1} with b_n, i.e. offset d = -1 mod N
-        c2 = conc.get(N - 1, 0.0) if N > 1 else 0.0
-        phase = classify_phase(c1, c2)
-        return EntangledGraph(num_cells=N, edges=edges, phase=phase, c1=c1, c2=c2)
+    _, (hx, hy, hz), r = gapped_grid(partial(bloch_vector, spec), N)
+    if spec.family is Family.SSH:
+        G = -0.5 * np.fft.ifft((hx + 1j * hy) / r).real  # -eta(m - n) / 2
+        return lambda i, j: (0.5, 0.5, G[(j // 2 - i // 2) % N], 0.0)
+    G, F = -0.5 * np.fft.ifft(hz / r).real, 0.5 * np.fft.ifft(hy / r).imag
+    return lambda i, j: (0.5 + G[0], 0.5 + G[0], G[(i - j) % N], F[(i - j) % N])
 
-    M = realspace_hamiltonian(spec)
-    Mbar = flatten_from_fill(M, fill) if fill is not None else spectral_flatten(M)
-    periodic = spec.boundary is Boundary.PERIODIC
-    sites = _all_sites(N)
-    pair_conc = {}
-    for i, s1 in enumerate(sites):
-        for s2 in sites[i + 1:]:
-            if _site_distance(s1, s2, N, periodic) > cutoff:
-                continue
-            ma = restrict(Mbar, [mode_index(s1), mode_index(s2)])
-            c = concurrence(rdm_from_restriction(ma).matrix)
-            pair_conc[(s1, s2)] = c
-            if c > CONCURRENCE_ZERO:
-                edges.append((s1, s2, c))
-    c1s = [pair_conc[((n, "a"), (n, "b"))] for n in range(N)]
-    c2s = [pair_conc[((n, "b"), (n + 1, "a"))] for n in range(N - 1)]
-    if periodic:
-        c2s.append(pair_conc[((0, "a"), (N - 1, "b"))])
+
+def entangled_graph(spec: ModelSpec, fill: int | None = None) -> EntangledGraph:
+    """All pairwise concurrences (:func:`x_concurrence`) as an entangled graph.
+
+    Clean periodic chains at the default filling take their correlations
+    from one inverse FFT of the unit Bloch vector; other chains, or an
+    explicit ``fill``, from the real-space correlation matrix.  Pairs more
+    than N/2 cells apart (periodic distance on rings) are skipped.  Edges
+    follow mode order, except on the clean SSH ring: (a_n, b_{n+d}), n-major.
+
+    Phase labels (SSH only): c1 > 0 = c2 -> P0; c1 > c2 > 0 -> Q0;
+    c2 > c1 > 0 -> Q1; c2 > 0 = c1 -> P1; ties within 1e-10 -> Critical.
+    The label is the majority over cells; c1/c2 are median bond values.
+    """
+    N, L, subs = spec.N, spec.num_modes, SUBLATTICES[spec.family]
+    w, periodic = len(subs), spec.boundary is Boundary.PERIODIC
+    momentum = spec.clean_periodic and fill is None
+    corr = (_bloch_correlations(spec) if momentum
+            else partial(pair_correlations, _ground_state(spec, fill)))
+    if momentum and spec.family is Family.SSH:
+        # same-sublattice pairs of the clean ring are uncorrelated
+        n, d = np.divmod(np.arange(N * N), N)
+        i, j = 2 * n, 2 * ((n + d) % N) + 1
+    else:
+        i, j = np.triu_indices(L, k=1)
+        dist = np.abs(i // w - j // w)
+        dist = np.minimum(dist, N - dist) if periodic else dist
+        i, j = i[dist <= N // 2], j[dist <= N // 2]
+    c = x_concurrence(*corr(i, j))
+    keep = c > CONCURRENCE_ZERO
+    edges = [((a // w, subs[a % w]), (b // w, subs[b % w]), x) for a, b, x in
+             zip(i[keep].tolist(), j[keep].tolist(), c[keep].tolist())]
+    if spec.family is not Family.SSH:
+        return EntangledGraph(N, edges, None, sublattices=subs)
+    cells = np.arange(N)
+    bonds = cells if periodic else cells[:-1]
+    c1s = x_concurrence(*corr(2 * cells, 2 * cells + 1)).tolist()
+    c2s = x_concurrence(*corr((2 * bonds + 2) % L, 2 * bonds + 1)).tolist()
     votes = [classify_phase(a, b) for a, b in zip(c1s, c2s)]
     phase = max(set(votes), key=lambda p: (votes.count(p), p.value))
-    c1 = float(np.median(c1s))
-    c2 = float(np.median(c2s))
-    return EntangledGraph(num_cells=N, edges=edges, phase=phase, c1=c1, c2=c2)
+    return EntangledGraph(N, edges, phase, float(np.median(c1s)),
+                          float(np.median(c2s)))

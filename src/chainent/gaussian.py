@@ -7,8 +7,8 @@ indices ``2j`` and ``2j+1``).  The chain of operations
     real-space M  ->  spectral flattening  ->  restriction  ->  dense RDM
 
 reconstructs the reduced density matrix of the ground state on any small
-subsystem.  Higher-order ground-state correlators come out of Pfaffians of
-the flattened matrix.
+subsystem; two-site states need only :func:`pair_correlations`.
+Higher-order ground-state correlators come out of Pfaffians of Mbar.
 """
 
 from __future__ import annotations
@@ -50,9 +50,6 @@ class BlockDiagonalization:
 
     W: np.ndarray
     epsilons: np.ndarray
-
-    def canonical_form(self) -> np.ndarray:
-        return canonical_blocks(self.epsilons)
 
 
 def canonical_blocks(epsilons: np.ndarray) -> np.ndarray:
@@ -120,16 +117,18 @@ def block_diagonalize(M: np.ndarray) -> BlockDiagonalization:
 
 
 def spectral_flatten(M: np.ndarray) -> np.ndarray:
-    """Replace every quasiparticle energy by 1: ``Mbar = W^T J W``.
+    """Replace every quasiparticle energy by 1: with ``iM = V diag(lam) V^+``,
+    ``Mbar = Im(V sign(lam) V^+)``, the real part of -i sign(iM).
 
     ``Mbar`` is the ground-state Majorana correlation matrix,
     ``Mbar_jk = -i <c_j c_k>`` for ``j != k``, and satisfies
     ``Mbar^2 = -I``.
     """
-    bd = block_diagonalize(M)
-    if np.min(bd.epsilons) <= ZERO_TOL * max(1.0, np.max(bd.epsilons)):
+    M = _require_skew(M)
+    vals, V = np.linalg.eigh(1j * M)
+    if np.min(np.abs(vals)) <= ZERO_TOL * max(1.0, np.max(np.abs(vals))):
         raise GaplessError("Hamiltonian is gapless; flattening undefined")
-    Mbar = bd.W.T @ canonical_blocks(np.ones_like(bd.epsilons)) @ bd.W
+    Mbar = ((V * np.sign(vals)) @ V.conj().T).imag
     return (Mbar - Mbar.T) / 2.0  # exact skew-symmetry
 
 
@@ -197,6 +196,22 @@ def restrict(Mbar: np.ndarray, modes) -> np.ndarray:
         raise IndexError("mode index out of range")
     idx = mode_majorana_indices(modes)
     return Mbar[np.ix_(idx, idx)]
+
+
+def pair_correlations(Mbar: np.ndarray, i, j):
+    """Wick data ``(n_i, n_j, G_ij, F_ij)`` of mode pairs, elementwise over
+    index arrays: ``n = <a^+ a>``, ``G_ij = <a_i^+ a_j>``, ``F_ij = <a_i a_j>``.
+    ``Mbar`` and the modes are validated as in :func:`restrict`."""
+    Mbar = _require_skew(Mbar)
+    i, j = np.asarray(i, dtype=int), np.asarray(j, dtype=int)
+    if np.any(i == j):
+        raise IndexError("a pair needs two distinct modes")
+    if np.any((np.minimum(i, j) < 0) | (np.maximum(i, j) >= Mbar.shape[0] // 2)):
+        raise IndexError("mode index out of range")
+    # <c_p c_q> = i Mbar_pq for p != q, and a_j = (c_{2j} + i c_{2j+1}) / 2
+    A, B, C, D = (Mbar[2 * i + s, 2 * j + t] for s, t in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    n = (1.0 - np.diagonal(Mbar, 1)[0::2]) / 2.0
+    return n[i], n[j], (C - B + 1j * (A + D)) / 4.0, (1j * (A - D) - B - C) / 4.0
 
 
 @lru_cache(maxsize=16)

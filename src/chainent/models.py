@@ -191,13 +191,20 @@ def bz_mean(term, bloch, N: int | None = None, points=None) -> float:
         val, _ = quad(lambda k: term(k, bloch(k)), 0.0, np.pi, points=points,
                       epsabs=1e-12, epsrel=1e-12, limit=400)
         return val / np.pi
+    k, h, _ = gapped_grid(bloch, N)
+    return float(np.mean(term(k, h)))
+
+
+def gapped_grid(bloch, N: int):
+    """``k = momentum_grid(N)``, ``h = bloch(k)`` and ``|h|``; GaplessError
+    when |h| < GAP_TOL at a grid momentum."""
     k = momentum_grid(N)
     h = bloch(k)
     r = bloch_norm(h)
     i = int(np.argmin(r))
     if r[i] < GAP_TOL:
         raise GaplessError(f"|h(k)| = {r[i]:g} at k = {k[i]:g}: band touching")
-    return float(np.mean(term(k, h)))
+    return k, h, r
 
 
 def _add_onsite(M: np.ndarray, i: int, e: float) -> None:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from chainent import analysis, serialize
+from chainent import analysis, entanglement, gaussian, models, serialize
 from chainent.cli import main
 
 
@@ -89,10 +89,50 @@ def test_cli_graph_json(tmp_path):
     assert doc["phase"] == "P1"
 
 
+@pytest.mark.parametrize("flags", [["--mu", "0.5"],
+                                   ["--mu", "3", "--boundary", "open"]])
+def test_cli_graph_kitaev_matches_dense_oracle(tmp_path, flags):
+    assert main(["graph", "--model", "kitaev", "--N", "12", *flags,
+                 "--outdir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "graph.json").read_text())
+    assert doc["phase"] is None and doc["c1"] is None and doc["c2"] is None
+    assert doc["vertices"] == [f"s{n}" for n in range(12)]
+    spec = models.ModelSpec.kitaev(
+        12, mu=float(flags[1]),
+        boundary=flags[3] if len(flags) > 2 else "periodic")
+    Mbar = gaussian.spectral_flatten(models.realspace_hamiltonian(spec))
+    want = {}
+    for i in range(12):
+        for j in range(i + 1, 12):
+            d = j - i if len(flags) > 2 else min(j - i, 12 - j + i)
+            rdm = gaussian.rdm_from_restriction(gaussian.restrict(Mbar, [i, j]))
+            c = entanglement.concurrence(rdm.matrix)
+            if d <= 6 and c > 1e-12:
+                want[(f"s{i}", f"s{j}")] = c
+    got = {(e["site1"], e["site2"]): e["concurrence"] for e in doc["edges"]}
+    assert sorted(got) == sorted(want) and want
+    for key, c in want.items():
+        assert got[key] == pytest.approx(c, abs=1e-12)
+
+
+def test_cli_graph_kitaev_open_zero_modes_exit_code(tmp_path, capsys):
+    # mu = 0 on an open chain leaves two exact Majorana zero modes
+    assert main(["graph", "--model", "kitaev", "--N", "12",
+                 "--boundary", "open", "--outdir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and err.count("\n") == 1
+
+
 def test_cli_graph_gapless_exit_code(tmp_path):
     code = main(["graph", "--model", "ssh", "--N", "12", "--lambda", "0.0",
                  "--outdir", str(tmp_path)])
     assert code == 3
+
+
+def test_cli_thermodynamic_sweep_rejects_lambda_out_of_range(tmp_path):
+    code = main(["sweep", "--grid", "1.5:2:3", "--outdir", str(tmp_path)])
+    assert code == 2
+    assert not os.path.exists(tmp_path / "sweep.csv")
 
 
 def test_cli_bad_grid_exit_code(tmp_path):
@@ -167,3 +207,4 @@ def test_cli_verify(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    assert "PASS  closed-form pair concurrence equals dense RDM concurrence" in out

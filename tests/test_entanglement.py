@@ -87,6 +87,12 @@ def test_concurrence_rejects_nonstate():
         ent.concurrence(np.eye(4))  # trace 4, not a state
 
 
+def test_x_concurrence_rejects_nonstate():
+    # n = 1/2 and |G| = 0.6 > 1/2 give p11 = 0.25 - 0.36 < 0
+    with pytest.raises(InvalidStateError):
+        ent.x_concurrence(0.5, 0.5, 0.6, 0.0)
+
+
 def test_classify_phase():
     assert ent.classify_phase(0.5, 0.0) is Phase.P0
     assert ent.classify_phase(0.0, 0.5) is Phase.P1
@@ -140,3 +146,13 @@ def test_open_chain_graph():
     for n in range(7):
         assert ((n, "b"), (n + 1, "a")) in inter
     assert ((0, "a"), (7, "b")) not in inter
+
+
+def test_entangled_graph_clean_ring_honours_fill():
+    # fill = 7 empties the k = pi level of the 8-cell ring; the state stays
+    # translation invariant, so every inter-cell bond carries rdm_pair's value
+    spec = ModelSpec.ssh(8, 0.3)
+    want = ent.concurrence(ent.rdm_pair(spec, (0, "b"), (1, "a"), fill=7))
+    g = ent.entangled_graph(spec, fill=7)
+    assert g.c2 == pytest.approx(want, abs=1e-12)
+    assert abs(g.c2 - ent.entangled_graph(spec).c2) > 0.1

@@ -89,6 +89,15 @@ def test_restrict_keeps_mode_order():
     assert np.array_equal(sub, Mbar[np.ix_(idx, idx)])
 
 
+def test_pair_correlations_validates_like_restrict():
+    Mbar = gaussian.spectral_flatten(ssh_matrix(3, 0.5))
+    for i, j in ([1, 1], [0, 6], [-1, 2], [[0, 2], [3, 2]]):
+        with pytest.raises(IndexError):
+            gaussian.pair_correlations(Mbar, i, j)
+    with pytest.raises(ValueError):
+        gaussian.pair_correlations(Mbar + np.eye(len(Mbar)), 0, 1)
+
+
 # ------------------------------------------------------------------- RDM
 
 def test_rdm_properties():

@@ -1,10 +1,13 @@
-"""Golden CLI outputs of the momentum-space commands.
+"""Golden CLI outputs of the momentum-space and real-space commands.
 
 ``tests/golden/<case>/`` holds the files each command below wrote before
-the momentum-space code was rebuilt on one Bloch-vector kernel.  The
-refactor must reproduce every number to 1e-12 (absolute) and every text
-field exactly.  Do not re-record these files to make a failing case pass:
-they are the contract, not a snapshot of the current code.
+the code it runs was rebuilt: the momentum-space cases before the one
+Bloch-vector kernel, the real-space cases (open and disordered graphs,
+``disorder``, ``obc``) before the closed-form two-site X state.  The
+refactors must reproduce every number to 1e-12 (absolute) and every text
+field exactly, including the edge order.  Do not re-record these files to
+make a failing case pass: they are the contract, not a snapshot of the
+current code.
 """
 
 import json
@@ -32,6 +35,18 @@ CASES = {
     # mu = 2t lies on this grid: pins the per-point gapless NaN row
     "kitaev_n16_json": ["kitaev", "--N", "16", "--grid", "0:4:81",
                         "--format", "json"],
+    "graph_open_n12": ["graph", "--N", "12", "--lambda", "0.3",
+                       "--boundary", "open"],
+    "graph_open_n16_csv": ["graph", "--N", "16", "--lambda", "-0.2",
+                           "--boundary", "open", "--format", "csv"],
+    "graph_disorder_n10": ["graph", "--N", "10", "--lambda", "-0.4",
+                           "--disorder-amplitude", "0.2", "--seed", "3"],
+    "disorder_n12": ["disorder", "--N", "12", "--grid", "-0.6:0.6:4",
+                     "--amplitude", "0.2", "--realizations", "8",
+                     "--seed", "11"],
+    "obc_n64": ["obc", "--N", "64", "--grid", "0.05:0.3:6"],
+    "obc_n33_above_json": ["obc", "--N", "33", "--grid", "0.02:0.3:8",
+                           "--fill", "above", "--format", "json"],
 }
 
 

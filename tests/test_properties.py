@@ -1,4 +1,5 @@
-"""Property tests: the momentum-space kernel against the real-space route.
+"""Property tests: the momentum-space kernel against the real-space route,
+and the closed-form two-site X state against the dense Fock-space RDM.
 
 Hypothesis draws chains and site pairs with ``derandomize=True``, so every
 run checks the same examples.
@@ -42,3 +43,57 @@ def test_kitaev_eta_z_matches_realspace(N, t, delta, mu):
     spec = ModelSpec.kitaev(N, t=t, delta=delta, mu=mu)
     Mbar = gaussian.spectral_flatten(models.realspace_hamiltonian(spec))
     assert abs(analysis.kitaev_eta_z(mu, t, delta, N) - Mbar[0, 1]) < 1e-12
+
+
+@st.composite
+def gaussian_pairs(draw):
+    """A gapped ground state of a random chain and one ordered mode pair."""
+    N = draw(st.integers(2, 16))
+    boundary = draw(st.sampled_from(["periodic", "open"]))
+    amplitude = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    disorder = models.DisorderSpec(amplitude, draw(st.integers(0, 99))) \
+        if amplitude else None
+    if draw(st.booleans()):
+        lam = draw(st.floats(-0.95, 0.95))
+        spec = ModelSpec.ssh(N, lam, boundary=boundary, disorder=disorder)
+    else:
+        spec = ModelSpec.kitaev(N, t=draw(st.floats(0.2, 2.0)),
+                                delta=draw(st.floats(0.2, 2.0)),
+                                mu=draw(st.floats(-4.0, 4.0)),
+                                boundary=boundary, disorder=disorder)
+    L = spec.num_modes
+    M = models.realspace_hamiltonian(spec)
+    fill = None
+    if spec.family is models.Family.SSH and draw(st.booleans()):
+        fill = draw(st.integers(0, L))
+    if fill is None:
+        gap = np.min(np.abs(np.linalg.eigvalsh(1j * M)))
+        Mbar_of = gaussian.spectral_flatten
+    else:
+        levels = np.linalg.eigvalsh(M[0::2, 1::2])
+        gap = levels[fill] - levels[fill - 1] if 0 < fill < L else np.inf
+        Mbar_of = lambda M: gaussian.flatten_from_fill(M, fill)  # noqa: E731
+    assume(gap > 0.05)
+    i, j = draw(st.lists(st.integers(0, L - 1), min_size=2, max_size=2,
+                         unique=True))
+    return Mbar_of(M), i, j
+
+
+@PROPERTY
+@given(gaussian_pairs())
+def test_x_state_matches_dense_rdm(case):
+    Mbar, i, j = case
+    dense = gaussian.rdm_from_restriction(gaussian.restrict(Mbar, [i, j])).matrix
+    wick = gaussian.pair_correlations(Mbar, i, j)
+    assert np.max(np.abs(entanglement.x_state(*wick) - dense)) < 1e-12
+    # Wootters' roots are sqrt(p00 p11) -+ |F| and sqrt(p01 p10) -+ |G|.  At a
+    # root near 0 the concurrence moves by sqrt(delta) under a delta change of
+    # the state, so the dense matrix's own rounding (~1e-17 in entries that
+    # are exactly 0) shifts it by up to ~1e-8.  Compare to 1e-12 wherever
+    # every root exceeds 1e-3, and to that conditioning elsewhere.
+    p = np.clip(dense.diagonal().real, 0.0, None)
+    min_root = min(abs(np.sqrt(p[0] * p[3]) - abs(dense[0, 3])),
+                   abs(np.sqrt(p[1] * p[2]) - abs(dense[1, 2])))
+    tol = 1e-12 if min_root > 1e-3 else 1e-7
+    assert abs(entanglement.x_concurrence(*wick)
+               - entanglement.concurrence(dense)) < tol
