@@ -16,11 +16,11 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .entanglement import (
-    concurrence,
     concurrence_from_eta,
     eta_analytic,
     eta_thermodynamic,
-    rdm_pair,
+    mode_index,
+    x_concurrence,
 )
 from .errors import (
     GaplessError,
@@ -29,6 +29,7 @@ from .errors import (
     ParityError,
     WindowError,
 )
+from .gaussian import particle_correlations, particle_ground_state
 from .models import (
     Boundary,
     GAP_TOL,
@@ -38,6 +39,7 @@ from .models import (
     bz_mean,
     kitaev_bloch,
     momentum_grid,
+    particle_matrix,
     ssh_bloch,
     unit_derivative,
 )
@@ -349,15 +351,23 @@ def kitaev_compressibility_logfit(window=(1e-5, 1e-3), t: float = 1.0,
 
 # -------------------------------------------------- disorder / open boundary
 
-def _central_inter_pair(N: int):
+_STACK_BYTES = 8 << 20  # cap on the matrices of one stacked disorder solve
+
+
+def _central_pair_c2(A: np.ndarray, N: int, fill: int | None = None):
+    """Concurrence of the central inter-cell pair (b_c, a_{c+1}) of the
+    ground state of particle matrix ``A``, or of each one of a stack, from
+    the closed form of its X state."""
     c = N // 2 - 1 if N % 2 == 0 else N // 2
-    return (c, "b"), (c + 1, "a")
+    _, V = particle_ground_state(A, fill)
+    return x_concurrence(*particle_correlations(
+        V, mode_index((c, "b")), mode_index((c + 1, "a"))))
 
 
 def central_pair_concurrence(spec: ModelSpec, fill: int | None = None) -> float:
-    """Concurrence of the central inter-cell pair via the real-space pipeline."""
-    s1, s2 = _central_inter_pair(spec.N)
-    return concurrence(rdm_pair(spec, s1, s2, fill=fill))
+    """Concurrence of the central inter-cell pair of an SSH chain's
+    real-space ground state."""
+    return float(_central_pair_c2(particle_matrix(spec), spec.N, fill))
 
 
 @dataclass
@@ -377,15 +387,22 @@ def disorder_ensemble(N: int, lambda_grid, amplitude: float = 0.1,
     """Mean and standard deviation of the central-bond C2 over disorder seeds.
 
     Seeds are ``base_seed + i``; identical inputs give identical tables.
+    The realizations of one lambda are solved by stacked ``eigh`` calls on
+    at most 8 MB of matrices each.
     """
+    if num_realizations < 1:
+        raise ValueError("need at least one disorder realization")
     lams = np.asarray(lambda_grid, dtype=float)
     seeds = base_seed + np.arange(num_realizations)
     per_seed = np.empty((num_realizations, len(lams)))
-    for i, seed in enumerate(seeds):
-        dis = DisorderSpec(amplitude=amplitude, seed=int(seed))
-        for j, lam in enumerate(lams):
-            spec = ModelSpec.ssh(N, lam, boundary=boundary, disorder=dis)
-            per_seed[i, j] = central_pair_concurrence(spec)
+    chunk = max(1, _STACK_BYTES // (8 * (2 * N) ** 2))
+    for j, lam in enumerate(lams):
+        for s in range(0, num_realizations, chunk):
+            A = np.stack([particle_matrix(ModelSpec.ssh(
+                N, lam, boundary=boundary,
+                disorder=DisorderSpec(amplitude=amplitude, seed=int(seed))))
+                for seed in seeds[s:s + chunk]])
+            per_seed[s:s + chunk, j] = _central_pair_c2(A, N)
     return DisorderTable(lambdas=lams, mean_c2=per_seed.mean(axis=0),
                          std_c2=per_seed.std(axis=0), per_seed=per_seed,
                          seeds=seeds, N=N, amplitude=amplitude)

@@ -18,7 +18,13 @@ from functools import partial
 import numpy as np
 
 from .errors import GaplessError, InvalidStateError
-from .gaussian import flatten_from_fill, pair_correlations, spectral_flatten
+from .gaussian import (
+    _majorana_wick,
+    flatten_from_fill,
+    particle_correlations,
+    particle_ground_state,
+    spectral_flatten,
+)
 from .models import (
     Boundary,
     Family,
@@ -28,6 +34,7 @@ from .models import (
     bloch_vector,
     bz_mean,
     gapped_grid,
+    particle_matrix,
     realspace_hamiltonian,
     ssh_bloch,
 )
@@ -39,12 +46,14 @@ Site = tuple  # (cell, "a" | "b") for SSH, (site, "s") for Kitaev
 SUBLATTICES = {Family.SSH: ("a", "b"), Family.KITAEV: ("s",)}
 
 
-def mode_index(site: Site) -> int:
-    """Fermionic mode index of an SSH site: a_n -> 2n, b_n -> 2n + 1."""
+def mode_index(site: Site, family: Family = Family.SSH) -> int:
+    """Fermionic mode index of a site: SSH a_n -> 2n, b_n -> 2n + 1;
+    Kitaev s_n -> n."""
     cell, sub = site
-    if sub not in ("a", "b"):
-        raise ValueError("sublattice must be 'a' or 'b'")
-    return 2 * cell + (sub == "b")
+    subs = SUBLATTICES[family]
+    if sub not in subs:
+        raise ValueError(f"sublattice must be one of {subs}")
+    return len(subs) * cell + subs.index(sub)
 
 
 class Route(str, Enum):
@@ -159,26 +168,33 @@ def rdm_matrix_from_eta(eta: float) -> np.ndarray:
     return x_state(0.5, 0.5, -0.5 * eta, 0.0)
 
 
-def _ground_state(spec: ModelSpec, fill: int | None) -> np.ndarray:
-    """Real-space Mbar filling ``fill`` levels, or every negative one."""
+def _ground_state(spec: ModelSpec, fill: int | None):
+    """Wick data ``corr(i, j)`` of the real-space ground state filling
+    ``fill`` levels, or every negative one.  SSH chains solve their particle
+    matrix; Kitaev chains flatten their Majorana matrix."""
+    if spec.family is Family.SSH:
+        _, V = particle_ground_state(particle_matrix(spec), fill)
+        return partial(particle_correlations, V)
     M = realspace_hamiltonian(spec)
-    return flatten_from_fill(M, fill) if fill is not None else spectral_flatten(M)
+    Mbar = flatten_from_fill(M, fill) if fill is not None else spectral_flatten(M)
+    return partial(_majorana_wick, Mbar)
 
 
 def rdm_pair(spec: ModelSpec, site1: Site, site2: Site,
              fill: int | None = None) -> TwoSiteRDM:
     """Two-site reduced density matrix of the ground state.
 
-    Clean periodic chains go through the analytic eta; anything else (open
-    boundary, disorder) goes through the real-space correlation matrix.
+    Clean periodic SSH chains go through the analytic eta; anything else
+    (Kitaev chains, open boundary, disorder) goes through the real-space
+    ground state.  Sites are labelled as in :func:`mode_index`.
     ``fill`` selects the number of occupied single-particle levels for
     fillings other than "all negative levels" (open-boundary zero modes).
     """
-    if spec.clean_periodic and fill is None:
+    if spec.family is Family.SSH and spec.clean_periodic and fill is None:
         eta = eta_analytic(spec, site1, site2).value
         return TwoSiteRDM(rdm_matrix_from_eta(eta), (site1, site2), eta=eta)
-    n1, n2, G, F = pair_correlations(_ground_state(spec, fill),
-                                     mode_index(site1), mode_index(site2))
+    n1, n2, G, F = _ground_state(spec, fill)(mode_index(site1, spec.family),
+                                            mode_index(site2, spec.family))
     eta = None
     if abs(F) < 1e-12 and abs(n1 - n2) < 1e-12 and abs(1.0 - n1 - n2) < 1e-12:
         eta = float(-2.0 * G.real)
@@ -287,9 +303,11 @@ def entangled_graph(spec: ModelSpec, fill: int | None = None) -> EntangledGraph:
 
     Clean periodic chains at the default filling take their correlations
     from one inverse FFT of the unit Bloch vector; other chains, or an
-    explicit ``fill``, from the real-space correlation matrix.  Pairs more
-    than N/2 cells apart (periodic distance on rings) are skipped.  Edges
-    follow mode order, except on the clean SSH ring: (a_n, b_{n+d}), n-major.
+    explicit ``fill``, from the real-space ground state: the particle
+    matrix of SSH chains, the flattened Majorana matrix of Kitaev chains.
+    Pairs more than N/2 cells apart (periodic distance on rings) are
+    skipped.  Edges follow mode order, except on the clean SSH ring:
+    (a_n, b_{n+d}), n-major.
 
     Phase labels (SSH only): c1 > 0 = c2 -> P0; c1 > c2 > 0 -> Q0;
     c2 > c1 > 0 -> Q1; c2 > 0 = c1 -> P1; ties within 1e-10 -> Critical.
@@ -298,8 +316,7 @@ def entangled_graph(spec: ModelSpec, fill: int | None = None) -> EntangledGraph:
     N, L, subs = spec.N, spec.num_modes, SUBLATTICES[spec.family]
     w, periodic = len(subs), spec.boundary is Boundary.PERIODIC
     momentum = spec.clean_periodic and fill is None
-    corr = (_bloch_correlations(spec) if momentum
-            else partial(pair_correlations, _ground_state(spec, fill)))
+    corr = _bloch_correlations(spec) if momentum else _ground_state(spec, fill)
     if momentum and spec.family is Family.SSH:
         # same-sublattice pairs of the clean ring are uncorrelated
         n, d = np.divmod(np.arange(N * N), N)

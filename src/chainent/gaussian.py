@@ -1,8 +1,10 @@
 """Gaussian-state machinery for quadratic fermion Hamiltonians.
 
-Everything here operates on real skew-symmetric single-particle matrices in
-the Majorana convention of :mod:`chainent.models` (mode ``j`` owns Majorana
-indices ``2j`` and ``2j+1``).  The chain of operations
+Number-conserving chains are solved as L x L particle matrices
+(:func:`particle_ground_state`, :func:`particle_correlations`).  The rest
+operates on real skew-symmetric matrices in the Majorana convention of
+:mod:`chainent.models` (mode ``j`` owns Majorana indices ``2j`` and
+``2j+1``).  The chain of operations
 
     real-space M  ->  spectral flattening  ->  restriction  ->  dense RDM
 
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     DegenerateFillError,
@@ -25,6 +28,7 @@ from .errors import (
     OddDimensionError,
     SizeError,
 )
+from .models import majorana_matrix
 
 SKEW_TOL = 1e-12
 ZERO_TOL = 1e-12
@@ -41,6 +45,15 @@ def _require_skew(M: np.ndarray) -> np.ndarray:
     if np.max(np.abs(M + M.T)) > SKEW_TOL * max(1.0, np.max(np.abs(M))):
         raise ValueError("matrix is not skew-symmetric")
     return M
+
+
+def _check_pairs(i, j, num_modes: int):
+    i, j = np.asarray(i, dtype=int), np.asarray(j, dtype=int)
+    if np.any(i == j):
+        raise IndexError("a pair needs two distinct modes")
+    if np.any((np.minimum(i, j) < 0) | (np.maximum(i, j) >= num_modes)):
+        raise IndexError("mode index out of range")
+    return i, j
 
 
 @dataclass(frozen=True)
@@ -132,44 +145,64 @@ def spectral_flatten(M: np.ndarray) -> np.ndarray:
     return (Mbar - Mbar.T) / 2.0  # exact skew-symmetry
 
 
-def _particle_matrix(M: np.ndarray) -> np.ndarray:
-    """Recover the L x L single-particle matrix A (H = sum A_ij a_i^ a_j + const)
-    from a number-conserving Majorana matrix."""
-    M = _require_skew(M)
-    A = M[0::2, 1::2]
-    scale = max(1.0, np.max(np.abs(M)))
-    if (np.max(np.abs(M[0::2, 0::2])) > SKEW_TOL * scale
-            or np.max(np.abs(M[1::2, 1::2])) > SKEW_TOL * scale
-            or np.max(np.abs(M[1::2, 0::2] + A.T)) > SKEW_TOL * scale
-            or np.max(np.abs(A - A.T)) > SKEW_TOL * scale):
+def particle_ground_state(A: np.ndarray, fill: int | None = None):
+    """Ascending levels and eigenvectors (columns of empty levels zeroed) of
+    ``H = sum A_ij a_i^ a_j`` filling the ``fill`` lowest levels, or every
+    negative one.  ``A`` is real symmetric, L x L (tridiagonal for an open
+    chain, solved by ``eigh_tridiagonal``) or a stack (..., L, L) solved by
+    one stacked ``eigh``; a non-symmetric ``A`` (pairing) raises ValueError.
+    ``fill=None`` raises GaplessError as :func:`spectral_flatten` does
+    (``eig(iM) = +-levels``); an explicit fill raises ValueError outside
+    0..L and DegenerateFillError inside a degenerate pair."""
+    A = np.asarray(A, dtype=float)
+    L = A.shape[-1]
+    d, e, f = (np.diagonal(A, k, -2, -1) for k in (0, 1, -1))
+    band = A.ndim == 2 and np.count_nonzero(A) == sum(map(np.count_nonzero, (d, e, f)))
+    asym = e - f if band else A - np.swapaxes(A, -1, -2)
+    if np.max(np.abs(asym), initial=0.0) > SKEW_TOL * max(1.0, np.max(np.abs(A))):
         raise ValueError("matrix carries pairing terms; particle filling undefined")
-    return (A + A.T) / 2.0
+    if fill is not None and not 0 <= fill <= L:
+        raise ValueError("num_filled out of range")
+    if band:
+        levels, V = eigh_tridiagonal(d, e)
+    else:
+        levels, V = np.linalg.eigh(A)
+    scale = np.maximum(1.0, np.max(np.abs(levels), axis=-1))
+    if fill is None and np.any(np.min(np.abs(levels), axis=-1) <= ZERO_TOL * scale):
+        raise GaplessError("Hamiltonian is gapless; flattening undefined")
+    if fill is not None and 0 < fill < L and np.any(
+            levels[..., fill] - levels[..., fill - 1] < DEGENERACY_TOL):
+        raise DegenerateFillError("filling boundary splits a degenerate level "
+                                  "pair; choose a filling below or above it")
+    filled = levels < 0 if fill is None else np.arange(L) < fill
+    V *= filled[..., None, :]
+    return levels, V
+
+
+def particle_correlations(V: np.ndarray, i, j):
+    """Wick data ``(n_i, n_j, G_ij, 0)`` of mode pairs from the eigenvectors
+    of :func:`particle_ground_state`: ``n_i = sum V_i^2``, ``G_ij = sum V_i
+    V_j``; elementwise over index arrays and over a stack of states."""
+    i, j = _check_pairs(i, j, V.shape[-2])
+    Vi, Vj = V[..., i, :], V[..., j, :]
+    return np.sum(Vi * Vi, -1), np.sum(Vj * Vj, -1), np.sum(Vi * Vj, -1), 0.0
 
 
 def flatten_from_fill(M: np.ndarray, num_filled: int) -> np.ndarray:
     """Correlation matrix of the state filling the ``num_filled`` lowest
-    single-particle levels of a number-conserving Hamiltonian.
+    single-particle levels of a number-conserving Hamiltonian: the Majorana
+    form of :func:`particle_ground_state`.
 
     Coincides with :func:`spectral_flatten` when ``num_filled`` equals the
     number of negative levels, but also covers fillings that place the Fermi
     level above or below midgap states (open-boundary zero modes).
     """
-    A = _particle_matrix(M)
-    L = A.shape[0]
-    if not 0 <= num_filled <= L:
-        raise ValueError("num_filled out of range")
-    levels, V = np.linalg.eigh(A)
-    if 0 < num_filled < L:
-        if levels[num_filled] - levels[num_filled - 1] < DEGENERACY_TOL:
-            raise DegenerateFillError(
-                "filling boundary splits a degenerate level pair; "
-                "choose a filling below or above it")
-    Vf = V[:, :num_filled]
-    K = np.eye(L) - 2.0 * (Vf @ Vf.T)  # K = I - 2P, symmetric
-    Mbar = np.zeros((2 * L, 2 * L))
-    Mbar[0::2, 1::2] = K
-    Mbar[1::2, 0::2] = -K
-    return Mbar
+    M = _require_skew(M)
+    A = M[0::2, 1::2]
+    if np.max(np.abs(M - majorana_matrix(A))) > SKEW_TOL * max(1.0, np.max(np.abs(M))):
+        raise ValueError("matrix carries pairing terms; particle filling undefined")
+    _, V = particle_ground_state(A, num_filled)  # rejects pairing in A
+    return majorana_matrix(np.eye(len(A)) - 2.0 * (V @ V.T))  # I - 2P
 
 
 def mode_majorana_indices(modes) -> np.ndarray:
@@ -202,12 +235,12 @@ def pair_correlations(Mbar: np.ndarray, i, j):
     """Wick data ``(n_i, n_j, G_ij, F_ij)`` of mode pairs, elementwise over
     index arrays: ``n = <a^+ a>``, ``G_ij = <a_i^+ a_j>``, ``F_ij = <a_i a_j>``.
     ``Mbar`` and the modes are validated as in :func:`restrict`."""
-    Mbar = _require_skew(Mbar)
-    i, j = np.asarray(i, dtype=int), np.asarray(j, dtype=int)
-    if np.any(i == j):
-        raise IndexError("a pair needs two distinct modes")
-    if np.any((np.minimum(i, j) < 0) | (np.maximum(i, j) >= Mbar.shape[0] // 2)):
-        raise IndexError("mode index out of range")
+    return _majorana_wick(_require_skew(Mbar), i, j)
+
+
+def _majorana_wick(Mbar: np.ndarray, i, j):
+    """:func:`pair_correlations` on an ``Mbar`` this package built."""
+    i, j = _check_pairs(i, j, Mbar.shape[0] // 2)
     # <c_p c_q> = i Mbar_pq for p != q, and a_j = (c_{2j} + i c_{2j+1}) / 2
     A, B, C, D = (Mbar[2 * i + s, 2 * j + t] for s, t in ((0, 0), (0, 1), (1, 0), (1, 1)))
     n = (1.0 - np.diagonal(Mbar, 1)[0::2]) / 2.0

@@ -1,5 +1,6 @@
 """Model definitions: SSH and Kitaev chains, momentum grids, Bloch vectors,
-and real-space single-particle Hamiltonians in the Majorana representation.
+and real-space single-particle Hamiltonians: the L x L matrix of hopping,
+onsite and pairing terms and its Majorana form.
 
 Conventions
 -----------
@@ -207,58 +208,42 @@ def gapped_grid(bloch, N: int):
     return k, h, r
 
 
-def _add_onsite(M: np.ndarray, i: int, e: float) -> None:
-    # e * a_i^ a_i  ->  (e/2) i c_{2i} c_{2i+1} + const
-    M[2 * i, 2 * i + 1] += e
-    M[2 * i + 1, 2 * i] -= e
+def particle_matrix(spec: ModelSpec) -> np.ndarray:
+    """Real L x L matrix ``A + B`` of
+    ``H = sum_ij [A_ij a_i^ a_j + (B_ij / 2)(a_i a_j + h.c.)]``: symmetric
+    hopping and onsite terms A (with the disorder on the diagonal) plus the
+    antisymmetric Kitaev pairing B, ``B_{n,n+1} = delta``.  The SSH chain
+    has no pairing, so this is its particle matrix, tridiagonal when open:
+    t1 on a_n -- b_n, t2 on b_n -- a_{n+1} and on the wrap bond of a ring.
+    """
+    L = spec.num_modes
+    n = np.arange(L if spec.boundary is Boundary.PERIODIC else L - 1)
+    m = (n + 1) % L
+    if spec.family is Family.SSH:
+        hop, pair, onsite = np.resize([spec.t1, spec.t2], len(n)), 0.0, 0.0
+    else:
+        hop, pair, onsite = -spec.t, spec.delta, -spec.mu
+    H = np.diag(np.full(L, onsite))
+    if spec.disorder is not None:
+        H += np.diag(spec.disorder.onsite_energies(L))
+    H[n, m] += hop + pair  # bonds are distinct, so += adds each once
+    H[m, n] += hop - pair
+    return H
 
 
-def _add_hopping(M: np.ndarray, i: int, j: int, t: float) -> None:
-    # t * (a_i^ a_j + a_j^ a_i), t real, i != j
-    M[2 * i, 2 * j + 1] += t
-    M[2 * j + 1, 2 * i] -= t
-    M[2 * i + 1, 2 * j] -= t
-    M[2 * j, 2 * i + 1] += t
-
-
-def _add_pairing(M: np.ndarray, i: int, j: int, p: float) -> None:
-    # p * (a_i a_j + a_j^ a_i^), p real, i != j
-    M[2 * i, 2 * j + 1] += p
-    M[2 * j + 1, 2 * i] -= p
-    M[2 * i + 1, 2 * j] += p
-    M[2 * j, 2 * i + 1] -= p
+def majorana_matrix(H: np.ndarray) -> np.ndarray:
+    """Real skew-symmetric M with ``(i/4) c^T M c`` equal to the Hamiltonian
+    of the single-particle matrix ``H = A + B`` (see :func:`particle_matrix`)
+    up to a constant: ``M[0::2, 1::2] = H``, ``M[1::2, 0::2] = -H^T``."""
+    L = len(H)
+    M = np.zeros((2 * L, 2 * L))
+    M[0::2, 1::2] = H
+    M[1::2, 0::2] = -H.T
+    return M
 
 
 def realspace_hamiltonian(spec: ModelSpec) -> np.ndarray:
     """Real skew-symmetric M with ``H = (i/4) c^T M c`` equal to the model
-    Hamiltonian (plus onsite disorder when present).
-
-    Works for any boundary condition and disorder realization.  The matrix is
-    exactly skew-symmetric as constructed.
-    """
-    L = spec.num_modes
-    M = np.zeros((2 * L, 2 * L))
-    periodic = spec.boundary is Boundary.PERIODIC
-    if spec.family is Family.SSH:
-        N = spec.N
-        for n in range(N):
-            _add_hopping(M, 2 * n, 2 * n + 1, spec.t1)           # a_n -- b_n
-        for n in range(N if periodic else N - 1):
-            _add_hopping(M, 2 * n + 1, (2 * n + 2) % L, spec.t2)  # b_n -- a_{n+1}
-    else:
-        N = spec.N
-        for n in range(N):
-            _add_onsite(M, n, -spec.mu)
-        for n in range(N if periodic else N - 1):
-            m = (n + 1) % N
-            _add_hopping(M, n, m, -spec.t)
-            # delta * (a_n a_{n+1} + h.c.); the wrap bond keeps the bond
-            # orientation n -> n+1, handled by the sign flip below.
-            if m > n:
-                _add_pairing(M, n, m, spec.delta)
-            else:
-                _add_pairing(M, m, n, -spec.delta)
-    if spec.disorder is not None:
-        for i, e in enumerate(spec.disorder.onsite_energies(L)):
-            _add_onsite(M, i, e)
-    return M
+    Hamiltonian (plus onsite disorder when present), for any boundary
+    condition and disorder realization."""
+    return majorana_matrix(particle_matrix(spec))

@@ -4,7 +4,7 @@ import pytest
 from chainent import analysis
 from chainent.errors import (GridTooCoarseError, NoRootError, ParityError,
                              WindowError)
-from chainent.models import Boundary, ModelSpec
+from chainent.models import Boundary, DisorderSpec, ModelSpec
 
 
 def test_eta_limits():
@@ -129,6 +129,29 @@ def test_disorder_zero_amplitude_reproduces_clean():
              for lam in grid]
     assert np.allclose(table.mean_c2, clean, atol=1e-12)
     assert np.allclose(table.std_c2, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_disorder_ensemble_matches_single_realizations(boundary, chunk,
+                                                       monkeypatch):
+    """The stacked solve of an ensemble equals each realization alone, also
+    when the ensemble exceeds one stack (7 realizations in stacks of 3)."""
+    if chunk is not None:
+        monkeypatch.setattr(analysis, "_STACK_BYTES", chunk * 8 * 12 ** 2)
+    grid = np.array([0.15, 0.35])
+    table = analysis.disorder_ensemble(6, grid, amplitude=0.3,
+                                       num_realizations=7, base_seed=5,
+                                       boundary=boundary)
+    for i, seed in enumerate(table.seeds):
+        for j, lam in enumerate(grid):
+            spec = ModelSpec.ssh(6, lam, boundary=boundary,
+                                 disorder=DisorderSpec(0.3, int(seed)))
+            assert table.per_seed[i, j] == pytest.approx(
+                analysis.central_pair_concurrence(spec), abs=1e-12)
+    assert np.ptp(table.per_seed, axis=0).min() > 1e-3  # seeds differ
+    with pytest.raises(ValueError):
+        analysis.disorder_ensemble(6, grid, num_realizations=0)
 
 
 def test_disorder_deterministic():

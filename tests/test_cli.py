@@ -123,6 +123,15 @@ def test_cli_graph_kitaev_open_zero_modes_exit_code(tmp_path, capsys):
     assert err.startswith("numerical error:") and err.count("\n") == 1
 
 
+def test_cli_graph_open_edge_modes_exit_code(tmp_path, capsys):
+    # the two edge levels of this open chain are split far below 1e-12
+    assert main(["graph", "--N", "24", "--lambda", "0.9", "--boundary", "open",
+                 "--outdir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and err.count("\n") == 1
+    assert not os.listdir(tmp_path)
+
+
 def test_cli_graph_gapless_exit_code(tmp_path):
     code = main(["graph", "--model", "ssh", "--N", "12", "--lambda", "0.0",
                  "--outdir", str(tmp_path)])

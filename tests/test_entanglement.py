@@ -57,6 +57,24 @@ def test_rdm_pair_routes_agree():
         assert np.allclose(analytic, pipeline, atol=1e-12)
 
 
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_rdm_pair_kitaev_sites(boundary):
+    """Kitaev sites are (n, 's'): rdm_pair reproduces the graph edge and the
+    dense Fock-space RDM, and SSH labels are rejected."""
+    spec = ModelSpec.kitaev(8, delta=0.7, mu=0.5, boundary=boundary)
+    rdm = ent.rdm_pair(spec, (1, "s"), (2, "s"))
+    Mbar = gaussian.spectral_flatten(models.realspace_hamiltonian(spec))
+    dense = gaussian.rdm_from_restriction(gaussian.restrict(Mbar, [1, 2]))
+    assert np.max(np.abs(rdm.matrix - dense.matrix)) < 1e-12
+    edges = {(s1, s2): c for s1, s2, c in ent.entangled_graph(spec).edges}
+    c = edges[((1, "s"), (2, "s"))]
+    assert c > 0.05
+    assert ent.concurrence(rdm) == pytest.approx(c, abs=1e-12)
+    for site in ((1, "a"), (1, "b")):
+        with pytest.raises(ValueError):
+            ent.rdm_pair(spec, site, (2, "s"))
+
+
 def test_rdm_matrix_form():
     eta = 0.6
     rho = ent.rdm_matrix_from_eta(eta)

@@ -79,6 +79,19 @@ def test_flatten_from_fill_rejects_pairing():
         gaussian.flatten_from_fill(M, 3)
 
 
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_particle_ground_state_rejects_pairing(boundary):
+    """A Kitaev particle matrix (hopping plus antisymmetric pairing) is not
+    a number-conserving Hamiltonian, alone or in a stack."""
+    A = models.particle_matrix(
+        ModelSpec.kitaev(6, delta=0.5, mu=0.3, boundary=boundary))
+    for fill in (None, 3):
+        with pytest.raises(ValueError):
+            gaussian.particle_ground_state(A, fill)
+    with pytest.raises(ValueError):
+        gaussian.particle_ground_state(np.stack([(A + A.T) / 2.0, A]))
+
+
 # ------------------------------------------------------------- restriction
 
 def test_restrict_keeps_mode_order():

@@ -1,5 +1,6 @@
 """Property tests: the momentum-space kernel against the real-space route,
-and the closed-form two-site X state against the dense Fock-space RDM.
+the closed-form two-site X state against the dense Fock-space RDM, and the
+particle-matrix ground state of SSH chains against the Majorana route.
 
 Hypothesis draws chains and site pairs with ``derandomize=True``, so every
 run checks the same examples.
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chainent import analysis, entanglement, gaussian, models
+from chainent.errors import ChainentError
 from chainent.models import ModelSpec
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
@@ -97,3 +99,61 @@ def test_x_state_matches_dense_rdm(case):
     tol = 1e-12 if min_root > 1e-3 else 1e-7
     assert abs(entanglement.x_concurrence(*wick)
                - entanglement.concurrence(dense)) < tol
+
+
+@st.composite
+def ssh_ground_states(draw):
+    """An SSH chain of either boundary, maybe disordered, and a filling."""
+    disorder = st.builds(models.DisorderSpec, st.sampled_from([0.1, 0.5]),
+                         st.integers(0, 99))
+    spec = ModelSpec.ssh(draw(st.integers(2, 40)), draw(st.floats(-1.0, 1.0)),
+                         boundary=draw(st.sampled_from(["periodic", "open"])),
+                         disorder=draw(st.none() | disorder))
+    return spec, draw(st.none() | st.integers(0, spec.num_modes))
+
+
+def _outcome(route):
+    """The route's result, or the class of the package error it raised."""
+    try:
+        return route()
+    except (ChainentError, ValueError) as exc:
+        return type(exc)
+
+
+@PROPERTY
+@given(ssh_ground_states())
+def test_particle_route_matches_majorana_oracle(case):
+    spec, fill = case
+    L = spec.num_modes
+    i, j = np.triu_indices(L, k=1)
+    M = models.realspace_hamiltonian(spec)
+
+    def oracle():
+        Mbar = (gaussian.spectral_flatten(M) if fill is None
+                else gaussian.flatten_from_fill(M, fill))
+        return gaussian.pair_correlations(Mbar, i, j)
+
+    want = _outcome(oracle)
+    got = _outcome(lambda: entanglement._ground_state(spec, fill)(i, j))
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert not isinstance(got, type), got
+    # Both routes are backward stable, so their filled projectors differ by
+    # about eps ||A|| / gap, with the gap at the Fermi level (Davis-Kahan;
+    # ||A|| <= 3 here).  Compare to 1e-12 where that gap exceeds 1e-3, and
+    # to 1e-14 / gap, about fifteen times that bound, below.
+    levels = np.linalg.eigvalsh(models.particle_matrix(spec))
+    nf = np.count_nonzero(levels < 0) if fill is None else fill
+    gap = levels[nf] - levels[nf - 1] if 0 < nf < L else np.inf
+    tol = 1e-12 if gap > 1e-3 else 1e-14 / gap
+    for w, g in zip(want, got):
+        assert np.max(np.abs(w - g)) < tol
+    if fill is not None and 1e-3 < gap < np.inf:
+        # flatten_from_fill shares the particle solver; flattening the
+        # Majorana matrix with the Fermi level moved into the gap does not
+        mu = (levels[fill - 1] + levels[fill]) / 2.0
+        shifted = M - mu * models.majorana_matrix(np.eye(L))
+        for w, g in zip(gaussian.pair_correlations(
+                gaussian.spectral_flatten(shifted), i, j), got):
+            assert np.max(np.abs(w - g)) < 1e-12
