@@ -1,10 +1,12 @@
 """Parameter sweeps, critical-point extraction, finite-size studies and the
 Kitaev density/compressibility analog.
 
-Finite-N quantities are Brillouin-zone sums; "thermodynamic" means adaptive
-quadrature of the corresponding integral (not a huge-N sum).  All routines
-are pure functions of their arguments; sweep points and disorder
-realizations are independent and may be evaluated in any order.
+Finite-N quantities are Brillouin-zone sums, a whole grid of parameters at a
+time; "thermodynamic" means the N -> infinity integral (not a huge-N sum):
+the elliptic closed forms of :mod:`models` for the SSH chain, adaptive
+quadrature for the Kitaev chain.  All routines are pure functions of their
+arguments; sweep points and disorder realizations are independent and may be
+evaluated in any order.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .entanglement import (
+    CRITICAL_POINT,
     concurrence_from_eta,
+    eta_summand,
     eta_analytic,
     eta_thermodynamic,
     mode_index,
@@ -35,12 +39,15 @@ from .models import (
     GAP_TOL,
     DisorderSpec,
     ModelSpec,
+    band_touching,
     bloch_norm,
     bz_mean,
     kitaev_bloch,
     momentum_grid,
     particle_matrix,
     ssh_bloch,
+    ssh_deta1_limit,
+    ssh_eta1_limit,
     unit_derivative,
 )
 
@@ -50,7 +57,8 @@ SQRT2_MINUS_1 = np.sqrt(2.0) - 1.0
 # ---------------------------------------------------------------- eta values
 
 def eta1(lam: float, N: int | None = None) -> float:
-    """eta1 = BZ average of normalized h_x; quadrature when N is None."""
+    """eta1 = BZ average of normalized h_x; the elliptic closed form when N
+    is None."""
     if N is None:
         return eta_thermodynamic(lam, "intra").value
     return eta_analytic(ModelSpec.ssh(N, lam), (0, "a"), (0, "b")).value
@@ -63,11 +71,48 @@ def eta2(lam: float, N: int | None = None) -> float:
 
 
 def deta1(lam: float, N: int | None = None) -> float:
-    """d(eta1)/d(lambda), exact per momentum (no finite differences)."""
+    """d(eta1)/d(lambda), exact per momentum (no finite differences); the
+    closed form :func:`models.ssh_deta1_limit` when N is None."""
+    if not -1.0 <= lam <= 1.0:
+        raise ValueError("lambda must lie in [-1, 1]")
     if abs(lam) < GAP_TOL:
         raise GaplessError("derivative undefined at lambda = 0")
-    return bz_mean(lambda k, h: unit_derivative(h, ssh_bloch, k)[0],
-                   partial(ssh_bloch, lam), N, points=[np.pi])
+    return float(_deta1(np.array([lam]), N)[0])
+
+
+def _deta1(lams, N):
+    """deta1 on a grid of lambda in [-1, 1], none gapless (|h| >= 2|lambda|)."""
+    if N is None:
+        return ssh_deta1_limit(lams)
+    return _grid_means(lams, N, ssh_bloch,
+                       lambda k, h: unit_derivative(h, ssh_bloch, k)[0])[0][0]
+
+
+_STACK_BYTES = 8 << 20  # cap on one (parameter, k) array or one matrix stack
+
+
+def _grid_means(params, N: int, bloch, *terms):
+    """Zone means over ``momentum_grid(N)`` of each ``term(k, h)``,
+    ``h = bloch(p, k)``, one row per term, for all p in ``params`` by (p, k)
+    broadcasts of at most _STACK_BYTES per array.  Gapless points are NaN and
+    listed as ``(p, message)``, the message of :func:`models.gapped_grid`."""
+    k = momentum_grid(N)
+    means = np.full((len(terms), len(params)), np.nan)
+    errors = []
+    step = max(1, _STACK_BYTES // (8 * N))
+    for s in range(0, len(params), step):
+        p = params[s:s + step]
+        h = bloch(p[:, None], k)
+        r = bloch_norm(h)
+        i, rmin = np.argmin(r, axis=1), np.min(r, axis=1)
+        gapless = rmin < GAP_TOL
+        errors += [(float(p[j]), band_touching(rmin[j], k[i[j]]))
+                   for j in np.flatnonzero(gapless)]
+        with np.errstate(all="ignore"):
+            for row, term in zip(means, terms):
+                row[s:s + step] = np.where(gapless, np.nan,
+                                           np.mean(term(k, h), axis=1))
+    return means, errors
 
 
 # -------------------------------------------------------------------- sweeps
@@ -92,25 +137,26 @@ class SweepResult:
 
 def sweep(lambda_grid, N: int | None = None,
           with_derivative: bool = True) -> SweepResult:
-    """eta1/eta2/C1/C2 over a lambda grid for a clean periodic SSH chain."""
+    """eta1/eta2/C1/C2 over a lambda grid for a clean periodic SSH chain,
+    the whole grid at once."""
     lams = np.asarray(lambda_grid, dtype=float)
     if np.any(np.diff(lams) <= 0):
         raise ValueError("lambda grid must be strictly increasing")
-    cols = {name: np.full(lams.shape, np.nan) for name in ("e1", "e2", "c1", "c2")}
-    errors = []
-    for i, lam in enumerate(lams):
-        try:
-            e1 = eta1(lam, N)
-            e2 = eta2(lam, N)
-        except GaplessError as exc:
-            errors.append((float(lam), str(exc)))
-            continue
-        cols["e1"][i] = e1
-        cols["e2"][i] = e2
-        cols["c1"][i] = concurrence_from_eta(e1)
-        cols["c2"][i] = concurrence_from_eta(e2)
-    result = SweepResult(lambdas=lams, eta1=cols["e1"], eta2=cols["e2"],
-                         c1=cols["c1"], c2=cols["c2"], N=N, errors=errors)
+    if not np.all(np.abs(lams) <= 1.0):
+        raise ValueError("lambda must lie in [-1, 1]")
+    if N is None:
+        gapped = np.abs(lams) >= GAP_TOL
+        etas = np.full((2, len(lams)), np.nan)
+        etas[:, gapped] = ssh_eta1_limit(lams[gapped]), ssh_eta1_limit(-lams[gapped])
+        errors = [(float(lam), CRITICAL_POINT) for lam in lams[~gapped]]
+    else:
+        # eta1 pairs a_n b_n, eta2 pairs b_n a_{n+1} = a_{n+1} b_n
+        etas, errors = _grid_means(lams, N, ssh_bloch,
+                                   partial(eta_summand, d=0),
+                                   partial(eta_summand, d=-1))
+    c1, c2 = concurrence_from_eta(etas)
+    result = SweepResult(lambdas=lams, eta1=etas[0], eta2=etas[1], c1=c1, c2=c2,
+                         N=N, errors=errors)
     if with_derivative and len(lams) >= 3:
         result.dc2_dlambda = derivative(result.c2, lams)
     return result
@@ -125,6 +171,12 @@ def derivative(values, grid) -> np.ndarray:
     steps = np.diff(grid)
     if np.max(np.abs(steps - steps[0])) > 1e-9 * max(abs(steps[0]), 1e-300):
         raise ValueError("derivative requires a uniform grid")
+    return _centred_difference(values, grid)
+
+
+def _centred_difference(values, grid) -> np.ndarray:
+    """(values[i+1] - values[i-1]) / (grid[i+1] - grid[i-1]); NaN at the
+    endpoints, so all NaN below 3 points."""
     out = np.full(values.shape, np.nan)
     out[1:-1] = (values[2:] - values[:-2]) / (grid[2:] - grid[:-2])
     return out
@@ -197,7 +249,7 @@ def logfit(window=(1e-5, 1e-3), N: int | None = None,
     if lo >= hi:
         raise WindowError("empty fit window")
     lams = np.geomspace(lo, hi, num_points)
-    return _fit_log(np.log(lams), np.array([deta1(lam, N) for lam in lams]))
+    return _fit_log(np.log(lams), _deta1(lams, N))
 
 
 def _fit_log(x, y) -> LogFitResult:
@@ -264,11 +316,14 @@ def free_energy_check(N: int, lam: float, h_step: float = 1e-5):
 
 # ------------------------------------------------------------- Kitaev analog
 
+def _unit_z(k, h):
+    return h[2] / bloch_norm(h)
+
+
 def kitaev_eta_z(mu: float, t: float = 1.0, delta: float = 1.0,
                  N: int | None = None) -> float:
     """BZ average of the normalized h_z of the Kitaev chain."""
-    return bz_mean(lambda k, h: h[2] / bloch_norm(h),
-                   partial(kitaev_bloch, mu, t=t, delta=delta), N)
+    return bz_mean(_unit_z, partial(kitaev_bloch, mu, t=t, delta=delta), N)
 
 
 def kitaev_local_density(mu: float, t: float = 1.0, delta: float = 1.0,
@@ -291,19 +346,15 @@ def kitaev_density(mu_grid, t: float = 1.0, delta: float = 1.0,
                    N: int | None = None) -> KitaevDensityTable:
     """Local density and compressibility over a chemical-potential sweep."""
     mus = np.asarray(mu_grid, dtype=float)
-    eta_z = np.full(mus.shape, np.nan)
-    errors = []
-    for i, mu in enumerate(mus):
-        try:
-            eta_z[i] = kitaev_eta_z(mu, t, delta, N)
-        except GaplessError as exc:
-            errors.append((float(mu), str(exc)))
+    if N is None:
+        eta_z, errors = np.array([kitaev_eta_z(mu, t, delta) for mu in mus]), []
+    else:
+        (eta_z,), errors = _grid_means(
+            mus, N, partial(kitaev_bloch, t=t, delta=delta), _unit_z)
     density = 0.5 * (1.0 - eta_z)
-    comp = np.full(mus.shape, np.nan)
-    if len(mus) >= 3:
-        comp[1:-1] = (density[2:] - density[:-2]) / (mus[2:] - mus[:-2])
     return KitaevDensityTable(mus=mus, eta_z=eta_z, density=density,
-                              compressibility=comp, N=N, errors=errors)
+                              compressibility=_centred_difference(density, mus),
+                              N=N, errors=errors)
 
 
 def kitaev_density_jump(N: int, t: float = 1.0) -> float:
@@ -350,9 +401,6 @@ def kitaev_compressibility_logfit(window=(1e-5, 1e-3), t: float = 1.0,
 
 
 # -------------------------------------------------- disorder / open boundary
-
-_STACK_BYTES = 8 << 20  # cap on the matrices of one stacked disorder solve
-
 
 def _central_pair_c2(A: np.ndarray, N: int, fill: int | None = None):
     """Concurrence of the central inter-cell pair (b_c, a_{c+1}) of the

@@ -37,6 +37,7 @@ from .models import (
     particle_matrix,
     realspace_hamiltonian,
     ssh_bloch,
+    ssh_eta1_limit,
 )
 
 CONCURRENCE_ZERO = 1e-12
@@ -75,47 +76,52 @@ def eta_summand(k, h, d: int):
     return (np.cos(k * d) * hx - np.sin(k * d) * hy) / bloch_norm(h)
 
 
-def _ssh_eta(lam: float, d: int, N: int | None) -> float:
-    return bz_mean(partial(eta_summand, d=d), partial(ssh_bloch, lam), N)
-
-
 def eta_analytic(spec: ModelSpec, site1: Site, site2: Site) -> EtaValue:
     """Brillouin-zone-sum eta coefficient of a clean periodic SSH pair.
 
     eta_{a_n b_m} = (1/N) sum_k cos[k (m - n) + phi(k)]; same-sublattice
-    pairs give exactly zero.  Raises GaplessError at the band touching
-    (lambda = 0 with even N).
+    pairs give exactly zero.  Sites are checked as on the real-space route:
+    ValueError for a sublattice other than 'a' or 'b', IndexError for a cell
+    outside 0..N-1 or a site paired with itself.  Raises GaplessError at the
+    band touching (lambda = 0 with even N).
     """
     if spec.family is not Family.SSH:
         raise ValueError("eta_analytic applies to SSH specs")
     if not spec.clean_periodic:
         raise ValueError("analytic route requires a clean periodic chain")
-    (n, s1), (m, s2) = site1, site2
-    if s1 == s2:
+    i, j = mode_index(site1), mode_index(site2)
+    if i == j:
+        raise IndexError("a pair needs two distinct modes")
+    if min(i, j) < 0 or max(i, j) >= spec.num_modes:
+        raise IndexError("mode index out of range")
+    if i % 2 == j % 2:
         return EtaValue(0.0, (site1, site2), Route.MOMENTUM_ANALYTIC)
-    if s1 == "b":  # eta_{b_n a_m} = eta_{a_m b_n}
-        n, m = m, n
-    value = _ssh_eta(spec.lam, m - n, spec.N)
+    if i % 2:  # eta_{b_n a_m} = eta_{a_m b_n}
+        i, j = j, i
+    value = bz_mean(partial(eta_summand, d=j // 2 - i // 2),
+                    partial(ssh_bloch, spec.lam), spec.N)
     return EtaValue(value, (site1, site2), Route.MOMENTUM_ANALYTIC)
 
 
-def eta_thermodynamic(spec_or_lambda, pair: str = "intra") -> EtaValue:
-    """N -> infinity eta by adaptive quadrature of the Brillouin-zone integral.
+CRITICAL_POINT = "lambda = 0 is the critical point"
 
-    ``pair`` is ``"intra"`` (a_n b_n) or ``"inter"`` (b_n a_{n+1}).  The
-    integrand is symmetric about k = pi, so the integral runs over half the
-    zone.  Absolute and relative tolerance 1e-12.
+
+def eta_thermodynamic(spec_or_lambda, pair: str = "intra") -> EtaValue:
+    """N -> infinity eta from the elliptic closed form
+    :func:`models.ssh_eta1_limit` of the Brillouin-zone integral.
+
+    ``pair`` is ``"intra"`` (a_n b_n, eta1) or ``"inter"`` (b_n a_{n+1},
+    eta2, which is eta1 at -lambda).
     """
     lam = spec_or_lambda.lam if isinstance(spec_or_lambda, ModelSpec) else spec_or_lambda
     if not -1.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [-1, 1]")
     if abs(lam) < GAP_TOL:
-        raise GaplessError("lambda = 0 is the critical point")
+        raise GaplessError(CRITICAL_POINT)
     if pair not in ("intra", "inter"):
         raise ValueError("pair must be 'intra' or 'inter'")
-    d = 0 if pair == "intra" else -1  # eta_{b_n a_{n+1}} = eta_{a_{n+1} b_n}
-    return EtaValue(_ssh_eta(lam, d, None), (pair, "thermodynamic"),
-                    Route.MOMENTUM_ANALYTIC)
+    value = float(ssh_eta1_limit(lam if pair == "intra" else -lam))
+    return EtaValue(value, (pair, "thermodynamic"), Route.MOMENTUM_ANALYTIC)
 
 
 BASIS_DOC = "occupation bitstrings, first listed site = least significant bit"
@@ -226,13 +232,14 @@ def concurrence(rdm) -> float:
     return float(max(0.0, roots[-1] - roots[-3] - roots[-2] - roots[0]))
 
 
-def concurrence_from_eta(eta: float) -> float:
-    """Closed form for the one-parameter RDM: max{0, (eta^2 + 2|eta| - 1)/2}.
+def concurrence_from_eta(eta):
+    """Closed form for the one-parameter RDM: max{0, (eta^2 + 2|eta| - 1)/2},
+    elementwise (NaN stays NaN).
 
     Nonzero only for |eta| > sqrt(2) - 1; the sign of eta is a local basis
     rephasing and does not change the entanglement."""
-    a = abs(eta)
-    return max(0.0, 0.5 * (a * a + 2.0 * a - 1.0))
+    a = np.abs(eta)
+    return np.maximum(0.0, 0.5 * (a * a + 2.0 * a - 1.0))
 
 
 class Phase(str, Enum):

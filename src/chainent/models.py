@@ -24,6 +24,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ellipkm1, elliprd
 
 from .errors import DisorderUnsupportedError, GaplessError
 
@@ -135,8 +136,8 @@ def momentum_grid(N: int) -> np.ndarray:
 
 
 # Bloch vectors: plain components (hx, hy, hz), with the model parameter
-# broadcast against k.  ``quad`` calls them once per point, so they stack
-# nothing; a constant zero component is the scalar 0.0.
+# broadcast against k: a column of parameters against a row of momenta gives
+# a whole (parameter, k) grid.  A constant zero component is the scalar 0.0.
 
 def ssh_bloch(lam, k):
     """SSH ``h(k) = (t1 + t2 cos k, t2 sin k, 0)``, ``t1, t2 = 1 -+ lambda``."""
@@ -187,6 +188,7 @@ def bz_mean(term, bloch, N: int | None = None, points=None) -> float:
     when |h| < GAP_TOL at a grid momentum.  ``N = None`` integrates over
     [0, pi] (every term is even about k = pi) with ``points`` passed to
     ``quad``; the gap is not checked there, callers exclude the touching.
+    SSH chains take the closed forms below instead.
     """
     if N is None:
         val, _ = quad(lambda k: term(k, bloch(k)), 0.0, np.pi, points=points,
@@ -194,6 +196,11 @@ def bz_mean(term, bloch, N: int | None = None, points=None) -> float:
         return val / np.pi
     k, h, _ = gapped_grid(bloch, N)
     return float(np.mean(term(k, h)))
+
+
+def band_touching(r, k) -> str:
+    """Message of the GaplessError for |h(k)| = r < GAP_TOL."""
+    return f"|h(k)| = {r:g} at k = {k:g}: band touching"
 
 
 def gapped_grid(bloch, N: int):
@@ -204,8 +211,31 @@ def gapped_grid(bloch, N: int):
     r = bloch_norm(h)
     i = int(np.argmin(r))
     if r[i] < GAP_TOL:
-        raise GaplessError(f"|h(k)| = {r[i]:g} at k = {k[i]:g}: band touching")
+        raise GaplessError(band_touching(r[i], k[i]))
     return k, h, r
+
+
+# SSH thermodynamic limit.  With m = t1 t2 = 1 - lambda^2 and theta = k/2,
+# |h| = 2 sqrt(1 - m sin^2 theta) and h_x = 2 - 2 t2 sin^2 theta, so the zone
+# means are complete elliptic integrals: K(m) = R_F(0, 1 - m, 1) and
+# D(m) = (K - E)/m = R_D(0, 1 - m, 1)/3 (DLMF §19.2, 19.25.1).
+
+def ssh_eta1_limit(lam):
+    """N -> infinity eta1 = (2/pi)[K(m) - t2 D(m)] elementwise, exactly 0 at
+    lambda = 1 and 1 at lambda = -1; eta2(lambda) = eta1(-lambda).  K is
+    ``ellipkm1(lambda^2)``: ``ellipk(1 - lambda^2)`` loses 7e-12 at 1e-6."""
+    y = np.square(lam)
+    return 2.0 / np.pi * (ellipkm1(y) - (1.0 + lam) * elliprd(0.0, y, 1.0) / 3.0)
+
+
+def ssh_deta1_limit(lam):
+    """N -> infinity d(eta1)/d(lambda) = (2/pi)(K - 2D)/t1 elementwise.  The
+    descending Landen transformation (DLMF §19.8) removes the cancellation of
+    K - 2D = O(m) as |lambda| -> 1: with a = |lambda| it is the product
+    -(4/3pi) t2 R_D(0, 4a/(1 + a)^2, 1)/(1 + a)^3, -1/4 at lambda = 1."""
+    a = np.abs(lam)
+    return (-4.0 / (3.0 * np.pi) * (1.0 + lam)
+            * elliprd(0.0, 4.0 * a / (1.0 + a) ** 2, 1.0) / (1.0 + a) ** 3)
 
 
 def particle_matrix(spec: ModelSpec) -> np.ndarray:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from chainent import analysis
-from chainent.errors import (GridTooCoarseError, NoRootError, ParityError,
-                             WindowError)
+from chainent.errors import (GaplessError, GridTooCoarseError, NoRootError,
+                             ParityError, WindowError)
 from chainent.models import Boundary, DisorderSpec, ModelSpec
 
 
@@ -176,3 +176,75 @@ def test_obc_fills_agree():
     above = analysis.central_pair_concurrence(
         spec, fill=analysis.obc_fill_count(32, 0.5, "above"))
     assert below == pytest.approx(above, abs=1e-10)
+
+
+def test_thermodynamic_checks_kept():
+    from chainent.entanglement import eta_thermodynamic
+    for lam in (1.5, -1.01):
+        with pytest.raises(ValueError, match=r"lambda must lie in \[-1, 1\]"):
+            eta_thermodynamic(lam)
+        with pytest.raises(ValueError, match=r"lambda must lie in \[-1, 1\]"):
+            analysis.deta1(lam)
+    with pytest.raises(GaplessError, match="lambda = 0 is the critical point"):
+        eta_thermodynamic(1e-13, "inter")
+    with pytest.raises(GaplessError, match="derivative undefined at lambda = 0"):
+        analysis.deta1(0.0)
+    assert (analysis.eta1(1.0), analysis.eta1(-1.0)) == (0.0, 1.0)
+    assert (analysis.eta2(1.0), analysis.eta2(-1.0)) == (1.0, 0.0)
+
+
+def _per_point(f, grid):
+    """Values and (point, message) errors of a per-point loop."""
+    values, errors = np.full(len(grid), np.nan), []
+    for i, x in enumerate(grid):
+        try:
+            values[i] = f(x)
+        except GaplessError as exc:
+            errors.append((float(x), str(exc)))
+    return values, errors
+
+
+@pytest.mark.parametrize("N, stack", [(16, None), (15, None), (None, None),
+                                      (16, 3 * 8 * 16), (1000, None)])
+def test_sweep_equals_per_point(N, stack, monkeypatch):
+    """The whole-grid sweep equals eta1/eta2 point by point, gapless points
+    included; ``stack`` forces blocks of 3 lambda."""
+    if stack is not None:
+        monkeypatch.setattr(analysis, "_STACK_BYTES", stack)
+    grid = np.linspace(-1.0, 1.0, 21)  # holds lambda = 0 and both ends
+    if N == 1000:  # 1200 x 1000 floats exceed one 8 MB block
+        grid = np.linspace(-0.97, 0.97, 1200)
+    res = analysis.sweep(grid, N=N)
+    for col, f in ((res.eta1, analysis.eta1), (res.eta2, analysis.eta2)):
+        want, errors = _per_point(lambda lam: f(lam, N), grid)
+        assert res.errors == errors
+        assert np.array_equal(np.isnan(col), np.isnan(want))
+        assert np.nanmax(np.abs(col - want)) <= 1e-13
+    assert len(res.errors) == (0 if N in (15, 1000) else 1)
+
+
+@pytest.mark.parametrize("N, stack", [(16, None), (15, None), (16, 5 * 8 * 16),
+                                      (599, None)])
+def test_kitaev_density_equals_per_point(N, stack, monkeypatch):
+    if stack is not None:
+        monkeypatch.setattr(analysis, "_STACK_BYTES", stack)
+    t, delta = 0.9, 0.6
+    grid = np.linspace(0.0, 4.0 * t, 41)  # holds mu = 2t
+    table = analysis.kitaev_density(grid, t, delta, N)
+    want, errors = _per_point(lambda mu: analysis.kitaev_eta_z(mu, t, delta, N),
+                              grid)
+    assert table.errors == errors
+    assert len(errors) == (1 if N % 2 == 0 else 0)
+    assert np.array_equal(np.isnan(table.eta_z), np.isnan(want))
+    assert np.nanmax(np.abs(table.eta_z - want)) <= 1e-13
+
+
+def test_kitaev_compressibility_centred_difference():
+    mus = np.array([0.1, 0.3, 0.4, 1.0, 1.5])  # non-uniform grids are allowed
+    table = analysis.kitaev_density(mus, N=9)
+    d = table.density
+    assert np.isnan(table.compressibility[[0, -1]]).all()
+    assert np.allclose(table.compressibility[1:-1],
+                       (d[2:] - d[:-2]) / (mus[2:] - mus[:-2]), rtol=0, atol=0)
+    for few in ([0.5], [0.5, 0.7]):
+        assert np.isnan(analysis.kitaev_density(few).compressibility).all()

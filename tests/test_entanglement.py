@@ -174,3 +174,18 @@ def test_entangled_graph_clean_ring_honours_fill():
     g = ent.entangled_graph(spec, fill=7)
     assert g.c2 == pytest.approx(want, abs=1e-12)
     assert abs(g.c2 - ent.entangled_graph(spec).c2) > 0.1
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_rdm_pair_checks_sites_on_both_routes(boundary):
+    """The analytic ring route rejects what the real-space route rejects:
+    cells outside 0..N-1, a site paired with itself, unknown sublattices."""
+    spec = ModelSpec.ssh(8, 0.3, boundary=boundary)
+    for pair in [((0, "b"), (9, "a")), ((-8, "b"), (1, "a"))]:
+        with pytest.raises(IndexError, match="mode index out of range"):
+            ent.rdm_pair(spec, *pair)
+    with pytest.raises(IndexError, match="two distinct modes"):
+        ent.rdm_pair(spec, (3, "a"), (3, "a"))
+    with pytest.raises(ValueError, match="sublattice"):
+        ent.rdm_pair(spec, (0, "x"), (1, "a"))
+    assert ent.rdm_pair(spec, (7, "b"), (0, "a")).eta is not None

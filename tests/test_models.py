@@ -98,3 +98,63 @@ def test_disorder_shifts_onsite_terms():
         mask[2 * j, 2 * j + 1] = mask[2 * j + 1, 2 * j] = True
     assert np.all(diff[~mask] == 0.0)
     assert np.any(diff[mask] != 0.0)
+
+
+# ------------------------------------------ SSH thermodynamic closed forms
+
+def _mp_limits(lam):
+    """eta1 and d(eta1)/d(lambda) at 40 digits from Legendre's K and E:
+    eta1 = 2(E - lambda K)/(pi t1), deta1 = (2/pi)(2E - (1 + lambda^2) K)/(t1^2 t2)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        lam = mp.mpf(lam)
+        K, E = mp.ellipk(1 - lam ** 2), mp.ellipe(1 - lam ** 2)
+        eta = 2 * (E - lam * K) / (mp.pi * (1 - lam))
+        deta = 2 * (2 * E - (1 + lam ** 2) * K) / (mp.pi * (1 - lam) ** 2 * (1 + lam))
+        return float(eta), float(deta)
+
+
+def test_ssh_limits_match_mpmath():
+    g = np.geomspace(1e-9, 0.99, 200)
+    lams = np.concatenate([-g[::-1], g])
+    ref = np.array([_mp_limits(lam) for lam in lams])
+    eta1 = models.ssh_eta1_limit(lams)
+    assert np.max(np.abs(eta1 - ref[:, 0])) <= 1e-14
+    # eta2(lambda) = eta1(-lambda), and the grid is symmetric
+    assert np.max(np.abs(models.ssh_eta1_limit(-lams) - ref[::-1, 0])) <= 1e-14
+    assert np.max(np.abs(models.ssh_deta1_limit(lams) - ref[:, 1])) <= 1e-13
+
+
+@pytest.mark.parametrize("lam", [1e-4, -1e-4, 1e-3, -1e-3, 0.05, -0.05, 0.138,
+                                 -0.138, 0.5, -0.5, 0.9, -0.9, 0.999, -0.999,
+                                 1.0, -1.0])
+def test_ssh_limits_match_quad(lam):
+    """The Brillouin-zone integrals by adaptive quadrature are the oracle."""
+    from chainent.entanglement import eta_summand
+    bloch = partial(models.ssh_bloch, lam)
+    for d, sign in ((0, 1.0), (-1, -1.0)):  # eta1, eta2 = eta1(-lambda)
+        quad = models.bz_mean(partial(eta_summand, d=d), bloch, None)
+        assert models.ssh_eta1_limit(sign * lam) == pytest.approx(quad, abs=1e-12)
+    quad = models.bz_mean(
+        lambda k, h: models.unit_derivative(h, models.ssh_bloch, k)[0],
+        bloch, None, points=[np.pi])
+    assert models.ssh_deta1_limit(lam) == pytest.approx(quad, abs=1e-12)
+
+
+def test_ssh_limits_endpoints():
+    # fully dimerized chains: no 0/0 at t1 = 0 or t2 = 0
+    assert models.ssh_eta1_limit(1.0) == 0.0
+    assert models.ssh_eta1_limit(-1.0) == 1.0
+    assert models.ssh_deta1_limit(1.0) == pytest.approx(-0.25, abs=1e-15)
+    assert models.ssh_deta1_limit(-1.0) == 0.0
+    assert list(models.ssh_eta1_limit(np.array([-1.0, 1.0]))) == [1.0, 0.0]
+
+
+def test_ssh_deta1_limit_log_asymptote():
+    """K(m) ~ ln(4/|lambda|) as m -> 1 (DLMF 19.12.1) gives the paper's
+    asymptote (2/pi) ln[(e/2)^2 |lambda|] with an O(lambda ln lambda) rest."""
+    g = np.geomspace(1e-9, 1e-2, 40)
+    for lams in (g, -g):
+        rest = models.ssh_deta1_limit(lams) - 2.0 / np.pi * np.log(
+            (np.e / 2.0) ** 2 * np.abs(lams))
+        assert np.all(np.abs(rest) <= np.abs(lams * np.log(np.abs(lams))))
