@@ -19,6 +19,7 @@ from scipy.optimize import brentq
 
 from .entanglement import (
     CRITICAL_POINT,
+    _ground_state,
     concurrence_from_eta,
     eta_summand,
     eta_analytic,
@@ -85,17 +86,18 @@ def _deta1(lams, N):
     if N is None:
         return ssh_deta1_limit(lams)
     return _grid_means(lams, N, ssh_bloch,
-                       lambda k, h: unit_derivative(h, ssh_bloch, k)[0])[0][0]
+                       lambda k, h, r: unit_derivative(h, r, ssh_bloch, k)[0])[0][0]
 
 
 _STACK_BYTES = 8 << 20  # cap on one (parameter, k) array or one matrix stack
 
 
 def _grid_means(params, N: int, bloch, *terms):
-    """Zone means over ``momentum_grid(N)`` of each ``term(k, h)``,
-    ``h = bloch(p, k)``, one row per term, for all p in ``params`` by (p, k)
-    broadcasts of at most _STACK_BYTES per array.  Gapless points are NaN and
-    listed as ``(p, message)``, the message of :func:`models.gapped_grid`."""
+    """Zone means over ``momentum_grid(N)`` of each ``term(k, h, r)``,
+    ``h = bloch(p, k)`` and ``r = |h|`` computed once, one row per term, for
+    all p in ``params`` by (p, k) broadcasts of at most _STACK_BYTES per
+    array.  Gapless points are NaN and listed as ``(p, message)``, the
+    message of :func:`models.gapped_grid`."""
     k = momentum_grid(N)
     means = np.full((len(terms), len(params)), np.nan)
     errors = []
@@ -111,7 +113,7 @@ def _grid_means(params, N: int, bloch, *terms):
         with np.errstate(all="ignore"):
             for row, term in zip(means, terms):
                 row[s:s + step] = np.where(gapless, np.nan,
-                                           np.mean(term(k, h), axis=1))
+                                           np.mean(term(k, h, r), axis=1))
     return means, errors
 
 
@@ -316,8 +318,8 @@ def free_energy_check(N: int, lam: float, h_step: float = 1e-5):
 
 # ------------------------------------------------------------- Kitaev analog
 
-def _unit_z(k, h):
-    return h[2] / bloch_norm(h)
+def _unit_z(k, h, r):
+    return h[2] / r
 
 
 def kitaev_eta_z(mu: float, t: float = 1.0, delta: float = 1.0,
@@ -393,7 +395,7 @@ def kitaev_compressibility_logfit(window=(1e-5, 1e-3), t: float = 1.0,
 
     def dn_dmu(mu):
         # n = (1 - eta_z)/2, so dn/dmu is -1/2 times the zone mean of du_z/dmu
-        return -0.5 * bz_mean(lambda k, h: unit_derivative(h, bloch, k)[2],
+        return -0.5 * bz_mean(lambda k, h, r: unit_derivative(h, r, bloch, k)[2],
                               partial(bloch, mu), None, points=[np.pi])
 
     return _fit_log(np.log(np.abs(mus - 2.0 * t)),
@@ -402,20 +404,16 @@ def kitaev_compressibility_logfit(window=(1e-5, 1e-3), t: float = 1.0,
 
 # -------------------------------------------------- disorder / open boundary
 
-def _central_pair_c2(A: np.ndarray, N: int, fill: int | None = None):
-    """Concurrence of the central inter-cell pair (b_c, a_{c+1}) of the
-    ground state of particle matrix ``A``, or of each one of a stack, from
-    the closed form of its X state."""
+def _central_pair(N: int):
+    """Modes of the central inter-cell pair (b_c, a_{c+1})."""
     c = N // 2 - 1 if N % 2 == 0 else N // 2
-    _, V = particle_ground_state(A, fill)
-    return x_concurrence(*particle_correlations(
-        V, mode_index((c, "b")), mode_index((c + 1, "a"))))
+    return mode_index((c, "b")), mode_index((c + 1, "a"))
 
 
 def central_pair_concurrence(spec: ModelSpec, fill: int | None = None) -> float:
     """Concurrence of the central inter-cell pair of an SSH chain's
-    real-space ground state."""
-    return float(_central_pair_c2(particle_matrix(spec), spec.N, fill))
+    real-space ground state, from the closed form of its X state."""
+    return float(x_concurrence(*_ground_state(spec, fill)(*_central_pair(spec.N))))
 
 
 @dataclass
@@ -450,7 +448,9 @@ def disorder_ensemble(N: int, lambda_grid, amplitude: float = 0.1,
                 N, lam, boundary=boundary,
                 disorder=DisorderSpec(amplitude=amplitude, seed=int(seed))))
                 for seed in seeds[s:s + chunk]])
-            per_seed[s:s + chunk, j] = _central_pair_c2(A, N)
+            _, V = particle_ground_state(A)
+            per_seed[s:s + chunk, j] = x_concurrence(
+                *particle_correlations(V, *_central_pair(N)))
     return DisorderTable(lambdas=lams, mean_c2=per_seed.mean(axis=0),
                          std_c2=per_seed.std(axis=0), per_seed=per_seed,
                          seeds=seeds, N=N, amplitude=amplitude)

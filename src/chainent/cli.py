@@ -201,7 +201,8 @@ def cmd_obc(args) -> int:
     N = _get(args, cfg, "run", "N", int, 64)
     grid = serialize.parse_grid(
         _get(args, cfg, "run", "grid", str, "0.01:0.35:35"))
-    table = analysis.obc_center_derivative(N, grid, fill=args.fill)
+    fill = _get(args, cfg, "run", "fill", str, "below")
+    table = analysis.obc_center_derivative(N, grid, fill=fill)
     rows = [[lam, c, d] for lam, c, d in
             zip(table.lambdas, table.c2, table.dc2_dlambda)]
     _write_table(rows, ["lambda", "c2", "dc2_dlambda"], args, "obc")
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--N", type=int)
     p.add_argument("--grid")
-    p.add_argument("--fill", choices=["below", "above"], default="below")
+    p.add_argument("--fill", choices=["below", "above"])
     p.set_defaults(func=cmd_obc)
 
     p = sub.add_parser("verify", help="run the invariant suite")

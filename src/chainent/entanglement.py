@@ -21,6 +21,7 @@ from .errors import GaplessError, InvalidStateError
 from .gaussian import (
     _majorana_wick,
     flatten_from_fill,
+    mirror_ground_state,
     particle_correlations,
     particle_ground_state,
     spectral_flatten,
@@ -30,7 +31,6 @@ from .models import (
     Family,
     GAP_TOL,
     ModelSpec,
-    bloch_norm,
     bloch_vector,
     bz_mean,
     gapped_grid,
@@ -69,11 +69,12 @@ class EtaValue:
     route: Route
 
 
-def eta_summand(k, h, d: int):
+def eta_summand(k, h, r, d: int):
     """Per-momentum term of eta_{a_n b_{n+d}}: cos(kd) u_x - sin(kd) u_y,
-    u = h/|h|; that is cos(kd + phi(k)) with e^{i phi} = u_x + i u_y."""
+    u = h/r with r = |h|; that is cos(kd + phi(k)) with
+    e^{i phi} = u_x + i u_y."""
     hx, hy, _ = h
-    return (np.cos(k * d) * hx - np.sin(k * d) * hy) / bloch_norm(h)
+    return (np.cos(k * d) * hx - np.sin(k * d) * hy) / r
 
 
 def eta_analytic(spec: ModelSpec, site1: Site, site2: Site) -> EtaValue:
@@ -176,8 +177,13 @@ def rdm_matrix_from_eta(eta: float) -> np.ndarray:
 
 def _ground_state(spec: ModelSpec, fill: int | None):
     """Wick data ``corr(i, j)`` of the real-space ground state filling
-    ``fill`` levels, or every negative one.  SSH chains solve their particle
-    matrix; Kitaev chains flatten their Majorana matrix."""
+    ``fill`` levels, or every negative one.  Clean open SSH chains solve one
+    N x N mirror block (:func:`gaussian.mirror_ground_state`), other SSH
+    chains their L x L particle matrix; Kitaev chains flatten their
+    Majorana matrix."""
+    if spec.family is Family.SSH and spec.disorder is None \
+            and spec.boundary is Boundary.OPEN:
+        return mirror_ground_state(np.resize([spec.t1, spec.t2], spec.N), fill)
     if spec.family is Family.SSH:
         _, V = particle_ground_state(particle_matrix(spec), fill)
         return partial(particle_correlations, V)

@@ -153,20 +153,30 @@ def particle_ground_state(A: np.ndarray, fill: int | None = None):
     one stacked ``eigh``; a non-symmetric ``A`` (pairing) raises ValueError.
     ``fill=None`` raises GaplessError as :func:`spectral_flatten` does
     (``eig(iM) = +-levels``); an explicit fill raises ValueError outside
-    0..L and DegenerateFillError inside a degenerate pair."""
+    0..L and DegenerateFillError inside a degenerate pair.  Clean open SSH
+    chains take the half-size route, :func:`mirror_ground_state`; this
+    full-size solve is its test oracle."""
     A = np.asarray(A, dtype=float)
-    L = A.shape[-1]
     d, e, f = (np.diagonal(A, k, -2, -1) for k in (0, 1, -1))
     band = A.ndim == 2 and np.count_nonzero(A) == sum(map(np.count_nonzero, (d, e, f)))
     asym = e - f if band else A - np.swapaxes(A, -1, -2)
     if np.max(np.abs(asym), initial=0.0) > SKEW_TOL * max(1.0, np.max(np.abs(A))):
         raise ValueError("matrix carries pairing terms; particle filling undefined")
-    if fill is not None and not 0 <= fill <= L:
-        raise ValueError("num_filled out of range")
     if band:
         levels, V = eigh_tridiagonal(d, e)
     else:
         levels, V = np.linalg.eigh(A)
+    V *= _filled(levels, fill)[..., None, :]
+    return levels, V
+
+
+def _filled(levels: np.ndarray, fill: int | None) -> np.ndarray:
+    """Mask of the ``fill`` lowest of the ascending ``levels`` (last axis),
+    or of every negative one, with the errors of
+    :func:`particle_ground_state`."""
+    L = levels.shape[-1]
+    if fill is not None and not 0 <= fill <= L:
+        raise ValueError("num_filled out of range")
     scale = np.maximum(1.0, np.max(np.abs(levels), axis=-1))
     if fill is None and np.any(np.min(np.abs(levels), axis=-1) <= ZERO_TOL * scale):
         raise GaplessError("Hamiltonian is gapless; flattening undefined")
@@ -174,9 +184,47 @@ def particle_ground_state(A: np.ndarray, fill: int | None = None):
             levels[..., fill] - levels[..., fill - 1] < DEGENERACY_TOL):
         raise DegenerateFillError("filling boundary splits a degenerate level "
                                   "pair; choose a filling below or above it")
-    filled = levels < 0 if fill is None else np.arange(L) < fill
-    V *= filled[..., None, :]
-    return levels, V
+    return levels < 0 if fill is None else np.arange(L) < fill
+
+
+def mirror_ground_state(bonds, fill: int | None = None):
+    """Wick data ``corr(i, j)`` (as :func:`particle_correlations`) of the
+    ground state of the open chain ``H = sum_x b_x (a_x^ a_{x+1} + h.c.)``
+    on L = 2N sites with mirror-symmetric bonds ``b_x = b_{L-2-x}``, given
+    its first N bonds (the left half's N - 1 and the centre bond).
+
+    The mirror splits H into N x N blocks (Cantoni & Butler, Linear Algebra
+    Appl. 13, 275 (1976)): the even one T, tridiagonal with off-diagonal
+    ``bonds[:-1]`` and diagonal ``(0, ..., 0, b_{N-1})``, and the odd one
+    ``-Gamma T Gamma`` by chiral symmetry, ``Gamma = diag((-1)^x)``.  One
+    ``eigh_tridiagonal`` of T (levels eps, vectors phi) gives the levels
+    ``{eps} u {-eps}`` and the eigenvectors ``(phi, R phi) / sqrt 2`` and
+    ``(Gamma phi, -R Gamma phi) / sqrt 2``, R the reversal: row x of the
+    eigenvector matrix is row ``min(x, L - 1 - x)`` of phi times a sign.
+    Only the rows of the requested pairs are formed.  ``fill`` and the
+    errors are those of :func:`particle_ground_state` on the L x L chain."""
+    bonds = np.asarray(bonds, dtype=float)
+    N = len(bonds)
+    L = 2 * N
+    diag = np.zeros(N)
+    diag[-1] = bonds[-1]
+    eps, phi = eigh_tridiagonal(diag, bonds[:-1])
+    levels = np.concatenate([eps, -eps])
+    order = np.argsort(levels, kind="stable")
+    filled = np.empty(L)
+    filled[order] = _filled(levels[order], fill)
+    w_even, w_odd = filled[:N] / 2.0, filled[N:] / 2.0
+    n = np.einsum("yk,yk,k->y", phi, phi, w_even + w_odd)
+
+    def corr(i, j):
+        i, j = _check_pairs(i, j, L)
+        yi, yj = np.minimum(i, L - 1 - i), np.minimum(j, L - 1 - j)
+        PP = phi[yi] * phi[yj]
+        # odd vectors carry (-1)^y, and flip sign on the mirrored half
+        sign = (-1.0) ** (yi + yj) * np.where((i < N) == (j < N), 1.0, -1.0)
+        return n[yi], n[yj], PP @ w_even + sign * (PP @ w_odd), 0.0
+
+    return corr
 
 
 def particle_correlations(V: np.ndarray, i, j):

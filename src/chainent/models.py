@@ -167,8 +167,9 @@ def bloch_norm(h):
     return np.sqrt(hx * hx + hy * hy + hz * hz)
 
 
-def unit_derivative(h, bloch, k):
-    """Components of d(h/|h|)/dp = (h x dh) x h / |h|^3 at h = bloch(p, k).
+def unit_derivative(h, r, bloch, k):
+    """Components of d(h/|h|)/dp = (h x dh) x h / |h|^3 at h = bloch(p, k),
+    |h| = r.
 
     Bloch vectors are linear in their first argument p, so the kernel gives
     dh/dp = bloch(1, k) - bloch(0, k) directly.
@@ -176,13 +177,13 @@ def unit_derivative(h, bloch, k):
     hx, hy, hz = h
     dx, dy, dz = [a - b for a, b in zip(bloch(1.0, k), bloch(0.0, k))]
     cx, cy, cz = hy * dz - hz * dy, hz * dx - hx * dz, hx * dy - hy * dx
-    r2 = hx * hx + hy * hy + hz * hz
-    r3 = r2 * np.sqrt(r2)
+    r3 = r * r * r
     return (cy * hz - cz * hy) / r3, (cz * hx - cx * hz) / r3, (cx * hy - cy * hx) / r3
 
 
 def bz_mean(term, bloch, N: int | None = None, points=None) -> float:
-    """Brillouin-zone mean of ``term(k, h)`` with ``h = bloch(k)``.
+    """Brillouin-zone mean of ``term(k, h, r)`` with ``h = bloch(k)`` and
+    ``r = |h|``.
 
     Finite ``N`` averages over ``momentum_grid(N)`` and raises GaplessError
     when |h| < GAP_TOL at a grid momentum.  ``N = None`` integrates over
@@ -191,11 +192,13 @@ def bz_mean(term, bloch, N: int | None = None, points=None) -> float:
     SSH chains take the closed forms below instead.
     """
     if N is None:
-        val, _ = quad(lambda k: term(k, bloch(k)), 0.0, np.pi, points=points,
+        def integrand(k):
+            h = bloch(k)
+            return term(k, h, bloch_norm(h))
+        val, _ = quad(integrand, 0.0, np.pi, points=points,
                       epsabs=1e-12, epsrel=1e-12, limit=400)
         return val / np.pi
-    k, h, _ = gapped_grid(bloch, N)
-    return float(np.mean(term(k, h)))
+    return float(np.mean(term(*gapped_grid(bloch, N))))
 
 
 def band_touching(r, k) -> str:

@@ -178,6 +178,31 @@ def test_obc_fills_agree():
     assert below == pytest.approx(above, abs=1e-10)
 
 
+def test_clean_open_chain_takes_the_half_size_route(monkeypatch):
+    """A clean open SSH point solves one N x N mirror block: it builds no
+    L x L particle matrix and stays far below the full solve's memory
+    (about 101 MB traced at N = 1024, L = 2048)."""
+    import tracemalloc
+
+    from chainent import entanglement
+
+    def refuse(spec):
+        raise AssertionError("built the L x L particle matrix")
+
+    monkeypatch.setattr(entanglement, "particle_matrix", refuse)
+    spec = ModelSpec.ssh(12, 0.3, boundary=Boundary.OPEN)
+    entanglement.entangled_graph(spec)
+    entanglement.rdm_pair(spec, (0, "a"), (11, "b"), fill=11)
+    tracemalloc.start()
+    try:
+        analysis.central_pair_concurrence(
+            ModelSpec.ssh(1024, 0.3, boundary=Boundary.OPEN), fill=1023)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
+
+
 def test_thermodynamic_checks_kept():
     from chainent.entanglement import eta_thermodynamic
     for lam in (1.5, -1.01):

@@ -164,6 +164,30 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert len(rows) == 6
 
 
+def test_cli_obc_fill_from_config(tmp_path, monkeypatch, capsys):
+    """``[run] fill`` applies when --fill is absent; the flag still wins.
+    Both fills give the same central-bond C2 (particle-hole symmetry), so
+    the fill is read off the call."""
+    cfg = tmp_path / "obc.cfg"
+    cfg.write_text("[run]\nN = 16\ngrid = 0.05:0.3:4\nfill = above\n")
+    real, seen = analysis.obc_center_derivative, []
+
+    def spy(N, grid, fill="below"):
+        seen.append(fill)
+        return real(N, grid, fill=fill)
+
+    monkeypatch.setattr(analysis, "obc_center_derivative", spy)
+    out = ["--outdir", str(tmp_path)]
+    assert main(["obc", "--config", str(cfg)] + out) == 0
+    assert main(["obc", "--config", str(cfg), "--fill", "below"] + out) == 0
+    assert main(["obc", "--N", "16", "--grid", "0.05:0.3:4"] + out) == 0
+    assert seen == ["above", "below", "below"]
+    cfg.write_text("[run]\nN = 16\nfill = middle\n")
+    capsys.readouterr()
+    assert main(["obc", "--config", str(cfg)] + out) == 2
+    assert "fill must be 'below' or 'above'" in capsys.readouterr().err
+
+
 def test_cli_outdir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("CHAINENT_OUTDIR", str(tmp_path))
     assert main(["kitaev", "--grid", "0:1:5"]) == 0

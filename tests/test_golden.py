@@ -3,7 +3,9 @@
 ``tests/golden/<case>/`` holds the files each command below wrote before
 the code it runs was rebuilt: the momentum-space cases before the one
 Bloch-vector kernel, the real-space cases (open and disordered graphs,
-``disorder``, ``obc``) before the closed-form two-site X state.  The
+``disorder``, ``obc``) before the closed-form two-site X state, and
+``obc_n2_neg`` and ``obc_n3_cross`` before the half-size open-chain
+ground state.  The
 refactors must reproduce every number to 1e-12 (absolute) and every text
 field exactly, including the edge order.  Do not re-record these files to
 make a failing case pass: they are the contract, not a snapshot of the
@@ -47,6 +49,14 @@ CASES = {
     "obc_n64": ["obc", "--N", "64", "--grid", "0.05:0.3:6"],
     "obc_n33_above_json": ["obc", "--N", "33", "--grid", "0.02:0.3:8",
                            "--fill", "above", "--format", "json"],
+    # the smallest chain up to lambda = 0, then a grid through 0.  N = 2
+    # stops at 0: with lambda > 0 the filled state holds one hole (or one
+    # particle), the X state has p00 = 0 (or p11 = 0) exactly, and the
+    # concurrence's sqrt(p00 p11) turns rounding into ~1e-8 noise.
+    "obc_n2_neg": ["obc", "--N", "2", "--grid", "-0.3:0:4", "--fill",
+                   "above"],
+    "obc_n3_cross": ["obc", "--N", "3", "--grid", "-0.3:0.3:5", "--fill",
+                     "above"],
 }
 
 

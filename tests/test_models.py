@@ -39,7 +39,7 @@ def test_bloch_vector_gapless_at_zero():
     spec = ModelSpec.ssh(8, 0.0)
     assert models.bloch_norm(models.bloch_vector(spec, np.pi)) < models.GAP_TOL
     with pytest.raises(GaplessError):
-        models.bz_mean(lambda k, h: h[0], partial(models.bloch_vector, spec), 8)
+        models.bz_mean(lambda k, h, r: h[0], partial(models.bloch_vector, spec), 8)
 
 
 def test_ssh_realspace_spectrum_matches_bloch():
@@ -136,7 +136,7 @@ def test_ssh_limits_match_quad(lam):
         quad = models.bz_mean(partial(eta_summand, d=d), bloch, None)
         assert models.ssh_eta1_limit(sign * lam) == pytest.approx(quad, abs=1e-12)
     quad = models.bz_mean(
-        lambda k, h: models.unit_derivative(h, models.ssh_bloch, k)[0],
+        lambda k, h, r: models.unit_derivative(h, r, models.ssh_bloch, k)[0],
         bloch, None, points=[np.pi])
     assert models.ssh_deta1_limit(lam) == pytest.approx(quad, abs=1e-12)
 

@@ -157,3 +157,48 @@ def test_particle_route_matches_majorana_oracle(case):
         for w, g in zip(gaussian.pair_correlations(
                 gaussian.spectral_flatten(shifted), i, j), got):
             assert np.max(np.abs(w - g)) < 1e-12
+
+
+@st.composite
+def open_chains(draw):
+    """A clean open SSH chain, a filling at or next to half, site pairs."""
+    N = draw(st.integers(2, 64))
+    lam = draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    fill = draw(st.sampled_from([None, N - 1, N, N + 1]))
+    pairs = draw(st.lists(st.lists(st.integers(0, 2 * N - 1), min_size=2,
+                                   max_size=2, unique=True),
+                          min_size=1, max_size=8))
+    return ModelSpec.ssh(N, lam, boundary="open"), fill, *np.array(pairs).T
+
+
+@PROPERTY
+@given(open_chains())
+def test_mirror_route_matches_full_size_oracle(case):
+    """The half-size mirror-block solve against the full L x L tridiagonal
+    solve: the same Wick data, the same errors on the same inputs."""
+    spec, fill, i, j = case
+    A = models.particle_matrix(spec)
+
+    def oracle():
+        _, V = gaussian.particle_ground_state(A, fill)
+        return gaussian.particle_correlations(V, i, j)
+
+    want = _outcome(oracle)
+    got = _outcome(lambda: entanglement._ground_state(spec, fill)(i, j))
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert not isinstance(got, type), got
+    # The oracle mixes the two edge levels, split by ~(t1/t2)^N, by eps/gap
+    # (Davis-Kahan, as above); the mirror blocks hold one edge level each and
+    # do not.  Compare to 1e-12 where the gap at the Fermi level exceeds
+    # 1e-3, to 1e-14 / gap below, and hold the half-filled state (fill None,
+    # N particles) to its exact n = 1/2 (chiral symmetry) at 1e-12 always.
+    levels = np.linalg.eigvalsh(A)
+    nf = spec.N if fill is None else fill
+    gap = levels[nf] - levels[nf - 1]
+    tol = 1e-12 if gap > 1e-3 else 1e-14 / gap
+    for w, g in zip(want[:3], got[:3]):
+        assert np.max(np.abs(w - g)) < tol
+    if fill is None:
+        assert np.max(np.abs(np.array(got[:2]) - 0.5)) < 1e-12
