@@ -436,6 +436,8 @@ def disorder_ensemble(N: int, lambda_grid, amplitude: float = 0.1,
     The realizations of one lambda are solved by stacked ``eigh`` calls on
     at most 8 MB of matrices each.
     """
+    if N < 2:
+        raise ValueError("N must be at least 2")
     if num_realizations < 1:
         raise ValueError("need at least one disorder realization")
     lams = np.asarray(lambda_grid, dtype=float)

@@ -1,27 +1,25 @@
-"""Command-line front end.
+"""Command-line front end: the subcommands of :data:`COMMANDS`.
 
-Subcommands
------------
-sweep      concurrence sweep over a lambda grid (SSH)
-critical   thermodynamic critical-point report (lambda_plus, slope, log fit)
-graph      entangled graph of a single model instance (JSON or edge list)
-kitaev     Kitaev-chain local density vs chemical potential
-disorder   disorder-averaged sweep for the central bond
-obc        open-chain central-bond derivative sweep
-verify     run the internal invariant suite and print a pass/fail report
+Every flag except ``--config`` is one row of :data:`FLAGS`: the flag, the
+``[section] key`` that mirrors it in the INI file read by ``--config``, its
+type, and its default in each subcommand that takes it.  The parser, the
+merge of flags with the file, the model of ``graph`` and the exit-code
+contract test are all built from that table.  Each value is the flag if
+given, else the file's key, else the default; ``--outdir`` then falls back
+to ``$CHAINENT_OUTDIR`` and the current directory.
 
-Every flag mirrors a config-file key (flat ``key = value`` sections read by
-``--config``); flags override file values.  Output lands in ``--outdir``,
-which defaults to the ``CHAINENT_OUTDIR`` environment variable or the current
-directory.  Exit codes: 0 success, 2 validation error, 3 numerical error
-(gapless model at a requested point).
+Exit codes: 0 success, 2 validation error (one ``error:`` line), 3
+numerical error (gapless model at a requested point).
 """
 
 from __future__ import annotations
 
 import argparse
+import configparser
+import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,128 +31,272 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
-def _outdir(args) -> str:
-    out = args.outdir or os.environ.get("CHAINENT_OUTDIR") or "."
+# ------------------------------------------------------------- flag table
+
+class Type(NamedTuple):
+    """How the text of a flag or key becomes a value: ``parse`` raises
+    ValueError or KeyError on text that is not ``expected``."""
+
+    parse: Callable[[str], object]
+    expected: str
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _one_of(*options: str) -> Type:
+    return Type({o: o for o in options}.__getitem__,
+                " or ".join(map(repr, options)))
+
+
+INT = Type(int, "an integer")
+FLOAT = Type(_finite, "a finite number")
+PATH = Type(str, "a path")
+BOOL = Type(lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
+            "true or false")
+GRID = Type(serialize.parse_grid, "start:stop:points with finite "
+            "start < stop and at least 2 points")
+
+
+class Flag(NamedTuple):
+    """One option: ``flag`` on the command line, ``key`` under ``[section]``
+    in a ``--config`` file.  ``defaults`` maps every subcommand that takes
+    the option to its default text (None: unset).  ``flag`` and ``section``
+    are dicts by subcommand where subcommands differ."""
+
+    flag: str | dict
+    section: str | dict
+    key: str
+    type: Type
+    defaults: dict
+    help: str = ""
+
+    def at(self, field: str, command: str) -> str:
+        value = getattr(self, field)
+        return value[command] if isinstance(value, dict) else value
+
+
+FLAGS = (
+    Flag("--N", dict(sweep="run", critical="run", kitaev="run",
+                     disorder="run", obc="run", graph="model"), "N", INT,
+         dict(sweep=None, critical=None, kitaev=None, disorder="16",
+              obc="64", graph=None), "cells (Kitaev: sites)"),
+    Flag("--grid", "run", "grid", GRID,
+         dict(sweep="-0.97:0.97:41", kitaev="0:4:81",
+              disorder="-0.97:0.97:41", obc="0.01:0.35:35"), "inclusive"),
+    Flag("--derivative", "run", "derivative", BOOL, dict(sweep="false"),
+         "include the dc2/dlambda column"),
+    Flag("--plot-data", "run", "plot_data", BOOL, dict(sweep="false"),
+         "also write two-column .dat series"),
+    Flag("--skip-gapless", "run", "skip_gapless", BOOL, dict(sweep="false"),
+         "exit 0 even when gapless points were skipped"),
+    Flag("--thermodynamic", "run", "thermodynamic", BOOL,
+         dict(critical="false"), "report the N -> infinity limit"),
+    Flag("--output", "run", "output", PATH, dict(critical=None),
+         "also write the report to this CSV"),
+    Flag("--fill", "run", "fill", _one_of("below", "above"),
+         dict(obc="below"), "Fermi level below or above the edge pair"),
+    Flag("--model", "model", "family", _one_of("ssh", "kitaev"),
+         dict(graph="ssh")),
+    Flag("--lambda", "model", "lambda", FLOAT, dict(graph=None)),
+    Flag("--t", "model", "t", FLOAT, dict(graph="1", kitaev="1")),
+    Flag("--delta", "model", "delta", FLOAT, dict(graph="1", kitaev="1")),
+    Flag("--mu", "model", "mu", FLOAT, dict(graph="0")),
+    Flag("--boundary", "model", "boundary", _one_of("periodic", "open"),
+         dict(graph="periodic", disorder="periodic")),
+    Flag(dict(graph="--disorder-amplitude", disorder="--amplitude"),
+         "disorder", "amplitude", FLOAT, dict(graph=None, disorder="0.1"),
+         "unset: clean"),
+    Flag("--seed", "disorder", "seed", INT,
+         dict(graph="0", disorder="20260826")),
+    Flag("--realizations", "disorder", "realizations", INT,
+         dict(disorder="100")),
+    Flag("--format", "run", "format", _one_of("csv", "json"),
+         dict(sweep="csv", graph="json", kitaev="csv", disorder="csv",
+              obc="csv")),
+    Flag("--outdir", "run", "outdir", PATH,
+         dict.fromkeys(("sweep", "critical", "graph", "kitaev", "disorder",
+                        "obc")),
+         "unset: $CHAINENT_OUTDIR, then ."),
+)
+
+COMMANDS = {
+    "sweep": "concurrence sweep over a lambda grid (SSH)",
+    "critical": "critical-point report (lambda_plus, slope, log fit)",
+    "graph": "entangled graph of one model (JSON or edge list)",
+    "kitaev": "Kitaev-chain local density vs chemical potential",
+    "disorder": "disorder-averaged sweep of the central bond",
+    "obc": "open-chain central-bond derivative sweep",
+    "verify": "run the internal invariant suite, print pass/fail",
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line with exit status 2;
+    subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(EXIT_VALIDATION, f"error: {message}\n")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="chainent",
+                     description="Two-site entanglement structure of 1D "
+                                 "quadratic fermion chains")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, text in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        rows = [row for row in FLAGS if command in row.defaults]
+        if rows:
+            p.add_argument("--config", help="INI file of [section] key = "
+                           "value lines; flags override it")
+        for row in rows:
+            default = row.defaults[command]
+            help = "; ".join(filter(None, [
+                row.type.expected, f"[{row.at('section', command)}] {row.key}",
+                default and f"default {default}", row.help]))
+            kind = (dict(action="store_const", const="true")
+                    if row.type is BOOL else {})
+            p.add_argument(row.at("flag", command), dest=row.key, help=help,
+                           **kind)
+    return parser
+
+
+_PARSER = _build_parser()
+_GRID_FLAGS = {row.at("flag", command) for row in FLAGS if row.type is GRID
+               for command in row.defaults}
+
+
+def _normalize(argv) -> list:
+    """Join ``--grid -0.2:0.2:41`` into one token so argparse does not read
+    the leading minus of the value as a new option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _GRID_FLAGS and not tok.startswith("--"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
+def settings(argv) -> dict:
+    """The subcommand of ``argv`` (key ``"command"``) and every value it
+    takes, each resolved as flag, then ``--config`` file, then default.
+
+    Raises ValueError naming the flag or ``[section] key`` whose text does
+    not parse; argparse's own usage errors raise SystemExit(2).
+    """
+    args = _PARSER.parse_args(_normalize(argv))
+    command = args.command
+    cfg = configparser.ConfigParser(interpolation=None)
+    if getattr(args, "config", None):
+        try:
+            if not cfg.read(args.config):
+                raise ValueError(f"cannot read config file {args.config!r}")
+        except configparser.Error as exc:  # its messages span lines
+            raise ValueError(" ".join(str(exc).split())) from None
+    values = {"command": command}
+    for row in FLAGS:
+        if command not in row.defaults:
+            continue
+        text, where = getattr(args, row.key), row.at("flag", command)
+        section = row.at("section", command)
+        if text is None and cfg.has_option(section, row.key):
+            text, where = cfg.get(section, row.key), f"[{section}] {row.key}"
+        if text is None:
+            text = row.defaults[command]
+        try:
+            values[row.key] = None if text is None else row.type.parse(text)
+        except (ValueError, KeyError):
+            raise ValueError(f"{where} must be {row.type.expected}, "
+                             f"got {text!r}") from None
+    return values
+
+
+def model_spec(v: dict) -> models.ModelSpec:
+    """The one model of ``graph`` from its resolved settings; the chain is
+    disordered exactly when an amplitude is set."""
+    if v["N"] is None:
+        raise ValueError("--N ([model] N) is required")
+    disorder = (None if v["amplitude"] is None else
+                models.DisorderSpec(amplitude=v["amplitude"], seed=v["seed"]))
+    if v["family"] == "ssh":
+        if v["lambda"] is None:
+            raise ValueError("--lambda ([model] lambda) is required for SSH")
+        return models.ModelSpec.ssh(v["N"], v["lambda"],
+                                    boundary=v["boundary"], disorder=disorder)
+    return models.ModelSpec.kitaev(v["N"], t=v["t"], delta=v["delta"],
+                                   mu=v["mu"], boundary=v["boundary"],
+                                   disorder=disorder)
+
+
+def _outdir(v) -> str:
+    out = v["outdir"] or os.environ.get("CHAINENT_OUTDIR") or "."
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def _config(args):
-    if getattr(args, "config", None):
-        return serialize.load_config(args.config)
-    return None
-
-
-def _get(args, cfg, section, key, cast, default=None):
-    """Flag value if given, else config-file value, else default."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if cfg is not None and section in cfg and key in cfg[section]:
-        return cast(cfg[section][key])
-    return default
-
-
-def _write_table(rows, header, args, stem):
-    out = _outdir(args)
-    fmt = args.format or "csv"
-    path = os.path.join(out, f"{stem}.{fmt}")
-    if fmt == "csv":
+def _write_table(rows, header, v, stem):
+    path = os.path.join(_outdir(v), f"{stem}.{v['format']}")
+    if v["format"] == "csv":
         serialize.write_csv(path, rows, header)
     else:
         serialize.write_json_records(path, rows, header)
     print(f"wrote {path}")
-    return path
 
 
 # ------------------------------------------------------------- subcommands
 
-def cmd_sweep(args) -> int:
-    cfg = _config(args)
-    N = _get(args, cfg, "run", "N", int)
-    grid_text = _get(args, cfg, "run", "grid", str, "-0.97:0.97:41")
-    grid = serialize.parse_grid(grid_text)
+def cmd_sweep(v) -> int:
+    N, grid = v["N"], v["grid"]
     if N is not None and N % 2 == 0 and np.any(np.abs(grid) < 1e-15):
         print("error: lambda grid contains 0, which is gapless for even N; "
               "use an even point count around 0", file=sys.stderr)
         return EXIT_VALIDATION
-    result = analysis.sweep(grid, N=N, with_derivative=args.derivative)
+    result = analysis.sweep(grid, N=N, with_derivative=v["derivative"])
     _write_table(serialize.sweep_rows(result), serialize.CSV_HEADER,
-                 args, "sweep")
-    if args.plot_data:
-        for p in serialize.emit_plot_data(result, _outdir(args)):
+                 v, "sweep")
+    if v["plot_data"]:
+        for p in serialize.emit_plot_data(result, _outdir(v)):
             print(f"wrote {p}")
     for lam, msg in result.errors:
         print(f"skipped lambda={lam:g}: {msg}", file=sys.stderr)
-    if result.errors and not args.skip_gapless:
+    if result.errors and not v["skip_gapless"]:
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
-def cmd_critical(args) -> int:
-    N = None if args.thermodynamic else args.N
-    report = analysis.critical_report(N=N)
-    print(f"lambda_plus      = {report.lambda_plus:.12g}")
-    print(f"lambda_minus     = {report.lambda_minus:.12g}")
-    print(f"slope_at_plus    = {report.slope_at_plus:.12g}")
-    print(f"logfit_slope     = {report.logfit_slope:.12g}")
-    print(f"logfit_intercept = {report.logfit_intercept:.12g}")
-    print(f"asymptotic       = {report.logfit_asymptotic}")
-    if report.jump_delta is not None:
-        print(f"jump_delta       = {report.jump_delta:.12g}")
-    if args.output:
-        rows = [["lambda_plus", report.lambda_plus],
-                ["lambda_minus", report.lambda_minus],
-                ["slope_at_plus", report.slope_at_plus],
-                ["logfit_slope", report.logfit_slope],
-                ["logfit_intercept", report.logfit_intercept],
-                ["asymptotic", report.logfit_asymptotic]]
-        path = os.path.join(_outdir(args), args.output)
+def cmd_critical(v) -> int:
+    report = analysis.critical_report(N=None if v["thermodynamic"] else v["N"])
+    rows = [["lambda_plus", report.lambda_plus],
+            ["lambda_minus", report.lambda_minus],
+            ["slope_at_plus", report.slope_at_plus],
+            ["logfit_slope", report.logfit_slope],
+            ["logfit_intercept", report.logfit_intercept],
+            ["asymptotic", report.logfit_asymptotic]]
+    jump = [] if report.jump_delta is None else [["jump_delta",
+                                                   report.jump_delta]]
+    for name, value in rows + jump:
+        text = value if isinstance(value, bool) else format(value, ".12g")
+        print(f"{name:<16} = {text}")
+    if v["output"]:
+        path = os.path.join(_outdir(v), v["output"])
         serialize.write_csv(path, rows, header=["quantity", "value"])
         print(f"wrote {path}")
     return EXIT_OK
 
 
-def _spec_from_args(args, cfg) -> models.ModelSpec:
-    if cfg is not None and getattr(args, "lam", None) is None \
-            and getattr(args, "N", None) is None:
-        return serialize.spec_from_config(cfg)
-    family = _get(args, cfg, "model", "model", str, "ssh")
-    N = _get(args, cfg, "model", "N", int)
-    if N is None:
-        raise ValueError("--N is required")
-    boundary = models.Boundary(_get(args, cfg, "model", "boundary", str,
-                                    "periodic"))
-    disorder = None
-    if getattr(args, "disorder_amplitude", None) is not None:
-        disorder = models.DisorderSpec(amplitude=args.disorder_amplitude,
-                                       seed=args.seed or 0)
-    if family == "ssh":
-        lam = getattr(args, "lam", None)
-        if lam is None:
-            lam = _get(args, cfg, "model", "lambda", float)
-        if lam is None:
-            raise ValueError("--lambda is required for SSH")
-        return models.ModelSpec.ssh(N, lam, boundary=boundary,
-                                    disorder=disorder)
-    return models.ModelSpec.kitaev(
-        N, t=_get(args, cfg, "model", "t", float, 1.0),
-        delta=_get(args, cfg, "model", "delta", float, 1.0),
-        mu=_get(args, cfg, "model", "mu", float, 0.0),
-        boundary=boundary, disorder=disorder)
-
-
-def cmd_graph(args) -> int:
-    cfg = _config(args)
-    spec = _spec_from_args(args, cfg)
-    graph = entanglement.entangled_graph(spec)
-    out = _outdir(args)
-    if (args.format or "json") == "json":
-        path = os.path.join(out, "graph.json")
+def cmd_graph(v) -> int:
+    graph = entanglement.entangled_graph(model_spec(v))
+    path = os.path.join(_outdir(v), f"graph.{v['format']}")
+    if v["format"] == "json":
         with open(path, "w") as fh:
             fh.write(graph.to_json())
     else:
-        path = os.path.join(out, "graph.csv")
         rows = [[entanglement.site_label(s1), entanglement.site_label(s2), c]
                 for s1, s2, c in graph.edges]
         serialize.write_csv(path, rows,
@@ -165,47 +307,32 @@ def cmd_graph(args) -> int:
     return EXIT_OK
 
 
-def cmd_kitaev(args) -> int:
-    cfg = _config(args)
-    grid = serialize.parse_grid(
-        _get(args, cfg, "run", "grid", str, "0:4:81"))
-    N = _get(args, cfg, "run", "N", int)
-    table = analysis.kitaev_density(grid, N=N, t=args.t, delta=args.delta)
+def cmd_kitaev(v) -> int:
+    table = analysis.kitaev_density(v["grid"], N=v["N"], t=v["t"],
+                                    delta=v["delta"])
     rows = [[mu, n] for mu, n in zip(table.mus, table.density)]
-    _write_table(rows, ["mu", "density"], args, "kitaev_density")
+    _write_table(rows, ["mu", "density"], v, "kitaev_density")
     return EXIT_OK
 
 
-def cmd_disorder(args) -> int:
-    cfg = _config(args)
-    N = _get(args, cfg, "run", "N", int, 16)
-    grid = serialize.parse_grid(
-        _get(args, cfg, "run", "grid", str, "-0.97:0.97:41"))
-    amplitude = _get(args, cfg, "disorder", "amplitude", float, 0.1)
-    realizations = _get(args, cfg, "disorder", "realizations", int, 100)
-    seed = _get(args, cfg, "disorder", "seed", int, 20260826)
-    boundary = models.Boundary(_get(args, cfg, "model", "boundary", str,
-                                    "periodic"))
-    table = analysis.disorder_ensemble(N, grid, amplitude=amplitude,
-                                       num_realizations=realizations,
-                                       base_seed=seed, boundary=boundary)
-    rows = [[lam, m, s, seed] for lam, m, s in
+def cmd_disorder(v) -> int:
+    table = analysis.disorder_ensemble(v["N"], v["grid"],
+                                       amplitude=v["amplitude"],
+                                       num_realizations=v["realizations"],
+                                       base_seed=v["seed"],
+                                       boundary=v["boundary"])
+    rows = [[lam, m, s, v["seed"]] for lam, m, s in
             zip(table.lambdas, table.mean_c2, table.std_c2)]
-    _write_table(rows, ["lambda", "mean_c2", "std_c2", "seed"], args,
+    _write_table(rows, ["lambda", "mean_c2", "std_c2", "seed"], v,
                  "disorder")
     return EXIT_OK
 
 
-def cmd_obc(args) -> int:
-    cfg = _config(args)
-    N = _get(args, cfg, "run", "N", int, 64)
-    grid = serialize.parse_grid(
-        _get(args, cfg, "run", "grid", str, "0.01:0.35:35"))
-    fill = _get(args, cfg, "run", "fill", str, "below")
-    table = analysis.obc_center_derivative(N, grid, fill=fill)
+def cmd_obc(v) -> int:
+    table = analysis.obc_center_derivative(v["N"], v["grid"], fill=v["fill"])
     rows = [[lam, c, d] for lam, c, d in
             zip(table.lambdas, table.c2, table.dc2_dlambda)]
-    _write_table(rows, ["lambda", "c2", "dc2_dlambda"], args, "obc")
+    _write_table(rows, ["lambda", "c2", "dc2_dlambda"], v, "obc")
     print(f"peak dc2/dlambda at lambda = {table.peak_lambda:.6g}")
     return EXIT_OK
 
@@ -273,7 +400,7 @@ def _verify_checks():
             ("critical points symmetric about 0", symmetry)]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(v) -> int:
     failures = 0
     for name, check in _verify_checks():
         try:
@@ -287,113 +414,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 
 
-# ------------------------------------------------------------------ parser
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chainent",
-        description="Two-site entanglement structure of 1D quadratic "
-                    "fermion chains")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--outdir", help="output directory "
-                       "(default: $CHAINENT_OUTDIR or .)")
-        p.add_argument("--format", choices=["csv", "json"])
-
-    p = sub.add_parser("sweep", help="concurrence sweep over lambda")
-    common(p)
-    p.add_argument("--model", choices=["ssh"], default="ssh")
-    p.add_argument("--N", type=int, help="cells (omit for thermodynamic)")
-    p.add_argument("--grid", help="start:stop:points (inclusive)")
-    p.add_argument("--derivative", action="store_true",
-                   help="include dc2/dlambda column")
-    p.add_argument("--plot-data", action="store_true",
-                   help="also write two-column .dat series")
-    p.add_argument("--skip-gapless", action="store_true",
-                   help="exit 0 even when gapless points were skipped")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("critical", help="critical-point report")
-    common(p)
-    p.add_argument("--thermodynamic", action="store_true")
-    p.add_argument("--N", type=int)
-    p.add_argument("--output", help="also write the report to this CSV")
-    p.set_defaults(func=cmd_critical)
-
-    p = sub.add_parser("graph", help="entangled graph of one model")
-    common(p)
-    p.add_argument("--model", choices=["ssh", "kitaev"], default="ssh")
-    p.add_argument("--N", type=int)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--boundary", choices=["periodic", "open"],
-                   default="periodic")
-    p.add_argument("--disorder-amplitude", type=float)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_graph)
-
-    p = sub.add_parser("kitaev", help="Kitaev local density vs mu")
-    common(p)
-    p.add_argument("--N", type=int)
-    p.add_argument("--grid", help="mu grid start:stop:points")
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.set_defaults(func=cmd_kitaev)
-
-    p = sub.add_parser("disorder", help="disorder-averaged central bond")
-    common(p)
-    p.add_argument("--N", type=int)
-    p.add_argument("--grid")
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--realizations", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--boundary", choices=["periodic", "open"])
-    p.set_defaults(func=cmd_disorder)
-
-    p = sub.add_parser("obc", help="open-chain central-bond derivative")
-    common(p)
-    p.add_argument("--N", type=int)
-    p.add_argument("--grid")
-    p.add_argument("--fill", choices=["below", "above"])
-    p.set_defaults(func=cmd_obc)
-
-    p = sub.add_parser("verify", help="run the invariant suite")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    return parser
-
-
-def _normalize(argv) -> list:
-    """Join ``--grid -0.2:0.2:41`` into one token so argparse does not read
-    the leading minus of the value as a new option."""
-    out = []
-    it = iter(argv)
-    for tok in it:
-        if tok == "--grid":
-            try:
-                out.append(f"--grid={next(it)}")
-                continue
-            except StopIteration:
-                pass
-        out.append(tok)
-    return out
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_normalize(
-        sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.func(args)
+        v = settings(sys.argv[1:] if argv is None else list(argv))
+        # looked up per call, so a rebinding of cmd_<name> takes effect
+        return globals()[f"cmd_{v['command']}"](v)
+    except SystemExit as exc:  # argparse: --help, or its one-line error
+        return exc.code
     except GaplessError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ChainentError, ValueError, OSError) as exc:
+    except (ChainentError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -57,16 +57,10 @@ def mode_index(site: Site, family: Family = Family.SSH) -> int:
     return len(subs) * cell + subs.index(sub)
 
 
-class Route(str, Enum):
-    MOMENTUM_ANALYTIC = "momentum-analytic"
-    REAL_SPACE = "real-space"
-
-
 @dataclass(frozen=True)
 class EtaValue:
     value: float
     pair: tuple
-    route: Route
 
 
 def eta_summand(k, h, r, d: int):
@@ -96,12 +90,12 @@ def eta_analytic(spec: ModelSpec, site1: Site, site2: Site) -> EtaValue:
     if min(i, j) < 0 or max(i, j) >= spec.num_modes:
         raise IndexError("mode index out of range")
     if i % 2 == j % 2:
-        return EtaValue(0.0, (site1, site2), Route.MOMENTUM_ANALYTIC)
+        return EtaValue(0.0, (site1, site2))
     if i % 2:  # eta_{b_n a_m} = eta_{a_m b_n}
         i, j = j, i
     value = bz_mean(partial(eta_summand, d=j // 2 - i // 2),
                     partial(ssh_bloch, spec.lam), spec.N)
-    return EtaValue(value, (site1, site2), Route.MOMENTUM_ANALYTIC)
+    return EtaValue(value, (site1, site2))
 
 
 CRITICAL_POINT = "lambda = 0 is the critical point"
@@ -122,7 +116,7 @@ def eta_thermodynamic(spec_or_lambda, pair: str = "intra") -> EtaValue:
     if pair not in ("intra", "inter"):
         raise ValueError("pair must be 'intra' or 'inter'")
     value = float(ssh_eta1_limit(lam if pair == "intra" else -lam))
-    return EtaValue(value, (pair, "thermodynamic"), Route.MOMENTUM_ANALYTIC)
+    return EtaValue(value, (pair, "thermodynamic"))
 
 
 BASIS_DOC = "occupation bitstrings, first listed site = least significant bit"

@@ -1,4 +1,4 @@
-"""CSV/JSON writers, plot-data emission and the plain-text config format.
+"""CSV/JSON writers, plot-data emission and the grid specification.
 
 Numbers are written with 17 significant digits so that reading a file back
 recovers every float64 bit-exactly; identical inputs produce byte-identical
@@ -7,15 +7,12 @@ files.
 
 from __future__ import annotations
 
-import configparser
 import io
 import json
 import os
 import warnings
 
 import numpy as np
-
-from .models import Boundary, DisorderSpec, Family, ModelSpec
 
 CSV_HEADER = ["lambda", "eta1", "eta2", "c1", "c2", "dc2_dlambda",
               "n", "boundary", "seed"]
@@ -109,7 +106,7 @@ def emit_plot_data(result, outdir, prefix="sweep") -> list:
     return written
 
 
-# ------------------------------------------------------------ config format
+# ------------------------------------------------------------------- grids
 
 def parse_grid(text: str) -> np.ndarray:
     """Inclusive ``start:stop:points`` grid specification."""
@@ -118,42 +115,10 @@ def parse_grid(text: str) -> np.ndarray:
         raise ValueError(f"grid must be start:stop:points, got {text!r}")
     start, stop = float(parts[0]), float(parts[1])
     points = int(parts[2])
+    if not np.isfinite([start, stop]).all():
+        raise ValueError("grid bounds must be finite")
     if points < 2:
         raise ValueError("grid needs at least 2 points")
     if stop <= start:
         raise ValueError("grid stop must exceed start")
     return np.linspace(start, stop, points)
-
-
-def spec_from_config(cfg: configparser.ConfigParser) -> ModelSpec:
-    """ModelSpec from the [model] (and optional [disorder]) sections."""
-    if "model" not in cfg:
-        raise ValueError("config misses the [model] section")
-    m = cfg["model"]
-    family = Family(m.get("family", "ssh").lower())
-    N = m.getint("n")
-    if N is None:
-        raise ValueError("[model] n is required")
-    boundary = Boundary(m.get("boundary", "periodic").lower())
-    disorder = None
-    if "disorder" in cfg:
-        d = cfg["disorder"]
-        disorder = DisorderSpec(amplitude=d.getfloat("amplitude", 0.1),
-                                seed=d.getint("seed", 0))
-    if family is Family.SSH:
-        lam = m.getfloat("lambda")
-        if lam is None:
-            raise ValueError("[model] lambda is required for SSH")
-        return ModelSpec.ssh(N, lam, boundary=boundary, disorder=disorder)
-    return ModelSpec.kitaev(N, t=m.getfloat("t", 1.0),
-                            delta=m.getfloat("delta", 1.0),
-                            mu=m.getfloat("mu", 0.0),
-                            boundary=boundary, disorder=disorder)
-
-
-def load_config(path: str) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser()
-    read = cfg.read(path)
-    if not read:
-        raise ValueError(f"cannot read config file {path!r}")
-    return cfg

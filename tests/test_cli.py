@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chainent import analysis, entanglement, gaussian, models, serialize
+from chainent import cli
 from chainent.cli import main
 
 
@@ -49,10 +50,11 @@ def test_config_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[model]\nfamily = ssh\nn = 12\nlambda = 0.5\n"
                    "[disorder]\namplitude = 0.2\nseed = 4\n")
-    spec = serialize.spec_from_config(serialize.load_config(str(cfg)))
+    spec = cli.model_spec(cli.settings(["graph", "--config", str(cfg)]))
     assert spec.N == 12
     assert spec.lam == 0.5
     assert spec.disorder.amplitude == 0.2
+    assert spec.disorder.seed == 4
 
 
 # -------------------------------------------------------------------- CLI
@@ -241,3 +243,218 @@ def test_cli_verify(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
     assert "PASS  closed-form pair concurrence equals dense RDM concurrence" in out
+
+
+# ----------------------------------------------- flags and config files
+
+ROWS = {row.key: row for row in cli.FLAGS}
+
+
+def _flags(command, values):
+    """Command-line form of ``{key: text}`` settings, through the table."""
+    argv = [command]
+    for key, text in values.items():
+        flag = ROWS[key].at("flag", command)
+        if ROWS[key].type is cli.BOOL:
+            argv += [flag if text == "true" else f"{flag}={text}"]
+        else:
+            argv += [flag, text]
+    return argv
+
+
+def _ini(command, values):
+    """Config-file form of the same settings."""
+    sections = {}
+    for key, text in values.items():
+        sections.setdefault(ROWS[key].at("section", command), []).append(
+            f"{key} = {text}")
+    return "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines)
+                   for name, lines in sections.items())
+
+
+def _outputs(path):
+    return {name: (path / name).read_bytes() for name in os.listdir(path)}
+
+
+# every setting of one run, once as flags and once as a config file
+SAME_RUN = {
+    "sweep": ("sweep", {"N": "15", "grid": "-0.3:0.3:7", "derivative": "true",
+                        "plot_data": "true", "format": "json"}),
+    "critical_n": ("critical", {"N": "16", "output": "c.csv"}),
+    "critical_thermo": ("critical", {"thermodynamic": "true",
+                                     "output": "c.csv"}),
+    "kitaev": ("kitaev", {"N": "16", "grid": "0:3:7", "t": "0.8",
+                          "delta": "1.2", "format": "json"}),
+    "graph_ssh_ring": ("graph", {"N": "8", "lambda": "0.3"}),
+    "graph_ssh_open": ("graph", {"N": "8", "lambda": "0.3",
+                                 "boundary": "open", "format": "csv"}),
+    "graph_kitaev_ring": ("graph", {"family": "kitaev", "N": "9", "t": "0.7",
+                                    "delta": "1.3", "mu": "0.5"}),
+    "graph_kitaev_open": ("graph", {"family": "kitaev", "N": "10", "mu": "3",
+                                    "boundary": "open"}),
+    "graph_disordered": ("graph", {"N": "8", "lambda": "-0.4",
+                                   "amplitude": "0.2", "seed": "3"}),
+    "disorder": ("disorder", {"N": "8", "grid": "0.2:0.6:3",
+                              "amplitude": "0.3", "realizations": "4",
+                              "seed": "5", "boundary": "open",
+                              "format": "json"}),
+    "obc": ("obc", {"N": "16", "grid": "0.05:0.3:4", "fill": "above",
+                    "format": "json"}),
+}
+
+# Reported cases where a file value lost to a parser default or was never
+# read: (file, command line with the file, the same run in flags only).
+MIXED_RUN = {
+    "graph_kitaev_family_from_file": (
+        "[model]\nfamily = kitaev\nmu = 3\nboundary = open\n",
+        ["graph", "--N", "10"],
+        ["graph", "--model", "kitaev", "--N", "10", "--mu", "3",
+         "--boundary", "open"]),
+    "graph_open_boundary_from_file": (
+        "[model]\nN = 12\nlambda = 0.3\nboundary = open\n",
+        ["graph", "--N", "8"],
+        ["graph", "--N", "8", "--lambda", "0.3", "--boundary", "open"]),
+    "graph_model_flag_beats_file": (
+        "[model]\nfamily = ssh\nN = 10\nlambda = 0.3\n",
+        ["graph", "--model", "kitaev"],
+        ["graph", "--model", "kitaev", "--N", "10"]),
+    "kitaev_t_delta_from_file": (
+        "[run]\nN = 16\ngrid = 0:3:7\n[model]\nt = 0.8\ndelta = 1.2\n",
+        ["kitaev"],
+        ["kitaev", "--N", "16", "--grid", "0:3:7", "--t", "0.8",
+         "--delta", "1.2"]),
+    "critical_from_file": (
+        "[run]\nN = 16\noutput = c.csv\n",
+        ["critical"],
+        ["critical", "--N", "16", "--output", "c.csv"]),
+}
+
+
+def _same_run(case):
+    if case in MIXED_RUN:
+        return MIXED_RUN[case]
+    command, values = SAME_RUN[case]
+    return _ini(command, values), [command], _flags(command, values)
+
+
+@pytest.mark.parametrize("case", sorted(SAME_RUN) + sorted(MIXED_RUN))
+def test_cli_config_file_equals_flags(tmp_path, case):
+    """A value from the file acts as the same flag would: byte-identical
+    output files.  The MIXED_RUN cases failed before the flag table."""
+    text, with_file, flags_only = _same_run(case)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    a, b = tmp_path / "file", tmp_path / "flags"
+    assert main(with_file + ["--config", str(cfg), "--outdir", str(a)]) == 0
+    assert main(flags_only + ["--outdir", str(b)]) == 0
+    assert _outputs(a) == _outputs(b) and _outputs(a)
+
+
+# Exit-code contract, generated from the flag table: every row of every
+# subcommand, given as a flag and as a file key, with a valid text and with
+# malformed ones.  A valid text writes output; a malformed one exits 2 with
+# one "error:" line.  No exception may leave main.
+BASE = {
+    "sweep": {"N": "8", "grid": "0.1:0.3:3"},
+    "critical": {"output": "c.csv"},
+    "graph": {"N": "6", "lambda": "0.3", "amplitude": "0.1"},
+    "kitaev": {"N": "6", "grid": "0:1:3"},
+    "disorder": {"N": "6", "grid": "0.1:0.3:2", "realizations": "3"},
+    "obc": {"N": "8", "grid": "0.05:0.1:3"},
+}
+TEXTS = {  # key: (valid, malformed)
+    "N": ("6", ["x", "1.5", "0", "1" + "0" * 20]),
+    "grid": ("0.1:0.3:3", ["0:1", "nan:1:3", "-inf:0:3", "0.3:0.1:3",
+                           "0:1:1"]),
+    "derivative": ("true", ["maybe"]),
+    "plot_data": ("true", ["maybe"]),
+    "skip_gapless": ("true", ["maybe"]),
+    "thermodynamic": ("true", ["maybe"]),
+    "output": ("c.csv", ["no/such/dir/c.csv"]),
+    "fill": ("above", ["middle"]),
+    "family": ("kitaev", ["hubbard"]),
+    "lambda": ("0.3", ["x", "nan", "inf", "2"]),
+    "t": ("0.5", ["x", "nan", "inf"]),
+    "delta": ("0.5", ["x", "nan", "-inf"]),
+    "mu": ("0.5", ["x", "nan", "inf"]),
+    "boundary": ("open", ["sideways"]),
+    "amplitude": ("0.2", ["x", "nan", "inf", "-0.5"]),
+    "seed": ("3", ["x", "1.5", "-1"]),
+    "realizations": ("3", ["0", "x"]),
+    "format": ("json", ["xml"]),
+    "outdir": ("{run}/made/here", ["{tmp}/a_file"]),
+}
+CONTRACT = [(command, row.key) for command in cli.COMMANDS
+            for row in cli.FLAGS if command in row.defaults]
+
+
+def test_contract_covers_the_table():
+    assert set(TEXTS) == set(ROWS)
+    assert set(BASE) == {command for command, _ in CONTRACT}
+    assert "verify" in cli.COMMANDS and "verify" not in BASE
+
+
+@pytest.mark.parametrize("command,key", CONTRACT)
+def test_cli_exit_code_contract(tmp_path, capsys, command, key):
+    (tmp_path / "a_file").write_text("")
+    valid, malformed = TEXTS[key]
+    for n, text in enumerate([valid] + malformed):
+        for source in ("flag", "file"):
+            run = tmp_path / f"{source}{n}"
+            text = text.format(run=run, tmp=tmp_path)
+            settings = {"outdir": str(run), **BASE[command]}
+            settings.pop(key, None)
+            argv = _flags(command, settings)
+            if source == "flag":
+                argv += _flags(command, {key: text})[1:]
+            else:
+                cfg = tmp_path / f"{source}{n}.ini"
+                cfg.write_text(_ini(command, {key: text}))
+                argv += ["--config", str(cfg)]
+            capsys.readouterr()
+            code = main(argv)
+            err = capsys.readouterr().err
+            if n == 0:
+                assert code == 0, (argv, err)
+                assert os.listdir(text if key == "outdir" else run), argv
+            else:
+                assert code == 2, (argv, err)
+                assert err.startswith("error:") and err.count("\n") == 1, \
+                    (argv, err)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["sweep", "--grid"], ["sweep", "--grid", "--N", "8"],
+    ["graph", "--boundary", "sideways"], ["obc", "--no-such-flag"],
+    ["frobnicate"], ["verify", "--outdir", "x"],
+    # a seed past int64 once the realizations are counted from it
+    ["disorder", "--N", "4", "--grid", "0.1:0.3:2", "--realizations", "2",
+     "--seed", str(2 ** 64)],
+])
+def test_cli_error_is_one_line(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_config_syntax_error_is_one_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("N = 8\n[run]\ngrid = 0.1:0.3:3\ngrid = 0.1:0.3:4\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_help_exits_zero(capsys):
+    assert main(["graph", "--help"]) == 0
+    assert "[model] boundary" in capsys.readouterr().out
+
+
+def test_readme_lists_every_flag():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    for row in cli.FLAGS:
+        for command in row.defaults:
+            assert f"`{row.at('flag', command)}`" in text
+            assert row.key in text
