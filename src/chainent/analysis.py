@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .entanglement import (
     CRITICAL_POINT,
@@ -188,6 +187,7 @@ def _centred_difference(values, grid) -> np.ndarray:
 
 def _sudden_death(eta, name, N, bracket, xtol) -> float:
     """Root of eta(lambda, N) = sqrt(2) - 1 inside ``bracket``."""
+    from scipy.optimize import brentq  # 0.65 s to load; only `critical` needs it
     def f(lam):
         return eta(lam, N) - SQRT2_MINUS_1
     fa, fb = f(bracket[0]), f(bracket[1])

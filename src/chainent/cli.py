@@ -234,6 +234,20 @@ def model_spec(v: dict) -> models.ModelSpec:
                                    disorder=disorder)
 
 
+def _check_fits(v) -> None:
+    """ValueError when the largest array built from ``N`` exceeds physical
+    memory: a few length-N rows for zone sums, the N x N mirror block of
+    ``obc``, (2N)^2 floats for ``graph`` and ``disorder`` (the SSH L x L
+    particle matrix, Kitaev's 2N x 2N Majorana form; ring pairs are fewer)."""
+    N = max(v.get("N") or 0, 0)  # N < 2 is rejected where it is used
+    need = 8 * {"obc": N * N, "graph": 4 * N * N,
+                "disorder": 4 * N * N}.get(v["command"], 8 * N)
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise ValueError(f"--N {N} needs about {need / 1e9:.3g} GB in one "
+                         f"array, more than the {memory / 1e9:.3g} GB of memory")
+
+
 def _outdir(v) -> str:
     out = v["outdir"] or os.environ.get("CHAINENT_OUTDIR") or "."
     os.makedirs(out, exist_ok=True)
@@ -417,6 +431,7 @@ def cmd_verify(v) -> int:
 def main(argv=None) -> int:
     try:
         v = settings(sys.argv[1:] if argv is None else list(argv))
+        _check_fits(v)
         # looked up per call, so a rebinding of cmd_<name> takes effect
         return globals()[f"cmd_{v['command']}"](v)
     except SystemExit as exc:  # argparse: --help, or its one-line error

@@ -333,7 +333,13 @@ def entangled_graph(spec: ModelSpec, fill: int | None = None) -> EntangledGraph:
         dist = np.abs(i // w - j // w)
         dist = np.minimum(dist, N - dist) if periodic else dist
         i, j = i[dist <= N // 2], j[dist <= N // 2]
-    c = x_concurrence(*corr(i, j))
+    if momentum:  # a clean ring's Wick data depend only on the cell offset
+        d = np.arange(2 - w, N)  # pairs (a_0, b_d) from d = 0, (s_0, s_d) from 1
+        by_offset = np.zeros(N)
+        by_offset[d] = x_concurrence(*corr(0 * d, w * d + w - 1))
+        c = by_offset[(j // w - i // w) % N]
+    else:
+        c = x_concurrence(*corr(i, j))
     keep = c > CONCURRENCE_ZERO
     edges = [((a // w, subs[a % w]), (b // w, subs[b % w]), x) for a, b, x in
              zip(i[keep].tolist(), j[keep].tolist(), c[keep].tolist())]

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     DegenerateFillError,
@@ -163,6 +162,7 @@ def particle_ground_state(A: np.ndarray, fill: int | None = None):
     if np.max(np.abs(asym), initial=0.0) > SKEW_TOL * max(1.0, np.max(np.abs(A))):
         raise ValueError("matrix carries pairing terms; particle filling undefined")
     if band:
+        from scipy.linalg import eigh_tridiagonal  # only open chains load scipy
         levels, V = eigh_tridiagonal(d, e)
     else:
         levels, V = np.linalg.eigh(A)
@@ -203,6 +203,7 @@ def mirror_ground_state(bonds, fill: int | None = None):
     eigenvector matrix is row ``min(x, L - 1 - x)`` of phi times a sign.
     Only the rows of the requested pairs are formed.  ``fill`` and the
     errors are those of :func:`particle_ground_state` on the L x L chain."""
+    from scipy.linalg import eigh_tridiagonal
     bonds = np.asarray(bonds, dtype=float)
     N = len(bonds)
     L = 2 * N

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ellipkm1, elliprd
 
 from .errors import DisorderUnsupportedError, GaplessError
 
@@ -192,6 +190,7 @@ def bz_mean(term, bloch, N: int | None = None, points=None) -> float:
     SSH chains take the closed forms below instead.
     """
     if N is None:
+        from scipy.integrate import quad  # here: `import chainent` loads numpy only
         def integrand(k):
             h = bloch(k)
             return term(k, h, bloch_norm(h))
@@ -227,6 +226,7 @@ def ssh_eta1_limit(lam):
     """N -> infinity eta1 = (2/pi)[K(m) - t2 D(m)] elementwise, exactly 0 at
     lambda = 1 and 1 at lambda = -1; eta2(lambda) = eta1(-lambda).  K is
     ``ellipkm1(lambda^2)``: ``ellipk(1 - lambda^2)`` loses 7e-12 at 1e-6."""
+    from scipy.special import ellipkm1, elliprd
     y = np.square(lam)
     return 2.0 / np.pi * (ellipkm1(y) - (1.0 + lam) * elliprd(0.0, y, 1.0) / 3.0)
 
@@ -236,6 +236,7 @@ def ssh_deta1_limit(lam):
     descending Landen transformation (DLMF §19.8) removes the cancellation of
     K - 2D = O(m) as |lambda| -> 1: with a = |lambda| it is the product
     -(4/3pi) t2 R_D(0, 4a/(1 + a)^2, 1)/(1 + a)^3, -1/4 at lambda = 1."""
+    from scipy.special import elliprd
     a = np.abs(lam)
     return (-4.0 / (3.0 * np.pi) * (1.0 + lam)
             * elliprd(0.0, 4.0 * a / (1.0 + a) ** 2, 1.0) / (1.0 + a) ** 3)

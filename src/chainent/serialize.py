@@ -22,7 +22,7 @@ def fmt(x) -> str:
     if x is None:
         return ""
     if isinstance(x, (float, np.floating)):
-        return "nan" if np.isnan(x) else f"{x:.17g}"
+        return "%.17g" % float(x)
     return str(x)
 
 

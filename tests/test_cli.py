@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chainent
 from chainent import analysis, entanglement, gaussian, models, serialize
 from chainent import cli
 from chainent.cli import main
@@ -243,6 +246,64 @@ def test_cli_verify(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
     assert "PASS  closed-form pair concurrence equals dense RDM concurrence" in out
+
+
+def test_cli_rejects_n_beyond_memory(tmp_path, monkeypatch, capsys):
+    """An --N whose largest array exceeds physical memory (faked as 4 MB)
+    exits 2 with one line naming --N, before anything is allocated."""
+    sysconf = {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", sysconf.__getitem__)
+    for argv in (["obc", "--N", "1024"], ["disorder", "--N", "512"],
+                 ["graph", "--N", "512", "--lambda", "0.3"],
+                 ["graph", "--model", "kitaev", "--N", "512", "--mu", "0.5"],
+                 ["sweep", "--N", "65538", "--grid", "0.1:0.5:3"],
+                 ["critical", "--N", "65538"]):
+        assert main(argv + ["--outdir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --N ") and err.count("\n") == 1
+    assert not os.listdir(tmp_path)
+    # 0.5 MB for the mirror block fits
+    assert main(["obc", "--N", "256", "--grid", "0.1:0.3:3",
+                 "--outdir", str(tmp_path)]) == 0
+
+
+_LOADED_SCIPY = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import chainent
+from chainent import cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+loaded = [scipy_modules()]
+for argv in json.loads(sys.argv[3]):
+    assert cli.main(argv + ["--outdir", sys.argv[2]]) == 0, argv
+    loaded.append(scipy_modules())
+print(json.dumps(loaded))
+"""
+
+
+def _loaded_scipy(tmp_path, runs):
+    """scipy modules of a fresh interpreter after ``import chainent`` and
+    after each CLI run."""
+    src = os.path.dirname(os.path.dirname(chainent.__file__))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, src,
+                           str(tmp_path), json.dumps(runs)],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_and_momentum_commands_load_no_scipy(tmp_path):
+    runs = [["sweep", "--N", "8", "--grid", "0.1:0.5:3"], ["kitaev", "--N", "8"],
+            ["graph", "--N", "8", "--lambda", "0.3"]]
+    assert _loaded_scipy(tmp_path, runs) == [[]] * 4
+
+
+def test_obc_loads_scipy_linalg_only(tmp_path):
+    _, loaded = _loaded_scipy(tmp_path, [["obc", "--N", "8",
+                                          "--grid", "0.1:0.3:3"]])
+    assert "scipy.linalg" in loaded
+    for other in ("scipy.optimize", "scipy.integrate", "scipy.special"):
+        assert not any(m == other or m.startswith(other + ".") for m in loaded)
 
 
 # ----------------------------------------------- flags and config files
