@@ -20,7 +20,6 @@ import numpy as np
 from .errors import GaplessError, InvalidStateError
 from .gaussian import (
     _majorana_wick,
-    flatten_from_fill,
     mirror_ground_state,
     particle_correlations,
     particle_ground_state,
@@ -172,18 +171,17 @@ def rdm_matrix_from_eta(eta: float) -> np.ndarray:
 def _ground_state(spec: ModelSpec, fill: int | None):
     """Wick data ``corr(i, j)`` of the real-space ground state filling
     ``fill`` levels, or every negative one.  Clean open SSH chains solve one
-    N x N mirror block (:func:`gaussian.mirror_ground_state`), other SSH
-    chains their L x L particle matrix; Kitaev chains flatten their
-    Majorana matrix."""
+    N x N mirror block (:func:`gaussian.mirror_ground_state`); other SSH
+    chains, and any chain at an explicit fill, their L x L particle matrix
+    (ValueError on Kitaev pairing); Kitaev chains at the default fill
+    flatten their Majorana matrix."""
     if spec.family is Family.SSH and spec.disorder is None \
             and spec.boundary is Boundary.OPEN:
         return mirror_ground_state(np.resize([spec.t1, spec.t2], spec.N), fill)
-    if spec.family is Family.SSH:
+    if spec.family is Family.SSH or fill is not None:
         _, V = particle_ground_state(particle_matrix(spec), fill)
         return partial(particle_correlations, V)
-    M = realspace_hamiltonian(spec)
-    Mbar = flatten_from_fill(M, fill) if fill is not None else spectral_flatten(M)
-    return partial(_majorana_wick, Mbar)
+    return partial(_majorana_wick, spectral_flatten(realspace_hamiltonian(spec)))
 
 
 def rdm_pair(spec: ModelSpec, site1: Site, site2: Site,
@@ -310,8 +308,7 @@ def entangled_graph(spec: ModelSpec, fill: int | None = None) -> EntangledGraph:
 
     Clean periodic chains at the default filling take their correlations
     from one inverse FFT of the unit Bloch vector; other chains, or an
-    explicit ``fill``, from the real-space ground state: the particle
-    matrix of SSH chains, the flattened Majorana matrix of Kitaev chains.
+    explicit ``fill``, from the real-space ground state (:func:`_ground_state`).
     Pairs more than N/2 cells apart (periodic distance on rings) are
     skipped.  Edges follow mode order, except on the clean SSH ring:
     (a_n, b_{n+d}), n-major.
@@ -324,21 +321,24 @@ def entangled_graph(spec: ModelSpec, fill: int | None = None) -> EntangledGraph:
     w, periodic = len(subs), spec.boundary is Boundary.PERIODIC
     momentum = spec.clean_periodic and fill is None
     corr = _bloch_correlations(spec) if momentum else _ground_state(spec, fill)
-    if momentum and spec.family is Family.SSH:
-        # same-sublattice pairs of the clean ring are uncorrelated
-        n, d = np.divmod(np.arange(N * N), N)
-        i, j = 2 * n, 2 * ((n + d) % N) + 1
+    if momentum:  # a clean ring's Wick data depend only on the cell offset
+        d = np.arange(2 - w, N)  # pairs (a_0, b_d) from d = 0, (s_0, s_d) from 1
+        by_offset = np.zeros(N)
+        by_offset[d] = x_concurrence(*corr(0 * d, w * d + w - 1))
+        d = np.flatnonzero(by_offset > CONCURRENCE_ZERO)
+        # only offsets with an edge get pairs: (a_n, b_{n+d}), n-major (the
+        # same-sublattice pairs of the SSH ring are uncorrelated), or each
+        # Kitaev pair (s_n, s_{n+d}) once, in mode order
+        n, d = np.repeat(np.arange(N), len(d)), np.tile(d, N)
+        if spec.family is not Family.SSH:
+            n, d = n[n + d < N], d[n + d < N]
+        i, j = w * n, w * ((n + d) % N) + w - 1
+        c = by_offset[d]
     else:
         i, j = np.triu_indices(L, k=1)
         dist = np.abs(i // w - j // w)
         dist = np.minimum(dist, N - dist) if periodic else dist
         i, j = i[dist <= N // 2], j[dist <= N // 2]
-    if momentum:  # a clean ring's Wick data depend only on the cell offset
-        d = np.arange(2 - w, N)  # pairs (a_0, b_d) from d = 0, (s_0, s_d) from 1
-        by_offset = np.zeros(N)
-        by_offset[d] = x_concurrence(*corr(0 * d, w * d + w - 1))
-        c = by_offset[(j // w - i // w) % N]
-    else:
         c = x_concurrence(*corr(i, j))
     keep = c > CONCURRENCE_ZERO
     edges = [((a // w, subs[a % w]), (b // w, subs[b % w]), x) for a, b, x in

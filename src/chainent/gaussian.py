@@ -147,25 +147,18 @@ def spectral_flatten(M: np.ndarray) -> np.ndarray:
 def particle_ground_state(A: np.ndarray, fill: int | None = None):
     """Ascending levels and eigenvectors (columns of empty levels zeroed) of
     ``H = sum A_ij a_i^ a_j`` filling the ``fill`` lowest levels, or every
-    negative one.  ``A`` is real symmetric, L x L (tridiagonal for an open
-    chain, solved by ``eigh_tridiagonal``) or a stack (..., L, L) solved by
-    one stacked ``eigh``; a non-symmetric ``A`` (pairing) raises ValueError.
-    ``fill=None`` raises GaplessError as :func:`spectral_flatten` does
-    (``eig(iM) = +-levels``); an explicit fill raises ValueError outside
-    0..L and DegenerateFillError inside a degenerate pair.  Clean open SSH
-    chains take the half-size route, :func:`mirror_ground_state`; this
-    full-size solve is its test oracle."""
+    negative one.  ``A`` is real symmetric, L x L or a stack (..., L, L),
+    solved by one (stacked) ``eigh``; a non-symmetric ``A`` (pairing) raises
+    ValueError.  ``fill=None`` raises GaplessError as
+    :func:`spectral_flatten` does (``eig(iM) = +-levels``); an explicit fill
+    raises ValueError outside 0..L and DegenerateFillError inside a
+    degenerate pair.  Clean open SSH chains take the half-size route,
+    :func:`mirror_ground_state`; this full-size solve is its test oracle."""
     A = np.asarray(A, dtype=float)
-    d, e, f = (np.diagonal(A, k, -2, -1) for k in (0, 1, -1))
-    band = A.ndim == 2 and np.count_nonzero(A) == sum(map(np.count_nonzero, (d, e, f)))
-    asym = e - f if band else A - np.swapaxes(A, -1, -2)
-    if np.max(np.abs(asym), initial=0.0) > SKEW_TOL * max(1.0, np.max(np.abs(A))):
+    asym = np.max(np.abs(A - np.swapaxes(A, -1, -2)), initial=0.0)
+    if asym > SKEW_TOL * max(1.0, np.max(np.abs(A))):
         raise ValueError("matrix carries pairing terms; particle filling undefined")
-    if band:
-        from scipy.linalg import eigh_tridiagonal  # only open chains load scipy
-        levels, V = eigh_tridiagonal(d, e)
-    else:
-        levels, V = np.linalg.eigh(A)
+    levels, V = np.linalg.eigh(A)
     V *= _filled(levels, fill)[..., None, :]
     return levels, V
 

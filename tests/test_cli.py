@@ -294,8 +294,10 @@ def _loaded_scipy(tmp_path, runs):
 
 def test_import_and_momentum_commands_load_no_scipy(tmp_path):
     runs = [["sweep", "--N", "8", "--grid", "0.1:0.5:3"], ["kitaev", "--N", "8"],
-            ["graph", "--N", "8", "--lambda", "0.3"]]
-    assert _loaded_scipy(tmp_path, runs) == [[]] * 4
+            ["graph", "--N", "8", "--lambda", "0.3"],
+            ["graph", "--N", "8", "--lambda", "0.3", "--boundary", "open",
+             "--disorder-amplitude", "0.2"]]
+    assert _loaded_scipy(tmp_path, runs) == [[]] * 5
 
 
 def test_obc_loads_scipy_linalg_only(tmp_path):
