@@ -325,11 +325,11 @@ def entangled_graph(spec: ModelSpec, fill: int | None = None) -> EntangledGraph:
         d = np.arange(2 - w, N)  # pairs (a_0, b_d) from d = 0, (s_0, s_d) from 1
         by_offset = np.zeros(N)
         by_offset[d] = x_concurrence(*corr(0 * d, w * d + w - 1))
-        d = np.flatnonzero(by_offset > CONCURRENCE_ZERO)
+        edge_d = np.flatnonzero(by_offset > CONCURRENCE_ZERO)
         # only offsets with an edge get pairs: (a_n, b_{n+d}), n-major (the
         # same-sublattice pairs of the SSH ring are uncorrelated), or each
         # Kitaev pair (s_n, s_{n+d}) once, in mode order
-        n, d = np.repeat(np.arange(N), len(d)), np.tile(d, N)
+        n, d = np.repeat(np.arange(N), len(edge_d)), np.tile(edge_d, N)
         if spec.family is not Family.SSH:
             n, d = n[n + d < N], d[n + d < N]
         i, j = w * n, w * ((n + d) % N) + w - 1
@@ -340,9 +340,10 @@ def entangled_graph(spec: ModelSpec, fill: int | None = None) -> EntangledGraph:
         dist = np.minimum(dist, N - dist) if periodic else dist
         i, j = i[dist <= N // 2], j[dist <= N // 2]
         c = x_concurrence(*corr(i, j))
-    keep = c > CONCURRENCE_ZERO
+        keep = c > CONCURRENCE_ZERO
+        i, j, c = i[keep], j[keep], c[keep]
     edges = [((a // w, subs[a % w]), (b // w, subs[b % w]), x) for a, b, x in
-             zip(i[keep].tolist(), j[keep].tolist(), c[keep].tolist())]
+             zip(i.tolist(), j.tolist(), c.tolist())]
     if spec.family is not Family.SSH:
         return EntangledGraph(N, edges, None, sublattices=subs)
     cells = np.arange(N)

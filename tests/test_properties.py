@@ -1,6 +1,7 @@
 """Property tests: the momentum-space kernel against the real-space route,
 the closed-form two-site X state against the dense Fock-space RDM, and the
-particle-matrix ground state of SSH chains against the Majorana route.
+particle-matrix ground state of SSH chains, and of Kitaev chains at an
+explicit filling, against the Majorana route.
 
 Hypothesis draws chains and site pairs with ``derandomize=True``, so every
 run checks the same examples.
@@ -102,14 +103,22 @@ def test_x_state_matches_dense_rdm(case):
 
 
 @st.composite
-def ssh_ground_states(draw):
-    """An SSH chain of either boundary, maybe disordered, and a filling."""
+def particle_ground_states(draw):
+    """A chain of either boundary, maybe disordered, and a filling: an SSH
+    chain at any filling, or a Kitaev chain, with or without pairing, at an
+    explicit one."""
     disorder = st.builds(models.DisorderSpec, st.sampled_from([0.1, 0.5]),
                          st.integers(0, 99))
-    spec = ModelSpec.ssh(draw(st.integers(2, 40)), draw(st.floats(-1.0, 1.0)),
-                         boundary=draw(st.sampled_from(["periodic", "open"])),
-                         disorder=draw(st.none() | disorder))
-    return spec, draw(st.none() | st.integers(0, spec.num_modes))
+    N = draw(st.integers(2, 40))
+    kw = dict(boundary=draw(st.sampled_from(["periodic", "open"])),
+              disorder=draw(st.none() | disorder))
+    if draw(st.booleans()):
+        spec = ModelSpec.ssh(N, draw(st.floats(-1.0, 1.0)), **kw)
+        return spec, draw(st.none() | st.integers(0, spec.num_modes))
+    spec = ModelSpec.kitaev(N, t=draw(st.floats(0.2, 2.0)),
+                            delta=draw(st.just(0.0) | st.floats(0.2, 2.0)),
+                            mu=draw(st.floats(-4.0, 4.0)), **kw)
+    return spec, draw(st.integers(0, spec.num_modes))
 
 
 def _outcome(route):
@@ -120,8 +129,8 @@ def _outcome(route):
         return type(exc)
 
 
-@PROPERTY
-@given(ssh_ground_states())
+@settings(PROPERTY, max_examples=800)  # about 300 of them SSH chains
+@given(particle_ground_states())
 def test_particle_route_matches_majorana_oracle(case):
     spec, fill = case
     L = spec.num_modes
