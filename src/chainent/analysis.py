@@ -346,8 +346,12 @@ class KitaevDensityTable:
 
 def kitaev_density(mu_grid, t: float = 1.0, delta: float = 1.0,
                    N: int | None = None) -> KitaevDensityTable:
-    """Local density and compressibility over a chemical-potential sweep."""
+    """Local density and compressibility over a chemical-potential sweep.
+    GaplessError when t = delta = 0 and the grid holds mu = 0, where the
+    Hamiltonian vanishes."""
     mus = np.asarray(mu_grid, dtype=float)
+    if t == 0 and delta == 0 and np.any(mus == 0):
+        raise GaplessError("t = delta = mu = 0: the Hamiltonian is zero")
     if N is None:
         eta_z, errors = np.array([kitaev_eta_z(mu, t, delta) for mu in mus]), []
     else:

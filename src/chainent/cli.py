@@ -236,11 +236,11 @@ def model_spec(v: dict) -> models.ModelSpec:
 
 def _check_fits(v) -> None:
     """ValueError when the largest array built from ``N`` exceeds physical
-    memory: a few length-N rows for zone sums, the N x N mirror block of
-    ``obc``, (2N)^2 floats for ``graph`` and ``disorder`` (the SSH L x L
+    memory: a few length-N rows for zone sums and the closed-form open chain
+    of ``obc``, (2N)^2 floats for ``graph`` and ``disorder`` (the SSH L x L
     particle matrix, Kitaev's 2N x 2N Majorana form; ring pairs are fewer)."""
     N = max(v.get("N") or 0, 0)  # N < 2 is rejected where it is used
-    need = 8 * {"obc": N * N, "graph": 4 * N * N,
+    need = 8 * {"graph": 4 * N * N,
                 "disorder": 4 * N * N}.get(v["command"], 8 * N)
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > memory:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import GaplessError, InvalidStateError
 from .gaussian import (
     _majorana_wick,
-    mirror_ground_state,
+    open_ssh_ground_state,
     particle_correlations,
     particle_ground_state,
     spectral_flatten,
@@ -170,14 +170,14 @@ def rdm_matrix_from_eta(eta: float) -> np.ndarray:
 
 def _ground_state(spec: ModelSpec, fill: int | None):
     """Wick data ``corr(i, j)`` of the real-space ground state filling
-    ``fill`` levels, or every negative one.  Clean open SSH chains solve one
-    N x N mirror block (:func:`gaussian.mirror_ground_state`); other SSH
+    ``fill`` levels, or every negative one.  Clean open SSH chains take the
+    closed form (:func:`gaussian.open_ssh_ground_state`); other SSH
     chains, and any chain at an explicit fill, their L x L particle matrix
     (ValueError on Kitaev pairing); Kitaev chains at the default fill
     flatten their Majorana matrix."""
     if spec.family is Family.SSH and spec.disorder is None \
             and spec.boundary is Boundary.OPEN:
-        return mirror_ground_state(np.resize([spec.t1, spec.t2], spec.N), fill)
+        return open_ssh_ground_state(spec.N, spec.t1, spec.t2, fill)[1]
     if spec.family is Family.SSH or fill is not None:
         _, V = particle_ground_state(particle_matrix(spec), fill)
         return partial(particle_correlations, V)

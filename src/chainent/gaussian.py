@@ -1,7 +1,8 @@
 """Gaussian-state machinery for quadratic fermion Hamiltonians.
 
 Number-conserving chains are solved as L x L particle matrices
-(:func:`particle_ground_state`, :func:`particle_correlations`).  The rest
+(:func:`particle_ground_state`, :func:`particle_correlations`), clean open
+SSH chains in closed form (:func:`open_ssh_ground_state`).  The rest
 operates on real skew-symmetric matrices in the Majorana convention of
 :mod:`chainent.models` (mode ``j`` owns Majorana indices ``2j`` and
 ``2j+1``).  The chain of operations
@@ -16,7 +17,7 @@ Higher-order ground-state correlators come out of Pfaffians of Mbar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -48,9 +49,9 @@ def _require_skew(M: np.ndarray) -> np.ndarray:
 
 def _check_pairs(i, j, num_modes: int):
     i, j = np.asarray(i, dtype=int), np.asarray(j, dtype=int)
-    if np.any(i == j):
+    if (i == j).any():
         raise IndexError("a pair needs two distinct modes")
-    if np.any((np.minimum(i, j) < 0) | (np.maximum(i, j) >= num_modes)):
+    if ((np.minimum(i, j) < 0) | (np.maximum(i, j) >= num_modes)).any():
         raise IndexError("mode index out of range")
     return i, j
 
@@ -152,8 +153,8 @@ def particle_ground_state(A: np.ndarray, fill: int | None = None):
     ValueError.  ``fill=None`` raises GaplessError as
     :func:`spectral_flatten` does (``eig(iM) = +-levels``); an explicit fill
     raises ValueError outside 0..L and DegenerateFillError inside a
-    degenerate pair.  Clean open SSH chains take the half-size route,
-    :func:`mirror_ground_state`; this full-size solve is its test oracle."""
+    degenerate pair.  Clean open SSH chains take the closed form,
+    :func:`open_ssh_ground_state`; this full-size solve is its test oracle."""
     A = np.asarray(A, dtype=float)
     asym = np.max(np.abs(A - np.swapaxes(A, -1, -2)), initial=0.0)
     if asym > SKEW_TOL * max(1.0, np.max(np.abs(A))):
@@ -180,54 +181,103 @@ def _filled(levels: np.ndarray, fill: int | None) -> np.ndarray:
     return levels < 0 if fill is None else np.arange(L) < fill
 
 
-def mirror_ground_state(bonds, fill: int | None = None):
-    """Wick data ``corr(i, j)`` (as :func:`particle_correlations`) of the
-    ground state of the open chain ``H = sum_x b_x (a_x^ a_{x+1} + h.c.)``
-    on L = 2N sites with mirror-symmetric bonds ``b_x = b_{L-2-x}``, given
-    its first N bonds (the left half's N - 1 and the centre bond).
+def _newton(f, lo, hi):
+    """Root x of each increasing ``f`` (value, slope, ...) on [lo, hi], and
+    f(x): Newton steps from hi, bisecting where a step leaves the bracket,
+    until no step exceeds 8e-16 max(|hi|, 1), the rounding of f / slope."""
+    tol = 8e-16 * np.maximum(np.abs(hi), 1.0)
+    x, lo, hi = hi, lo - tol, hi + tol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(64):
+            fx = f(x)
+            lo, hi = np.where(fx[0] < 0, x, lo), np.where(fx[0] > 0, x, hi)
+            new = x - fx[0] / fx[1]
+            new = np.where((lo <= new) & (new <= hi), new, (lo + hi) / 2.0)
+            if (np.abs(new - x) <= tol).all():
+                break
+            x = new
+    return x, fx
 
-    The mirror splits H into N x N blocks (Cantoni & Butler, Linear Algebra
-    Appl. 13, 275 (1976)): the even one T, tridiagonal with off-diagonal
-    ``bonds[:-1]`` and diagonal ``(0, ..., 0, b_{N-1})``, and the odd one
-    ``-Gamma T Gamma`` by chiral symmetry, ``Gamma = diag((-1)^x)``.  One
-    ``eigh_tridiagonal`` of T (levels eps, vectors phi) gives the levels
-    ``{eps} u {-eps}`` and the eigenvectors ``(phi, R phi) / sqrt 2`` and
-    ``(Gamma phi, -R Gamma phi) / sqrt 2``, R the reversal: row x of the
-    eigenvector matrix is row ``min(x, L - 1 - x)`` of phi times a sign.
-    Only the rows of the requested pairs are formed.  ``fill`` and the
-    errors are those of :func:`particle_ground_state` on the L x L chain."""
-    from scipy.linalg import eigh_tridiagonal
-    bonds = np.asarray(bonds, dtype=float)
-    N = len(bonds)
-    L = 2 * N
-    diag = np.zeros(N)
-    diag[-1] = bonds[-1]
-    eps, phi = eigh_tridiagonal(diag, bonds[:-1])
-    levels = np.concatenate([eps, -eps])
-    order = np.argsort(levels, kind="stable")
-    filled = np.empty(L)
-    filled[order] = _filled(levels[order], fill)
-    w_even, w_odd = filled[:N] / 2.0, filled[N:] / 2.0
-    n = np.einsum("yk,yk,k->y", phi, phi, w_even + w_odd)
 
-    def corr(i, j):
-        i, j = _check_pairs(i, j, L)
-        yi, yj = np.minimum(i, L - 1 - i), np.minimum(j, L - 1 - j)
-        PP = phi[yi] * phi[yj]
-        # odd vectors carry (-1)^y, and flip sign on the mirrored half
-        sign = (-1.0) ** (yi + yj) * np.where((i < N) == (j < N), 1.0, -1.0)
-        return n[yi], n[yj], PP @ w_even + sign * (PP @ w_odd), 0.0
+def open_ssh_ground_state(N: int, t1: float, t2: float, fill: int | None = None):
+    """Ascending levels and Wick data ``corr(i, j)`` (as
+    :func:`particle_correlations`) of the clean open SSH chain of N cells,
+    bonds t1, t2, ..., t1, from its standing waves (Delplace, Ullmo &
+    Montambaux, PRB 84, 195452 (2011)): levels ``+-|t1 + t2 e^{ik}|`` over
+    the roots of ``t1 sin((N+1)k) + t2 sin(Nk)``, one per
+    ``(j pi/(N+1), j pi/N)``, j < N, then ``k = pi - q`` or, if
+    ``t2 N > t1 (N+1)``, the edge pair ``k = pi + i kappa``.  Only the rows
+    of the requested pairs are formed.  A negative bond is gauged away.
+    ``fill`` and the errors are those of :func:`particle_ground_state`."""
+    sign1, sign2, t1, t2 = np.sign(t1) or 1.0, np.sign(t2) or 1.0, abs(t1), abs(t2)
+    j, y = np.arange(1, N), np.arange(1, N + 1)
 
-    return corr
+    def phase(k):  # N k + psi - j pi, its slope, psi
+        cos = np.cos(k)
+        psi = np.arctan2(t1 * np.sin(k), t2 + t1 * cos)
+        slope = N + t1 * (t1 + t2 * cos) / (t1 * t1 + t2 * t2 + 2.0 * t1 * t2 * cos)
+        return N * k + psi - j * np.pi, slope, psi
+
+    def edge(x):  # tanh((N + 1/2) x) = c tanh(x/2), c = (t1 + t2) / (t2 - t1)
+        T, c = np.tanh((N + 0.5) * x), (t1 + t2) / (t2 - t1)
+        return (x / 2.0 - np.arctanh(T / c),
+                0.5 - (N + 0.5) * c * (1.0 - T * T) / (c * c - T * T))
+
+    def trivial(x):  # (t2 - t1) tan((N + 1/2) x) = (t1 + t2) tan(x/2), and eps^2
+        eps2 = (t2 - t1) ** 2 + 4.0 * t1 * t2 * np.sin(x / 2.0) ** 2
+        return ((N + 0.5) * x - np.arctan2((t1 + t2) * np.sin(x / 2.0),
+                                           (t2 - t1) * np.cos(x / 2.0)),
+                N + 0.5 - (t2 * t2 - t1 * t1) / (2.0 * eps2), eps2)
+
+    k, (_, norm2, psi) = _newton(phase, j * np.pi / (N + 1), j * np.pi / N)
+    if t2 * N > t1 * (N + 1):  # t1 = 0 leaves the end sites bare: e^-800 = 0
+        kappa = _newton(edge, 0.0, np.log(t2 / t1))[0] if t1 else 800.0
+        last = -np.exp(kappa * (y - N)) * np.expm1(-2.0 * kappa * y)  # ~ sinh(kappa y)
+        level = np.exp(-N * kappa) * (t2 - t1 - t1 * np.expm1(-kappa))
+    else:
+        q, (_, _, eps2) = _newton(trivial, 0.0, np.pi / (N + 1))
+        last, level = np.sin(q * y), np.sqrt(eps2)
+    eps = np.append(np.sqrt((t1 - t2) ** 2 + 4.0 * t1 * t2 * np.cos(k / 2.0) ** 2),
+                    level)  # descending
+    levels = np.concatenate([-eps, eps[::-1]])
+    filled = _filled(levels, fill)
+    last /= np.sqrt(2.0 * last @ last)
+
+    def rows(x):  # of mode x = 2(n - 1) + b of cell n
+        a, m, n = x % 2 == 0, (x + 1) // 2, x // 2
+        s = np.empty((len(x), N))
+        # a_n ~ sin(k(n-1) + psi), b_n ~ sin(kn), of norm^2 N + dpsi/dk, with
+        # k m reduced mod 2 pi exactly: k = (j pi - psi) / N
+        s[:, :-1] = np.sin(np.pi / N * (np.outer(m, j) % (2 * N))
+                           + np.outer(a - m / N, psi)) / np.sqrt(norm2)
+        s[:, -1] = (-1.0) ** n * last[np.where(a, N - 1 - n, n)]  # a_n = +-b_{N+1-n}
+        g = (sign1 ** m * sign2 ** n)[:, None]
+        # the level -eps flips every a_n
+        return np.hstack([s * np.where(a[:, None], -g, g) * filled[:N],
+                          s * g * filled[:N - 1:-1]])
+
+    return levels, partial(_gram_wick, rows, 2 * N)
 
 
 def particle_correlations(V: np.ndarray, i, j):
     """Wick data ``(n_i, n_j, G_ij, 0)`` of mode pairs from the eigenvectors
     of :func:`particle_ground_state`: ``n_i = sum V_i^2``, ``G_ij = sum V_i
     V_j``; elementwise over index arrays and over a stack of states."""
-    i, j = _check_pairs(i, j, V.shape[-2])
-    Vi, Vj = V[..., i, :], V[..., j, :]
-    return np.sum(Vi * Vi, -1), np.sum(Vj * Vj, -1), np.sum(Vi * Vj, -1), 0.0
+    return _gram_wick(lambda r: V[..., r, :], V.shape[-2], i, j)
+
+
+def _gram_wick(rows, num_modes: int, i, j):
+    """:func:`particle_correlations` from ``rows(r)``, the filled
+    eigenvector rows of the modes r: one Gram product over the distinct
+    modes the pairs touch, indexed for n and G."""
+    i, j = _check_pairs(i, j, num_modes)
+    touched = np.zeros(num_modes, dtype=int)
+    touched[i] = touched[j] = 1
+    R = rows(np.flatnonzero(touched))
+    gram = R @ np.swapaxes(R, -1, -2)
+    at = np.cumsum(touched) - 1  # mode -> its row of R
+    a, b = at[i], at[j]
+    return gram[..., a, a], gram[..., b, b], gram[..., a, b], 0.0
 
 
 def flatten_from_fill(M: np.ndarray, num_filled: int) -> np.ndarray:

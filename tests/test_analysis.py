@@ -179,9 +179,10 @@ def test_obc_fills_agree():
 
 
 def test_clean_open_chain_takes_the_half_size_route(monkeypatch):
-    """A clean open SSH point solves one N x N mirror block: it builds no
-    L x L particle matrix and stays far below the full solve's memory
-    (about 101 MB traced at N = 1024, L = 2048)."""
+    """A clean open SSH point takes the closed form: it builds no L x L
+    particle matrix and forms only the rows of its pairs, O(N) memory
+    (about 0.13 MB traced at N = 1024, L = 2048, against 101 MB for the
+    full solve and 17 MB for the N x N mirror block it replaced)."""
     import tracemalloc
 
     from chainent import entanglement
@@ -200,7 +201,7 @@ def test_clean_open_chain_takes_the_half_size_route(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 25e6
+    assert peak < 1e6
 
 
 def test_thermodynamic_checks_kept():

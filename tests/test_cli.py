@@ -199,6 +199,21 @@ def test_cli_outdir_env(tmp_path, monkeypatch):
     assert os.path.exists(tmp_path / "kitaev_density.csv")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("N", [["--N", "8"], []])
+def test_cli_kitaev_zero_hamiltonian_is_gapless(tmp_path, capsys, N):
+    """t = delta = mu = 0 is gapless at finite N and in the thermodynamic
+    limit: exit 3 with one line, no file and no warning."""
+    assert main(["kitaev", "--grid", "-1:1:5", "--t", "0", "--delta", "0",
+                 *N, "--outdir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1
+    assert not os.listdir(tmp_path)
+    # mu = 0 off the grid: a flat band, gapped
+    assert main(["kitaev", "--grid", "0.5:1:3", "--t", "0", "--delta", "0",
+                 *N, "--outdir", str(tmp_path)]) == 0
+
+
 def test_cli_kitaev_json_format(tmp_path):
     assert main(["kitaev", "--grid", "0:1:5", "--format", "json",
                  "--outdir", str(tmp_path)]) == 0
@@ -253,7 +268,7 @@ def test_cli_rejects_n_beyond_memory(tmp_path, monkeypatch, capsys):
     exits 2 with one line naming --N, before anything is allocated."""
     sysconf = {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", sysconf.__getitem__)
-    for argv in (["obc", "--N", "1024"], ["disorder", "--N", "512"],
+    for argv in (["obc", "--N", "65538"], ["disorder", "--N", "512"],
                  ["graph", "--N", "512", "--lambda", "0.3"],
                  ["graph", "--model", "kitaev", "--N", "512", "--mu", "0.5"],
                  ["sweep", "--N", "65538", "--grid", "0.1:0.5:3"],
@@ -262,8 +277,8 @@ def test_cli_rejects_n_beyond_memory(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: --N ") and err.count("\n") == 1
     assert not os.listdir(tmp_path)
-    # 0.5 MB for the mirror block fits
-    assert main(["obc", "--N", "256", "--grid", "0.1:0.3:3",
+    # the closed-form open chain needs a few length-N rows, not an N x N block
+    assert main(["obc", "--N", "4096", "--grid", "0.1:0.3:3",
                  "--outdir", str(tmp_path)]) == 0
 
 
@@ -293,19 +308,15 @@ def _loaded_scipy(tmp_path, runs):
 
 
 def test_import_and_momentum_commands_load_no_scipy(tmp_path):
+    """``import chainent`` and every command but critical, thermodynamic
+    sweep and thermodynamic kitaev (not run here) load no scipy module."""
     runs = [["sweep", "--N", "8", "--grid", "0.1:0.5:3"], ["kitaev", "--N", "8"],
             ["graph", "--N", "8", "--lambda", "0.3"],
             ["graph", "--N", "8", "--lambda", "0.3", "--boundary", "open",
-             "--disorder-amplitude", "0.2"]]
-    assert _loaded_scipy(tmp_path, runs) == [[]] * 5
-
-
-def test_obc_loads_scipy_linalg_only(tmp_path):
-    _, loaded = _loaded_scipy(tmp_path, [["obc", "--N", "8",
-                                          "--grid", "0.1:0.3:3"]])
-    assert "scipy.linalg" in loaded
-    for other in ("scipy.optimize", "scipy.integrate", "scipy.special"):
-        assert not any(m == other or m.startswith(other + ".") for m in loaded)
+             "--disorder-amplitude", "0.2"],
+            ["obc", "--N", "8", "--grid", "0.1:0.3:3"],
+            ["graph", "--N", "8", "--lambda", "0.3", "--boundary", "open"]]
+    assert _loaded_scipy(tmp_path, runs) == [[]] * 7
 
 
 # ----------------------------------------------- flags and config files

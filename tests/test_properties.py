@@ -1,13 +1,17 @@
 """Property tests: the momentum-space kernel against the real-space route,
 the closed-form two-site X state against the dense Fock-space RDM, and the
 particle-matrix ground state of SSH chains, and of Kitaev chains at an
-explicit filling, against the Majorana route.
+explicit filling, against the Majorana route, and the closed-form open SSH
+chain against the full-size particle solve and mpmath.
 
 Hypothesis draws chains and site pairs with ``derandomize=True``, so every
 run checks the same examples.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -168,46 +172,121 @@ def test_particle_route_matches_majorana_oracle(case):
             assert np.max(np.abs(w - g)) < 1e-12
 
 
+def _threshold(N):
+    """The lambda where the edge pair of an open chain of N cells appears:
+    t2 N = t1 (N + 1)."""
+    return 1.0 / (2 * N + 1)
+
+
 @st.composite
 def open_chains(draw):
-    """A clean open SSH chain, a filling at or next to half, site pairs."""
+    """A clean open SSH chain of bonds 1 -+ lambda, lambda in [-3, 3] (beyond
+    +-1 one bond is negative), with 0, +-1 and the edge-pair threshold (and
+    one ulp either side) drawn explicitly; a filling at or next to half;
+    site pairs."""
     N = draw(st.integers(2, 64))
-    lam = draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    thr = _threshold(N)
+    lam = draw(st.sampled_from([0.0, 1.0, -1.0, thr, np.nextafter(thr, 0.0),
+                                np.nextafter(thr, 1.0)])
+               | st.floats(-3.0, 3.0))
     fill = draw(st.sampled_from([None, N - 1, N, N + 1]))
     pairs = draw(st.lists(st.lists(st.integers(0, 2 * N - 1), min_size=2,
                                    max_size=2, unique=True),
                           min_size=1, max_size=8))
-    return ModelSpec.ssh(N, lam, boundary="open"), fill, *np.array(pairs).T
+    return N, lam, fill, *np.array(pairs).T
 
 
-@PROPERTY
-@given(open_chains())
-def test_mirror_route_matches_full_size_oracle(case):
-    """The half-size mirror-block solve against the full L x L tridiagonal
-    solve: the same Wick data, the same errors on the same inputs."""
-    spec, fill, i, j = case
-    A = models.particle_matrix(spec)
+def _check_open_chain(N, lam, fill, i, j):
+    """The closed-form open chain against the full L x L solve: the same
+    levels, Wick data and errors on the same inputs."""
+    t1, t2 = 1.0 - lam, 1.0 + lam
+    A = np.diag(np.resize([t1, t2], 2 * N - 1), 1)
+    A += A.T
 
     def oracle():
         _, V = gaussian.particle_ground_state(A, fill)
         return gaussian.particle_correlations(V, i, j)
 
+    def closed_form():
+        levels, corr = gaussian.open_ssh_ground_state(N, t1, t2, fill)
+        return levels, corr(i, j)
+
     want = _outcome(oracle)
-    got = _outcome(lambda: entanglement._ground_state(spec, fill)(i, j))
+    got = _outcome(closed_form)
     if isinstance(want, type):
         assert got is want
         return
     assert not isinstance(got, type), got
-    # The oracle mixes the two edge levels, split by ~(t1/t2)^N, by eps/gap
-    # (Davis-Kahan, as above); the mirror blocks hold one edge level each and
-    # do not.  Compare to 1e-12 where the gap at the Fermi level exceeds
-    # 1e-3, to 1e-14 / gap below, and hold the half-filled state (fill None,
-    # N particles) to its exact n = 1/2 (chiral symmetry) at 1e-12 always.
+    got_levels, got = got
     levels = np.linalg.eigvalsh(A)
-    nf = spec.N if fill is None else fill
-    gap = levels[nf] - levels[nf - 1]
+    assert np.max(np.abs(got_levels - levels)) < 1e-14 * (abs(t1) + abs(t2))
+    # The oracle mixes the two edge levels, split by ~(t1/t2)^N, by eps/gap
+    # (Davis-Kahan, as above); the closed form solves each level on its own.
+    # Compare to 1e-12 where the gap at the Fermi level exceeds 1e-3, to
+    # 1e-14 / gap below, and hold the half-filled state (fill None, N
+    # particles) to its exact n = 1/2 (chiral symmetry) at 1e-12 always.
+    nf = N if fill is None else fill
+    gap = levels[nf] - levels[nf - 1] if 0 < nf < 2 * N else np.inf
     tol = 1e-12 if gap > 1e-3 else 1e-14 / gap
     for w, g in zip(want[:3], got[:3]):
         assert np.max(np.abs(w - g)) < tol
     if fill is None:
         assert np.max(np.abs(np.array(got[:2]) - 0.5)) < 1e-12
+
+
+@PROPERTY
+@given(open_chains())
+def test_closed_form_open_chain_matches_full_size_oracle(case):
+    _check_open_chain(*case)
+
+
+def _mp_edge(N, t1, t2):
+    """kappa of the edge pair, t1 sinh((N+1) kappa) = t2 sinh(N kappa), its
+    level sqrt(t1^2 + t2^2 - 2 t1 t2 cosh kappa) and the density
+    sinh(kappa n)^2 / sum_m sinh(kappa m)^2 that filling both edge levels
+    adds on b_n, n = 1..N, from mpmath with digits to spare below the
+    squared level ~ e^{-2 N kappa}."""
+    mp = pytest.importorskip("mpmath")
+    t1, t2 = abs(t1), abs(t2)
+    with mp.workdps(40 + int(2 * N * math.log10(t2 / t1))):
+        t1, t2 = mp.mpf(t1), mp.mpf(t2)
+        kappa = mp.findroot(
+            lambda x: t1 * mp.sinh((N + 1) * x) / mp.sinh(N * x) - t2,
+            mp.log(t2 / t1))
+        level = mp.sqrt(t1 ** 2 + t2 ** 2 - 2 * t1 * t2 * mp.cosh(kappa))
+        s = [mp.sinh(kappa * n) ** 2 for n in range(1, N + 1)]
+        density = [float(x / mp.fsum(s)) for x in s]
+        return float(kappa), float(level), np.array(density)
+
+
+EDGE_CASES = [
+    (16, 1.0), (16, -1.0),               # a zero bond: kappa -> infinity
+    (16, 1.7), (16, -2.5),               # |lambda| > 1: a negative bond
+    (8, _threshold(8)), (8, np.nextafter(_threshold(8), 0.0)),
+    (8, np.nextafter(_threshold(8), 1.0)),  # the edge root at k = pi
+    (2, 0.9), (2, 0.1), (3, 0.5), (3, -0.4),
+    (150, 0.99),                         # kappa N > 710
+]
+
+
+@pytest.mark.parametrize("N, lam", EDGE_CASES)
+def test_closed_form_open_chain_edge_cases(N, lam):
+    """The edge cases of the closed form against the full-size solve, and,
+    on the topological side, its edge level and edge-mode density against
+    mpmath."""
+    L = 2 * N
+    i, j = np.triu_indices(L, k=1)
+    if N > 64:
+        i, j = i[::97], j[::97]
+    for fill in (None, 0, N - 1, N, N + 1, L):
+        _check_open_chain(N, lam, fill, i, j)
+    t1, t2 = 1.0 - lam, 1.0 + lam
+    if t1 == 0.0 or abs(t2) * N <= abs(t1) * (N + 1):
+        return
+    kappa, level, density = _mp_edge(N, t1, t2)
+    levels, corr = gaussian.open_ssh_ground_state(N, t1, t2, N + 1)
+    assert abs(levels[N] - level) <= 1e-14 * level
+    b = 2 * np.arange(N) + 1
+    n_above = corr(b, (b + 1) % L)[0]
+    n_below = gaussian.open_ssh_ground_state(N, t1, t2, N - 1)[1](b, (b + 1) % L)[0]
+    assert np.max(np.abs(n_above - n_below - density)) < 1e-14
