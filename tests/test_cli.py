@@ -309,14 +309,22 @@ def _loaded_scipy(tmp_path, runs):
 
 def test_import_and_momentum_commands_load_no_scipy(tmp_path):
     """``import chainent`` and every command but critical, thermodynamic
-    sweep and thermodynamic kitaev (not run here) load no scipy module."""
+    sweep and thermodynamic kitaev (not run here) load no scipy module; obc
+    is checked on its own below."""
     runs = [["sweep", "--N", "8", "--grid", "0.1:0.5:3"], ["kitaev", "--N", "8"],
             ["graph", "--N", "8", "--lambda", "0.3"],
             ["graph", "--N", "8", "--lambda", "0.3", "--boundary", "open",
              "--disorder-amplitude", "0.2"],
-            ["obc", "--N", "8", "--grid", "0.1:0.3:3"],
             ["graph", "--N", "8", "--lambda", "0.3", "--boundary", "open"]]
-    assert _loaded_scipy(tmp_path, runs) == [[]] * 7
+    assert _loaded_scipy(tmp_path, runs) == [[]] * 6
+
+
+def test_obc_loads_scipy_linalg_only(tmp_path):
+    """obc once loaded scipy.linalg for its eigensolver and nothing else of
+    scipy; the closed-form open chain needs no eigensolver, so it now loads
+    no scipy module at all."""
+    assert _loaded_scipy(tmp_path, [["obc", "--N", "8",
+                                     "--grid", "0.1:0.3:3"]]) == [[], []]
 
 
 # ----------------------------------------------- flags and config files
