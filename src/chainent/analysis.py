@@ -33,7 +33,7 @@ from .errors import (
     ParityError,
     WindowError,
 )
-from .gaussian import particle_correlations, particle_ground_state
+from .gaussian import open_ssh_ground_state, particle_correlations, particle_ground_state
 from .models import (
     Boundary,
     GAP_TOL,
@@ -463,14 +463,13 @@ def disorder_ensemble(N: int, lambda_grid, amplitude: float = 0.1,
                          seeds=seeds, N=N, amplitude=amplitude)
 
 
-def obc_fill_count(N: int, lam: float, fill: str) -> int:
+def obc_fill_count(N: int, lam, fill: str):
     """Occupation count placing the Fermi level below or above the two
-    midgap states of an open chain (lam > 0); below the gap otherwise."""
+    midgap states of an open chain (lam > 0); below the gap otherwise.
+    Elementwise over an array of lam."""
     if fill not in ("below", "above"):
         raise ValueError("fill must be 'below' or 'above'")
-    if lam <= 0:
-        return N
-    return N - 1 if fill == "below" else N + 1
+    return np.where(np.asarray(lam) <= 0, N, N - 1 if fill == "below" else N + 1)
 
 
 @dataclass
@@ -488,15 +487,20 @@ def obc_center_derivative(N: int, lambda_grid, fill: str = "below") -> ObcTable:
     """dC2/dlambda of the central pair of an open chain, plus peak location.
 
     The grid may be non-uniform (log-spaced grids resolve the peak near 0);
-    derivatives use np.gradient on the actual grid.
+    derivatives use np.gradient on the actual grid.  C2 comes from batched
+    :func:`gaussian.open_ssh_ground_state` solves of _STACK_BYTES // (128 N)
+    lambdas (16 length-N floats each) or fewer: one at a time above N = 32,768.
     """
     lams = np.asarray(lambda_grid, dtype=float)
     if len(lams) < 3:
         raise GridTooCoarseError("need at least 3 points")
-    c2 = np.empty(len(lams))
-    for j, lam in enumerate(lams):
-        spec = ModelSpec.ssh(N, lam, boundary=Boundary.OPEN)
-        c2[j] = central_pair_concurrence(spec, fill=obc_fill_count(N, lam, fill))
+    ModelSpec.ssh(N, np.max(np.abs(lams)), boundary=Boundary.OPEN)  # checks N, all lambda
+    fills, pair = obc_fill_count(N, lams, fill), _central_pair(N)
+    c2, step = np.empty(len(lams)), max(1, _STACK_BYTES // (128 * N))
+    for s in range(0, len(lams), step):
+        lam = lams[s:s + step]  # the solve is dropped before the next one starts
+        wick = open_ssh_ground_state(N, 1.0 - lam, 1.0 + lam, fills[s:s + step])[1](*pair)
+        c2[s:s + step] = x_concurrence(*wick)
     dc2 = np.gradient(c2, lams)
     ipk = int(np.nanargmax(dc2))
     return ObcTable(lambdas=lams, c2=c2, dc2_dlambda=dc2,

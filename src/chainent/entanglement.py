@@ -321,6 +321,10 @@ def entangled_graph(spec: ModelSpec, fill: int | None = None) -> EntangledGraph:
     w, periodic = len(subs), spec.boundary is Boundary.PERIODIC
     momentum = spec.clean_periodic and fill is None
     corr = _bloch_correlations(spec) if momentum else _ground_state(spec, fill)
+    # the SSH cell bonds, c1 on (a_n, b_n) and c2 on (b_n, a_{n+1}); Kitaev has none
+    cells = np.arange(N if w == 2 else 0)
+    bonds = cells if periodic else cells[:-1]
+    bi, bj = np.r_[2 * cells, (2 * bonds + 2) % L], np.r_[2 * cells + 1, 2 * bonds + 1]
     if momentum:  # a clean ring's Wick data depend only on the cell offset
         d = np.arange(2 - w, N)  # pairs (a_0, b_d) from d = 0, (s_0, s_d) from 1
         by_offset = np.zeros(N)
@@ -333,23 +337,21 @@ def entangled_graph(spec: ModelSpec, fill: int | None = None) -> EntangledGraph:
         if spec.family is not Family.SSH:
             n, d = n[n + d < N], d[n + d < N]
         i, j = w * n, w * ((n + d) % N) + w - 1
-        c = by_offset[d]
+        c, c_bonds = by_offset[d], x_concurrence(*corr(bi, bj))
     else:
         i, j = np.triu_indices(L, k=1)
         dist = np.abs(i // w - j // w)
         dist = np.minimum(dist, N - dist) if periodic else dist
         i, j = i[dist <= N // 2], j[dist <= N // 2]
-        c = x_concurrence(*corr(i, j))
+        c = x_concurrence(*corr(np.r_[i, bi], np.r_[j, bj]))  # the bonds ride along
+        c, c_bonds = c[:len(i)], c[len(i):]
         keep = c > CONCURRENCE_ZERO
         i, j, c = i[keep], j[keep], c[keep]
     edges = [((a // w, subs[a % w]), (b // w, subs[b % w]), x) for a, b, x in
              zip(i.tolist(), j.tolist(), c.tolist())]
     if spec.family is not Family.SSH:
         return EntangledGraph(N, edges, None, sublattices=subs)
-    cells = np.arange(N)
-    bonds = cells if periodic else cells[:-1]
-    c1s = x_concurrence(*corr(2 * cells, 2 * cells + 1)).tolist()
-    c2s = x_concurrence(*corr((2 * bonds + 2) % L, 2 * bonds + 1)).tolist()
+    c1s, c2s = c_bonds[:N].tolist(), c_bonds[N:].tolist()
     votes = [classify_phase(a, b) for a, b in zip(c1s, c2s)]
     phase = max(set(votes), key=lambda p: (votes.count(p), p.value))
     return EntangledGraph(N, edges, phase, float(np.median(c1s)),

@@ -164,27 +164,30 @@ def particle_ground_state(A: np.ndarray, fill: int | None = None):
     return levels, V
 
 
-def _filled(levels: np.ndarray, fill: int | None) -> np.ndarray:
-    """Mask of the ``fill`` lowest of the ascending ``levels`` (last axis),
-    or of every negative one, with the errors of
-    :func:`particle_ground_state`."""
+def _filled(levels: np.ndarray, fill) -> np.ndarray:
+    """Mask of the ``fill`` lowest of the ascending ``levels`` (last axis; one
+    fill, or one per stacked row), or of every negative one, with the errors
+    of :func:`particle_ground_state`."""
     L = levels.shape[-1]
-    if fill is not None and not 0 <= fill <= L:
+    if fill is None:
+        scale = np.maximum(1.0, np.max(np.abs(levels), axis=-1))
+        if np.any(np.min(np.abs(levels), axis=-1) <= ZERO_TOL * scale):
+            raise GaplessError("Hamiltonian is gapless; flattening undefined")
+        return levels < 0
+    filled = np.arange(L) < np.asarray(fill)[..., None]
+    if ((np.asarray(fill) < 0) | (np.asarray(fill) > L)).any():
         raise ValueError("num_filled out of range")
-    scale = np.maximum(1.0, np.max(np.abs(levels), axis=-1))
-    if fill is None and np.any(np.min(np.abs(levels), axis=-1) <= ZERO_TOL * scale):
-        raise GaplessError("Hamiltonian is gapless; flattening undefined")
-    if fill is not None and 0 < fill < L and np.any(
-            levels[..., fill] - levels[..., fill - 1] < DEGENERACY_TOL):
+    if (levels.min(axis=-1, where=~filled, initial=np.inf)  # lowest empty
+            - levels.max(axis=-1, where=filled, initial=-np.inf) < DEGENERACY_TOL).any():
         raise DegenerateFillError("filling boundary splits a degenerate level "
                                   "pair; choose a filling below or above it")
-    return levels < 0 if fill is None else np.arange(L) < fill
+    return filled
 
 
 def _newton(f, lo, hi):
     """Root x of each increasing ``f`` (value, slope, ...) on [lo, hi], and
-    f(x): Newton steps from hi, bisecting where a step leaves the bracket,
-    until no step exceeds 8e-16 max(|hi|, 1), the rounding of f / slope."""
+    f(x): Newton steps from hi, bisecting where a step leaves the bracket; each
+    x stays at its first step within 8e-16 max(|hi|, 1), the rounding of f / slope."""
     tol = 8e-16 * np.maximum(np.abs(hi), 1.0)
     x, lo, hi = hi, lo - tol, hi + tol
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -192,14 +195,15 @@ def _newton(f, lo, hi):
             fx = f(x)
             lo, hi = np.where(fx[0] < 0, x, lo), np.where(fx[0] > 0, x, hi)
             new = x - fx[0] / fx[1]
-            new = np.where((lo <= new) & (new <= hi), new, (lo + hi) / 2.0)
-            if (np.abs(new - x) <= tol).all():
+            if not (inside := (lo <= new) & (new <= hi)).all():
+                new = np.where(inside, new, (lo + hi) / 2.0)
+            if (done := np.abs(new - x) <= tol).all():
                 break
-            x = new
+            x = np.where(done, x, new)  # so x solved with others = x solved alone
     return x, fx
 
 
-def open_ssh_ground_state(N: int, t1: float, t2: float, fill: int | None = None):
+def open_ssh_ground_state(N: int, t1, t2, fill=None):
     """Ascending levels and Wick data ``corr(i, j)`` (as
     :func:`particle_correlations`) of the clean open SSH chain of N cells,
     bonds t1, t2, ..., t1, from its standing waves (Delplace, Ullmo &
@@ -208,53 +212,73 @@ def open_ssh_ground_state(N: int, t1: float, t2: float, fill: int | None = None)
     ``(j pi/(N+1), j pi/N)``, j < N, then ``k = pi - q`` or, if
     ``t2 N > t1 (N+1)``, the edge pair ``k = pi + i kappa``.  Only the rows
     of the requested pairs are formed.  A negative bond is gauged away.
-    ``fill`` and the errors are those of :func:`particle_ground_state`."""
-    sign1, sign2, t1, t2 = np.sign(t1) or 1.0, np.sign(t2) or 1.0, abs(t1), abs(t2)
+    ``fill`` and the errors are those of :func:`particle_ground_state`.
+    ``t1``, ``t2`` and ``fill`` may also be 1-D arrays over B chains, solved
+    together and each as alone: levels (B, 2N), Wick data (B, pairs).  The
+    solve holds about 16 length-N floats per chain."""
+    if not np.isscalar(t1):  # a batch: (B, 1) columns against the roots
+        t1, t2 = np.reshape(t1, (-1, 1)) * 1.0, np.reshape(t2, (-1, 1)) * 1.0
+    sign1, sign2, t1, t2 = 1.0 - 2.0 * (t1 < 0), 1.0 - 2.0 * (t2 < 0), abs(t1), abs(t2)
     j, y = np.arange(1, N), np.arange(1, N + 1)
+    jpi = j * np.pi
 
     def phase(k):  # N k + psi - j pi, its slope, psi
         cos = np.cos(k)
         psi = np.arctan2(t1 * np.sin(k), t2 + t1 * cos)
         slope = N + t1 * (t1 + t2 * cos) / (t1 * t1 + t2 * t2 + 2.0 * t1 * t2 * cos)
-        return N * k + psi - j * np.pi, slope, psi
+        return N * k + psi - jpi, slope, psi
 
-    def edge(x):  # tanh((N + 1/2) x) = c tanh(x/2), c = (t1 + t2) / (t2 - t1)
-        T, c = np.tanh((N + 0.5) * x), (t1 + t2) / (t2 - t1)
-        return (x / 2.0 - np.arctanh(T / c),
-                0.5 - (N + 0.5) * c * (1.0 - T * T) / (c * c - T * T))
+    def edge_pair(t1, t2):  # k = pi + i kappa: the last row and level
+        # u stands in for t1 = 0, where the end sites are bare: kappa = inf, e^-800 = 0
+        u = t1 + (t1 == 0.0) * (0.5 * t2)
 
-    def trivial(x):  # (t2 - t1) tan((N + 1/2) x) = (t1 + t2) tan(x/2), and eps^2
-        eps2 = (t2 - t1) ** 2 + 4.0 * t1 * t2 * np.sin(x / 2.0) ** 2
-        return ((N + 0.5) * x - np.arctan2((t1 + t2) * np.sin(x / 2.0),
-                                           (t2 - t1) * np.cos(x / 2.0)),
-                N + 0.5 - (t2 * t2 - t1 * t1) / (2.0 * eps2), eps2)
+        def edge(x):  # tanh((N + 1/2) x) = c tanh(x/2), c = (t1 + t2) / (t2 - t1)
+            T, c = np.tanh((N + 0.5) * x), (t2 + u) / (t2 - u)
+            return (x / 2.0 - np.arctanh(T / c),
+                    0.5 - (N + 0.5) * c * (1.0 - T * T) / (c * c - T * T))
 
-    k, (_, norm2, psi) = _newton(phase, j * np.pi / (N + 1), j * np.pi / N)
-    if t2 * N > t1 * (N + 1):  # t1 = 0 leaves the end sites bare: e^-800 = 0
-        kappa = _newton(edge, 0.0, np.log(t2 / t1))[0] if t1 else 800.0
-        last = -np.exp(kappa * (y - N)) * np.expm1(-2.0 * kappa * y)  # ~ sinh(kappa y)
-        level = np.exp(-N * kappa) * (t2 - t1 - t1 * np.expm1(-kappa))
-    else:
+        kappa = np.where(t1 == 0.0, 800.0, _newton(edge, 0.0, np.log(t2 / u))[0])
+        return (-np.exp(kappa * (y - N)) * np.expm1(-2.0 * kappa * y),  # ~ sinh(kappa y)
+                np.exp(-N * kappa) * (t2 - t1 - t1 * np.expm1(-kappa)))
+
+    def standing(t1, t2):  # k = pi - q: (t2 - t1) tan((N + 1/2) q) = (t1 + t2) tan(q/2)
+        def trivial(x):  # and eps^2
+            eps2 = (t2 - t1) ** 2 + 4.0 * t1 * t2 * np.sin(x / 2.0) ** 2
+            return ((N + 0.5) * x - np.arctan2((t1 + t2) * np.sin(x / 2.0),
+                                               (t2 - t1) * np.cos(x / 2.0)),
+                    N + 0.5 - (t2 * t2 - t1 * t1) / (2.0 * eps2), eps2)
+
         q, (_, _, eps2) = _newton(trivial, 0.0, np.pi / (N + 1))
-        last, level = np.sin(q * y), np.sqrt(eps2)
-    eps = np.append(np.sqrt((t1 - t2) ** 2 + 4.0 * t1 * t2 * np.cos(k / 2.0) ** 2),
-                    level)  # descending
-    levels = np.concatenate([-eps, eps[::-1]])
-    filled = _filled(levels, fill)
-    last /= np.sqrt(2.0 * last @ last)
+        return np.sin(q * y), np.sqrt(eps2)
 
-    def rows(x):  # of mode x = 2(n - 1) + b of cell n
+    k, (_, norm2, psi) = _newton(phase, jpi / (N + 1), jpi / N)
+    top = t2 * N > t1 * (N + 1)  # the chains that take the edge pair
+    if np.isscalar(t1):  # one chain: scalars, several times cheaper per step than arrays
+        last, level = (edge_pair if top else standing)(t1, t2)
+    else:
+        last, level = np.empty((len(t1), N)), np.empty((len(t1), 1))
+        for solve, pick in ((edge_pair, top[:, 0]), (standing, ~top[:, 0])):
+            if pick.any():
+                last[pick], level[pick] = solve(t1[pick], t2[pick])
+    eps = np.concatenate([np.sqrt((t1 - t2) ** 2 + 4.0 * t1 * t2 * np.cos(k / 2.0) ** 2),
+                          np.reshape(level, np.shape(t1) or (1,))], axis=-1)  # descending
+    levels = np.concatenate([-eps, eps[..., ::-1]], axis=-1)
+    filled = _filled(levels, fill)[..., None, :]
+    last /= np.sqrt(2.0 * (last * last).sum(axis=-1, keepdims=True))
+    norm = np.sqrt(norm2)[..., None, :]
+
+    def rows(x):  # of mode x = 2(n - 1) + b of cell n, one stack per chain
         a, m, n = x % 2 == 0, (x + 1) // 2, x // 2
-        s = np.empty((len(x), N))
+        s = np.empty(np.shape(t1)[:-1] + (len(x), N))
         # a_n ~ sin(k(n-1) + psi), b_n ~ sin(kn), of norm^2 N + dpsi/dk, with
-        # k m reduced mod 2 pi exactly: k = (j pi - psi) / N
-        s[:, :-1] = np.sin(np.pi / N * (np.outer(m, j) % (2 * N))
-                           + np.outer(a - m / N, psi)) / np.sqrt(norm2)
-        s[:, -1] = (-1.0) ** n * last[np.where(a, N - 1 - n, n)]  # a_n = +-b_{N+1-n}
-        g = (sign1 ** m * sign2 ** n)[:, None]
+        # k m reduced mod 2 pi exactly: k = (j pi - psi) / N; a_n = +-b_{N+1-n}
+        s[..., :-1] = np.sin(np.pi / N * (np.outer(m, j) % (2 * N))
+                             + (a - m / N)[:, None] * psi[..., None, :]) / norm
+        s[..., -1] = (-1.0) ** n * last[..., np.where(a, N - 1 - n, n)]
+        g = (sign1 ** m * sign2 ** n)[..., None]
         # the level -eps flips every a_n
-        return np.hstack([s * np.where(a[:, None], -g, g) * filled[:N],
-                          s * g * filled[:N - 1:-1]])
+        return np.concatenate([s * np.where(a[:, None], -g, g) * filled[..., :N],
+                               s * g * filled[..., :N - 1:-1]], axis=-1)
 
     return levels, partial(_gram_wick, rows, 2 * N)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chainent import analysis
+from chainent import analysis, gaussian
 from chainent.errors import (GaplessError, GridTooCoarseError, NoRootError,
                              ParityError, WindowError)
 from chainent.models import Boundary, DisorderSpec, ModelSpec
@@ -202,6 +202,81 @@ def test_clean_open_chain_takes_the_half_size_route(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+def _obc_per_point(N, grid, fill):
+    return [analysis.central_pair_concurrence(
+        ModelSpec.ssh(N, lam, boundary="open"),
+        fill=analysis.obc_fill_count(N, lam, fill)) for lam in grid]
+
+
+def _obc_grids(N):
+    thr = 1.0 / (2 * N + 1)  # where the edge pair appears: t2 N = t1 (N + 1)
+    return [np.linspace(-0.3, 0.3, 13),  # crosses lambda = 0
+            np.array([np.nextafter(thr, 0.0), thr, np.nextafter(thr, 1.0)]),
+            np.linspace(-1.0, 1.0, 9)]  # zero bonds at both ends
+
+
+@pytest.mark.parametrize("N", [2, 3, 64, 255])
+@pytest.mark.parametrize("fill", ["below", "above"])
+def test_obc_grid_equals_per_point(N, fill, monkeypatch):
+    """The batched solves of a grid equal the one-lambda closed form point by
+    point, across both last-root branches and both fills, also in chunks of
+    two lambdas.  At N = 2 a single particle or hole turns rounding of the
+    Wick data into ~1e-8 of C2, so the match must be exact there."""
+    for grid in _obc_grids(N):
+        c2 = analysis.obc_center_derivative(N, grid, fill).c2
+        assert np.max(np.abs(c2 - _obc_per_point(N, grid, fill))) <= 1e-14
+        monkeypatch.setattr(analysis, "_STACK_BYTES", 2 * 128 * N)
+        assert np.array_equal(analysis.obc_center_derivative(N, grid, fill).c2, c2)
+        monkeypatch.undo()
+
+
+def test_obc_grid_errors_match_per_point(monkeypatch, capsys, tmp_path):
+    """A grid with one failing point fails as the per-point loop does: the
+    same error class and message, and through the CLI the same exit code and
+    one line.  No obc fill splits a degenerate pair at the real tolerance,
+    so it is raised until exactly one point of the grid qualifies."""
+    from chainent.cli import main
+    from chainent.errors import DegenerateFillError
+
+    N, grid = 8, np.linspace(-0.2, 0.2, 5)
+    gaps = []
+    for lam in grid:
+        f = analysis.obc_fill_count(N, lam, "below")
+        levels = gaussian.open_ssh_ground_state(N, 1.0 - lam, 1.0 + lam)[0]
+        gaps.append(levels[f] - levels[f - 1])
+    low, second = np.sort(gaps)[:2]
+    monkeypatch.setattr(gaussian, "DEGENERACY_TOL", (low + second) / 2.0)
+    with pytest.raises(DegenerateFillError) as per_point:
+        _obc_per_point(N, grid, "below")
+    with pytest.raises(DegenerateFillError, match=str(per_point.value)):
+        analysis.obc_center_derivative(N, grid)
+    capsys.readouterr()
+    assert main(["obc", "--N", "8", "--grid", "-0.2:0.2:5",
+                 "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {per_point.value}\n"
+    monkeypatch.undo()
+    for n, bad in ((8, [-0.5, 0.0, 1.5]), (8, [0.1, np.nan, 0.2]), (1, [0.1, 0.2, 0.3])):
+        with pytest.raises(ValueError) as per_point:
+            _obc_per_point(n, bad, "below")
+        with pytest.raises(ValueError, match=str(per_point.value).replace("[", r"\[")):
+            analysis.obc_center_derivative(n, bad)
+
+
+def test_obc_memory_stays_flat_at_large_n():
+    """At N = 100,000 the grid is solved one lambda at a time: the traced
+    peak stays at one point's (13.0 MB), where one batch of five would take
+    55 MB."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        analysis.obc_center_derivative(100_000, np.linspace(0.001, 0.02, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15e6
 
 
 def test_thermodynamic_checks_kept():

@@ -181,6 +181,35 @@ def test_open_chain_graph():
     assert ((0, "a"), (7, "b")) not in inter
 
 
+def test_real_space_graph_forms_one_gram_product(monkeypatch):
+    """A real-space graph evaluates its pairs and its c1 and c2 bonds in one
+    Wick call, so one set of rows and one Gram product; c1 and c2 equal the
+    bonds evaluated alone."""
+    calls = []
+
+    def spy(rows, num_modes, i, j, real=gaussian._gram_wick):
+        calls.append(len(i))
+        return real(rows, num_modes, i, j)
+
+    cases = [(ModelSpec.ssh(12, 0.3, boundary=Boundary.OPEN), None),
+             (ModelSpec.ssh(10, -0.2, disorder=DisorderSpec(0.2, 3)), None),
+             (ModelSpec.ssh(9, 0.4, boundary=Boundary.OPEN), 8),
+             (ModelSpec.kitaev(9, delta=0.0, mu=0.5, boundary=Boundary.OPEN), 4)]
+    for spec, fill in cases:
+        corr = ent._ground_state(spec, fill)
+        cells = np.arange(spec.N)
+        bonds = cells if spec.boundary is Boundary.PERIODIC else cells[:-1]
+        monkeypatch.setattr(gaussian, "_gram_wick", spy)
+        calls.clear()
+        g = ent.entangled_graph(spec, fill)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        if spec.family is models.Family.SSH:
+            c1 = ent.x_concurrence(*corr(2 * cells, 2 * cells + 1))
+            c2 = ent.x_concurrence(*corr((2 * bonds + 2) % (2 * spec.N), 2 * bonds + 1))
+            assert abs(g.c1 - np.median(c1)) < 1e-15 and abs(g.c2 - np.median(c2)) < 1e-15
+
+
 def test_entangled_graph_clean_ring_honours_fill():
     # fill = 7 empties the k = pi level of the 8-cell ring; the state stays
     # translation invariant, so every inter-cell bond carries rdm_pair's value

@@ -290,3 +290,38 @@ def test_closed_form_open_chain_edge_cases(N, lam):
     n_above = corr(b, (b + 1) % L)[0]
     n_below = gaussian.open_ssh_ground_state(N, t1, t2, N - 1)[1](b, (b + 1) % L)[0]
     assert np.max(np.abs(n_above - n_below - density)) < 1e-14
+
+
+@pytest.mark.parametrize("N", [2, 3, 8, 255])
+def test_closed_form_open_chain_batch_equals_each_chain(N):
+    """One batched solve over chains of both last-root branches (the
+    edge-pair threshold and one ulp either side, zero bonds at lambda = +-1,
+    negative bonds beyond) equals each chain solved alone, bit for bit, with
+    a fill per chain or one for all; a chain that fails alone (a zero edge
+    level at fill None, a degenerate fill) fails the batch the same way."""
+    thr = _threshold(N)
+    lams = np.array([-3.0, -1.0, -0.4, 0.0, np.nextafter(thr, 0.0), thr,
+                     np.nextafter(thr, 1.0), 0.3, 1.0, 1.7])
+    t1, t2 = 1.0 - lams, 1.0 + lams
+    i, j = np.triu_indices(2 * N, k=1)
+    i, j = i[::max(1, len(i) // 500)], j[::max(1, len(i) // 500)]
+    # up to one ulp above the threshold, no edge level is below the tolerances
+    gapped = lams <= np.nextafter(thr, 1.0)
+    cases = [(lams == lams, analysis.obc_fill_count(N, lams, side))
+             for side in ("below", "above")] + [(gapped, N), (gapped, None)]
+    for keep, fill in cases:
+        levels, corr = gaussian.open_ssh_ground_state(N, t1[keep], t2[keep], fill)
+        wick = corr(i, j)
+        assert wick[0].shape == (np.count_nonzero(keep), len(i))
+        for b, lam in enumerate(lams[keep]):
+            alone = gaussian.open_ssh_ground_state(
+                N, 1.0 - lam, 1.0 + lam, fill if np.ndim(fill) == 0 else fill[b])
+            assert np.array_equal(levels[b], alone[0])
+            for w, v in zip(wick[:3], alone[1](i, j)[:3]):
+                assert np.array_equal(w[b], v)
+    for fill, lam, error in ((None, 1.0, gaussian.GaplessError),
+                             (N + 1, -1.0, gaussian.DegenerateFillError)):
+        with pytest.raises(error):
+            gaussian.open_ssh_ground_state(N, 1.0 - lam, 1.0 + lam, fill)
+        with pytest.raises(error):
+            gaussian.open_ssh_ground_state(N, t1, t2, fill)
