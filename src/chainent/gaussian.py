@@ -187,7 +187,7 @@ def _filled(levels: np.ndarray, fill) -> np.ndarray:
 def _newton(f, lo, hi):
     """Root x of each increasing ``f`` (value, slope, ...) on [lo, hi], and
     f(x): Newton steps from hi, bisecting where a step leaves the bracket; each
-    x stays at its first step within 8e-16 max(|hi|, 1), the rounding of f / slope."""
+    x stops where its step first falls within 8e-16 max(|hi|, 1), f / slope's rounding."""
     tol = 8e-16 * np.maximum(np.abs(hi), 1.0)
     x, lo, hi = hi, lo - tol, hi + tol
     with np.errstate(divide="ignore", invalid="ignore"):
