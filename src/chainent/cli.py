@@ -58,7 +58,7 @@ FLOAT = Type(_finite, "a finite number")
 PATH = Type(str, "a path")
 BOOL = Type(lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
             "true or false")
-GRID = Type(serialize.parse_grid, "start:stop:points with finite "
+GRID = Type(serialize.grid_spec, "start:stop:points with finite "
             "start < stop and at least 2 points")
 
 
@@ -188,7 +188,8 @@ def settings(argv) -> dict:
     takes, each resolved as flag, then ``--config`` file, then default.
 
     Raises ValueError naming the flag or ``[section] key`` whose text does
-    not parse; argparse's own usage errors raise SystemExit(2).
+    not parse, or the flag whose arrays would not fit in memory (checked
+    before the grid is built); argparse's own usage errors raise SystemExit(2).
     """
     args = _PARSER.parse_args(_normalize(argv))
     command = args.command
@@ -214,6 +215,9 @@ def settings(argv) -> dict:
         except (ValueError, KeyError):
             raise ValueError(f"{where} must be {row.type.expected}, "
                              f"got {text!r}") from None
+    _check_fits(values)
+    if "grid" in values:
+        values["grid"] = np.linspace(*values["grid"])
     return values
 
 
@@ -235,17 +239,21 @@ def model_spec(v: dict) -> models.ModelSpec:
 
 
 def _check_fits(v) -> None:
-    """ValueError when the largest array built from ``N`` exceeds physical
-    memory: a few length-N rows for zone sums and the closed-form open chain
-    of ``obc``, (2N)^2 floats for ``graph`` and ``disorder`` (the SSH L x L
-    particle matrix, Kitaev's 2N x 2N Majorana form; ring pairs are fewer)."""
+    """ValueError naming the flag whose largest array exceeds physical memory: a
+    few length-N rows (zone sums, the closed-form open chain), (2N)^2 floats for
+    ``graph`` and ``disorder`` (SSH particle matrix, Kitaev Majorana form), a few
+    columns of grid points, the realizations x max(2N, points) tables of ``disorder``."""
     N = max(v.get("N") or 0, 0)  # N < 2 is rejected where it is used
-    need = 8 * {"graph": 4 * N * N,
-                "disorder": 4 * N * N}.get(v["command"], 8 * N)
+    points = v["grid"][2] if v.get("grid") else 0
+    draws = max(v.get("realizations") or 0, 0)
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > memory:
-        raise ValueError(f"--N {N} needs about {need / 1e9:.3g} GB in one "
-                         f"array, more than the {memory / 1e9:.3g} GB of memory")
+    for what, need in (
+            (f"--N {N}", 32 * N * N if v["command"] in ("graph", "disorder") else 64 * N),
+            (f"--grid of {points} points", 64 * points),
+            (f"--realizations {draws}", 8 * draws * max(2 * N, points))):
+        if need > memory:
+            raise ValueError(f"{what} needs about {need / 1e9:.3g} GB in one "
+                             f"array, more than the {memory / 1e9:.3g} GB of memory")
 
 
 def _outdir(v) -> str:
@@ -254,13 +262,16 @@ def _outdir(v) -> str:
     return out
 
 
-def _write_table(rows, header, v, stem):
-    path = os.path.join(_outdir(v), f"{stem}.{v['format']}")
+def _write_table(rows, header, v, stem) -> str:
+    """Write ``<stem>.<format>`` and return the output directory."""
+    out = _outdir(v)
+    path = os.path.join(out, f"{stem}.{v['format']}")
     if v["format"] == "csv":
         serialize.write_csv(path, rows, header)
     else:
         serialize.write_json_records(path, rows, header)
     print(f"wrote {path}")
+    return out
 
 
 # ------------------------------------------------------------- subcommands
@@ -272,10 +283,10 @@ def cmd_sweep(v) -> int:
               "use an even point count around 0", file=sys.stderr)
         return EXIT_VALIDATION
     result = analysis.sweep(grid, N=N, with_derivative=v["derivative"])
-    _write_table(serialize.sweep_rows(result), serialize.CSV_HEADER,
-                 v, "sweep")
+    out = _write_table(serialize.sweep_rows(result), serialize.CSV_HEADER,
+                       v, "sweep")
     if v["plot_data"]:
-        for p in serialize.emit_plot_data(result, _outdir(v)):
+        for p in serialize.emit_plot_data(result, out):
             print(f"wrote {p}")
     for lam, msg in result.errors:
         print(f"skipped lambda={lam:g}: {msg}", file=sys.stderr)
@@ -313,8 +324,7 @@ def cmd_graph(v) -> int:
     else:
         rows = [[entanglement.site_label(s1), entanglement.site_label(s2), c]
                 for s1, s2, c in graph.edges]
-        serialize.write_csv(path, rows,
-                            header=["site1", "site2", "concurrence"])
+        serialize.write_csv(path, rows, header=["site1", "site2", "concurrence"])
     if graph.phase is not None:
         print(f"phase: {graph.phase.value}")
     print(f"wrote {path}")
@@ -431,7 +441,6 @@ def cmd_verify(v) -> int:
 def main(argv=None) -> int:
     try:
         v = settings(sys.argv[1:] if argv is None else list(argv))
-        _check_fits(v)
         # looked up per call, so a rebinding of cmd_<name> takes effect
         return globals()[f"cmd_{v['command']}"](v)
     except SystemExit as exc:  # argparse: --help, or its one-line error

@@ -10,7 +10,6 @@ occupation-number density matrix as-is, an X state by Wick's theorem).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -38,6 +37,7 @@ from .models import (
     ssh_bloch,
     ssh_eta1_limit,
 )
+from .serialize import _json, _json_array, _json_records
 
 CONCURRENCE_ZERO = 1e-12
 PSD_TOL = 1e-8
@@ -278,17 +278,16 @@ class EntangledGraph:
     sublattices: tuple = ("a", "b")
 
     def to_json(self) -> str:
-        doc = {
-            "num_cells": self.num_cells,
-            "phase": self.phase and self.phase.value,
-            "c1": self.c1,
-            "c2": self.c2,
-            "vertices": [site_label((n, s)) for n in range(self.num_cells)
-                         for s in self.sublattices],
-            "edges": [{"site1": site_label(s1), "site2": site_label(s2),
-                       "concurrence": c} for s1, s2, c in self.edges],
-        }
-        return json.dumps(doc, indent=2)
+        """``json.dumps(doc, indent=2)`` of the document {num_cells, phase,
+        c1, c2, vertices, edges: [{site1, site2, concurrence}]}."""
+        vertices = [_json(site_label((n, s))) for n in range(self.num_cells)
+                    for s in self.sublattices]
+        edges = [(site_label(s1), site_label(s2), c) for s1, s2, c in self.edges]
+        return ('{\n  "num_cells": %s,\n  "phase": %s,\n  "c1": %s,\n  "c2": %s,'
+                '\n  "vertices": %s,\n  "edges": %s\n}') % (
+            *map(_json, (self.num_cells, self.phase and self.phase.value,
+                         self.c1, self.c2)), _json_array(vertices, 1),
+            _json_records(edges, ("site1", "site2", "concurrence"), 1))
 
 
 def _bloch_correlations(spec: ModelSpec):

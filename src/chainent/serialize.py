@@ -1,108 +1,115 @@
 """CSV/JSON writers, plot-data emission and the grid specification.
 
-Numbers are written with 17 significant digits so that reading a file back
-recovers every float64 bit-exactly; identical inputs produce byte-identical
-files.
+Floats are written with 17 significant digits (JSON: the shortest repr), so
+reading a file back recovers every float64 bit-exactly; identical inputs
+produce byte-identical files, each formatted in one pass and one write.
 """
 
 from __future__ import annotations
 
-import io
-import json
 import os
 import warnings
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 CSV_HEADER = ["lambda", "eta1", "eta2", "c1", "c2", "dc2_dlambda",
               "n", "boundary", "seed"]
+_FLOATS = (float, np.floating)
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, _FLOATS):
         return "%.17g" % float(x)
     return str(x)
 
 
 def sweep_rows(result) -> list:
-    """Rows of the documented CSV schema for a SweepResult."""
+    """Rows of the documented CSV schema for a SweepResult, gapless points left out."""
     n = "thermodynamic" if result.N is None else result.N
     dc2 = result.dc2_dlambda
-    rows = []
-    for i, lam in enumerate(result.lambdas):
-        if np.isnan(result.eta1[i]):
-            continue  # gapless point recorded in result.errors, not the table
-        rows.append([lam, result.eta1[i], result.eta2[i], result.c1[i],
-                     result.c2[i],
-                     None if dc2 is None or np.isnan(dc2[i]) else dc2[i],
-                     n, "periodic", None])
-    return rows
+    columns = [result.lambdas, result.eta1, result.eta2, result.c1, result.c2,
+               np.full(len(result.lambdas), np.nan) if dc2 is None else dc2]
+    return [[lam, e1, e2, c1, c2, None if d != d else d, n, "periodic", None]
+            for lam, e1, e2, c1, c2, d in zip(*[c.tolist() for c in columns])
+            if e1 == e1]
 
 
 def write_csv(path, rows, header=CSV_HEADER) -> None:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(fmt(x) for x in row) + "\n")
+    """Header line, then the :func:`fmt` of each cell joined by commas per
+    row (the oracle of ``tests/test_serialize.py``)."""
+    lines = [",".join(header)] + [",".join([
+        "" if x is None else "%.17g" % x if isinstance(x, _FLOATS) else str(x)
+        for x in row]) for row in rows]
     with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+        fh.write("\n".join(lines) + "\n")
+
+
+def _json(x) -> str:
+    """A scalar as ``json.dumps`` writes it, numpy floats as floats; TypeError
+    for what ``json`` refuses or would write as a container."""
+    if isinstance(x, _FLOATS):
+        text = float.__repr__(float(x))
+        return _NONFINITE.get(text, text)
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    return _CONSTANTS[x] if x is None or x is True or x is False else int.__repr__(x)
+
+
+def _json_array(items, depth=0) -> str:
+    """JSON texts as the array ``json.dumps(indent=2)`` writes at ``depth``."""
+    pad = "\n" + "  " * depth
+    return f"[{pad}  " + f",{pad}  ".join(items) + f"{pad}]" if items else "[]"
+
+
+def _json_records(rows, header, depth=0) -> str:
+    """One object per row keyed by ``header`` (distinct names), as an array
+    at ``depth``; one ``%`` template fills every row."""
+    pad = "\n" + "  " * (depth + 1)
+    keys = [encode_basestring_ascii(k).replace("%", "%%") for k in header]
+    record = "{" + ",".join(f"{pad}  {k}: %s" for k in keys) + pad + "}" if keys else "{}"
+    return _json_array([record % tuple(map(_json, row)) for row in rows], depth)
 
 
 def write_json_records(path, rows, header=CSV_HEADER) -> None:
-    records = [{k: (None if v is None else
-                    (float(v) if isinstance(v, (float, np.floating)) else v))
-                for k, v in zip(header, row)} for row in rows]
+    """The text of ``json.dumps(records, indent=2)`` plus a newline, numpy
+    floats cast to float (the oracle of ``tests/test_serialize.py``)."""
     with open(path, "w") as fh:
-        json.dump(records, fh, indent=2)
-        fh.write("\n")
+        fh.write(_json_records(rows, header) + "\n")
+
+
+def _cell(text):
+    try:
+        return float(text) if text else None
+    except ValueError:
+        return text
 
 
 def read_csv(path):
     """Read back a file written by write_csv; floats recover bit-exactly."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            row = []
-            for p in parts:
-                if p == "":
-                    row.append(None)
-                else:
-                    try:
-                        row.append(float(p))
-                    except ValueError:
-                        row.append(p)
-            rows.append(row)
-    return header, rows
+        return header, [list(map(_cell, line.rstrip("\n").split(","))) for line in fh]
 
 
 def emit_plot_data(result, outdir, prefix="sweep") -> list:
-    """Two-column whitespace series files, one per curve.
-
-    Writes ``<prefix>_c1.dat``, ``<prefix>_c2.dat`` and (when present)
-    ``<prefix>_dc2.dat``; rows are ``lambda value`` pairs.  An empty sweep
-    produces no files and a warning.
-    """
-    mask = ~np.isnan(result.eta1)
-    if not np.any(mask):
+    """Two-column ``lambda value`` files ``<prefix>_c1.dat``, ``_c2.dat``
+    and (when present) ``_dc2.dat``; an empty sweep writes none and warns."""
+    if np.isnan(result.eta1).all():
         warnings.warn("empty sweep: no plot data written")
         return []
     os.makedirs(outdir, exist_ok=True)
-    written = []
-    series = {"c1": result.c1, "c2": result.c2}
-    if result.dc2_dlambda is not None:
-        series["dc2"] = result.dc2_dlambda
-    for name, col in series.items():
-        path = os.path.join(outdir, f"{prefix}_{name}.dat")
-        with open(path, "w") as fh:
-            for lam, v in zip(result.lambdas, col):
-                if np.isnan(v):
-                    continue
-                fh.write(f"{fmt(float(lam))} {fmt(float(v))}\n")
-        written.append(path)
+    lams, written = result.lambdas.tolist(), []
+    for name, col in (("c1", result.c1), ("c2", result.c2), ("dc2", result.dc2_dlambda)):
+        if col is not None:
+            written.append(os.path.join(outdir, f"{prefix}_{name}.dat"))
+            with open(written[-1], "w") as fh:
+                fh.write("".join(["%.17g %.17g\n" % (lam, v) for lam, v
+                                  in zip(lams, col.tolist()) if v == v]))
     return written
 
 
@@ -110,6 +117,11 @@ def emit_plot_data(result, outdir, prefix="sweep") -> list:
 
 def parse_grid(text: str) -> np.ndarray:
     """Inclusive ``start:stop:points`` grid specification."""
+    return np.linspace(*grid_spec(text))
+
+
+def grid_spec(text: str) -> tuple:
+    """``(start, stop, points)`` of a valid grid text; allocates nothing."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:points, got {text!r}")
@@ -121,4 +133,4 @@ def parse_grid(text: str) -> np.ndarray:
         raise ValueError("grid needs at least 2 points")
     if stop <= start:
         raise ValueError("grid stop must exceed start")
-    return np.linspace(start, stop, points)
+    return start, stop, points

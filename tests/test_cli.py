@@ -282,6 +282,23 @@ def test_cli_rejects_n_beyond_memory(tmp_path, monkeypatch, capsys):
                  "--outdir", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["sweep", "--N", "16", "--grid", "0.1:0.5:10000000000000"], "--grid"),
+    (["kitaev", "--grid", "0:1:10000000000000"], "--grid"),
+    (["obc", "--grid", "0.1:0.3:10000000000000"], "--grid"),
+    (["disorder", "--N", "4", "--grid", "0.1:0.5:3", "--realizations",
+      "10000000000000"], "--realizations"),
+])
+def test_cli_rejects_sizes_beyond_memory(tmp_path, capsys, argv, flag):
+    """A grid point count or --realizations whose arrays exceed physical
+    memory exits 2 with one line naming the flag, before anything is
+    allocated or written."""
+    assert main(argv + ["--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+    assert not os.listdir(tmp_path)
+
+
 _LOADED_SCIPY = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
