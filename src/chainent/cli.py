@@ -187,9 +187,8 @@ def settings(argv) -> dict:
     """The subcommand of ``argv`` (key ``"command"``) and every value it
     takes, each resolved as flag, then ``--config`` file, then default.
 
-    Raises ValueError naming the flag or ``[section] key`` whose text does
-    not parse, or the flag whose arrays would not fit in memory (checked
-    before the grid is built); argparse's own usage errors raise SystemExit(2).
+    Raises ValueError naming the flag or ``[section] key`` whose text does not parse, or
+    whose arrays would not fit in memory; argparse's usage errors raise SystemExit(2).
     """
     args = _PARSER.parse_args(_normalize(argv))
     command = args.command

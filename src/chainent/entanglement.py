@@ -278,8 +278,8 @@ class EntangledGraph:
     sublattices: tuple = ("a", "b")
 
     def to_json(self) -> str:
-        """``json.dumps(doc, indent=2)`` of the document {num_cells, phase,
-        c1, c2, vertices, edges: [{site1, site2, concurrence}]}."""
+        """``json.dumps(doc, indent=2)``, the oracle in ``tests/test_serialize.py``, of
+        {num_cells, phase, c1, c2, vertices, edges: [{site1, site2, concurrence}]}."""
         vertices = [_json(site_label((n, s))) for n in range(self.num_cells)
                     for s in self.sublattices]
         edges = [(site_label(s1), site_label(s2), c) for s1, s2, c in self.edges]

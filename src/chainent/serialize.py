@@ -97,8 +97,9 @@ def read_csv(path):
 
 
 def emit_plot_data(result, outdir, prefix="sweep") -> list:
-    """Two-column ``lambda value`` files ``<prefix>_c1.dat``, ``_c2.dat``
-    and (when present) ``_dc2.dat``; an empty sweep writes none and warns."""
+    """One file ``<prefix>_{c1,c2,dc2}.dat`` per curve present: ``lambda value`` lines in
+    ``%.17g``, NaN skipped (the oracle of ``tests/test_serialize.py``). An empty sweep
+    writes none and warns."""
     if np.isnan(result.eta1).all():
         warnings.warn("empty sweep: no plot data written")
         return []
