@@ -33,7 +33,7 @@ from .errors import (
     ParityError,
     WindowError,
 )
-from .gaussian import open_ssh_ground_state, particle_correlations, particle_ground_state
+from .gaussian import open_ssh_ground_state, particle_projector
 from .models import (
     Boundary,
     GAP_TOL,
@@ -185,17 +185,6 @@ def _centred_difference(values, grid) -> np.ndarray:
 
 # --------------------------------------------------------- critical analysis
 
-def _sudden_death(eta, name, N, bracket, xtol) -> float:
-    """Root of eta(lambda, N) = sqrt(2) - 1 inside ``bracket``."""
-    from scipy.optimize import brentq  # 0.65 s to load; only `critical` needs it
-    def f(lam):
-        return eta(lam, N) - SQRT2_MINUS_1
-    fa, fb = f(bracket[0]), f(bracket[1])
-    if fa * fb > 0:
-        raise NoRootError(f"{name} - (sqrt(2)-1) does not change sign on {bracket}")
-    return float(brentq(f, bracket[0], bracket[1], xtol=xtol))
-
-
 def find_lambda_plus(N: int | None = None,
                      bracket=(1e-6, 0.9), xtol=1e-12) -> float:
     """Root of eta1(lambda) = sqrt(2) - 1 on (0, 1): where C1 dies.
@@ -203,13 +192,20 @@ def find_lambda_plus(N: int | None = None,
     Finite chains with N in {2, 4} have no root (eta1(0+) already sits below
     the threshold) and raise NoRootError.
     """
-    return _sudden_death(eta1, "eta1", N, bracket, xtol)
+    from scipy.optimize import brentq  # 0.65 s to load; only `critical` needs it
+    def f(lam):
+        return eta1(lam, N) - SQRT2_MINUS_1
+    if f(bracket[0]) * f(bracket[1]) > 0:
+        raise NoRootError(f"eta1 - (sqrt(2)-1) does not change sign on {bracket}")
+    return float(brentq(f, bracket[0], bracket[1], xtol=xtol))
 
 
 def find_lambda_minus(N: int | None = None,
                       bracket=(-0.9, -1e-6), xtol=1e-12) -> float:
-    """Root of eta2(lambda) = sqrt(2) - 1 on (-1, 0): where C2 dies."""
-    return _sudden_death(eta2, "eta2", N, bracket, xtol)
+    """Root of eta2(lambda) = sqrt(2) - 1 on (-1, 0): where C2 dies.  Swapping
+    the sublattices of a ring swaps t1 and t2, so eta2(lambda) = eta1(-lambda)
+    and this is -lambda_plus on the mirrored bracket."""
+    return -find_lambda_plus(N, (-bracket[1], -bracket[0]), xtol)
 
 
 def jump_at_zero(N: int) -> float:
@@ -286,11 +282,10 @@ class CriticalReport:
 
 
 def critical_report(N: int | None = None) -> CriticalReport:
-    lp = find_lambda_plus(N)
-    lm = find_lambda_minus(N)
+    lp = find_lambda_plus(N)  # lambda_minus = -lambda_plus, see find_lambda_minus
     fit = logfit(N=N)
     jump = jump_at_zero(N) if (N is not None and N % 2 == 0) else None
-    return CriticalReport(lambda_plus=lp, lambda_minus=lm,
+    return CriticalReport(lambda_plus=lp, lambda_minus=-lp,
                           slope_at_plus=slope_c1_at_lambda_plus(N, lp),
                           logfit_slope=fit.slope, logfit_intercept=fit.intercept,
                           logfit_asymptotic=fit.asymptotic,
@@ -439,7 +434,8 @@ def disorder_ensemble(N: int, lambda_grid, amplitude: float = 0.1,
     Seeds are ``base_seed + i``; identical inputs give identical tables.
     Each seed's onsite energies are drawn once and added to the clean
     particle matrix of every lambda; the realizations of one lambda are
-    solved by stacked ``eigh`` calls on at most 8 MB of matrices each.
+    solved by :func:`gaussian.particle_projector` (``eigh`` where it cannot
+    certify the gap) in stacks of at most 8 MB of matrices and work arrays.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -450,14 +446,14 @@ def disorder_ensemble(N: int, lambda_grid, amplitude: float = 0.1,
     energies = np.stack([DisorderSpec(amplitude=amplitude, seed=int(seed))
                          .onsite_energies(2 * N) for seed in seeds])
     per_seed = np.empty((num_realizations, len(lams)))
-    chunk = max(1, _STACK_BYTES // (8 * (2 * N) ** 2))
+    chunk = max(1, _STACK_BYTES // (4 * 8 * (2 * N) ** 2))  # A and 3 work arrays
+    pair = np.array(_central_pair(N))
     for j, lam in enumerate(lams):
         clean = particle_matrix(ModelSpec.ssh(N, lam, boundary=boundary))
         for s in range(0, num_realizations, chunk):
             A = clean + energies[s:s + chunk, :, None] * np.eye(2 * N)
-            _, V = particle_ground_state(A)
-            per_seed[s:s + chunk, j] = x_concurrence(
-                *particle_correlations(V, *_central_pair(N)))
+            P = particle_projector(A)[:, pair[:, None], pair]  # only this 2 x 2 block is kept
+            per_seed[s:s + chunk, j] = x_concurrence(P[:, 0, 0], P[:, 1, 1], P[:, 0, 1], 0.0)
     return DisorderTable(lambdas=lams, mean_c2=per_seed.mean(axis=0),
                          std_c2=per_seed.std(axis=0), per_seed=per_seed,
                          seeds=seeds, N=N, amplitude=amplitude)

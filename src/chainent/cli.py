@@ -192,8 +192,9 @@ def settings(argv) -> dict:
     """
     args = _PARSER.parse_args(_normalize(argv))
     command = args.command
-    cfg = configparser.ConfigParser(interpolation=None)
+    cfg = None  # a parser only for a config file: building one costs a third of this call
     if getattr(args, "config", None):
+        cfg = configparser.ConfigParser(interpolation=None)
         try:
             if not cfg.read(args.config):
                 raise ValueError(f"cannot read config file {args.config!r}")
@@ -205,7 +206,7 @@ def settings(argv) -> dict:
             continue
         text, where = getattr(args, row.key), row.at("flag", command)
         section = row.at("section", command)
-        if text is None and cfg.has_option(section, row.key):
+        if text is None and cfg is not None and cfg.has_option(section, row.key):
             text, where = cfg.get(section, row.key), f"[{section}] {row.key}"
         if text is None:
             text = row.defaults[command]

@@ -155,13 +155,56 @@ def particle_ground_state(A: np.ndarray, fill: int | None = None):
     raises ValueError outside 0..L and DegenerateFillError inside a
     degenerate pair.  Clean open SSH chains take the closed form,
     :func:`open_ssh_ground_state`; this full-size solve is its test oracle."""
+    levels, V = np.linalg.eigh(_particles(A))
+    V *= _filled(levels, fill)[..., None, :]
+    return levels, V
+
+
+def _particles(A) -> np.ndarray:
+    """``A`` as floats; ValueError if it is not symmetric (carries pairing)."""
     A = np.asarray(A, dtype=float)
     asym = np.max(np.abs(A - np.swapaxes(A, -1, -2)), initial=0.0)
     if asym > SKEW_TOL * max(1.0, np.max(np.abs(A))):
         raise ValueError("matrix carries pairing terms; particle filling undefined")
-    levels, V = np.linalg.eigh(A)
-    V *= _filled(levels, fill)[..., None, :]
-    return levels, V
+    return A
+
+
+def particle_projector(A) -> np.ndarray:
+    """Ground-state projector ``P = theta(-A)`` (``P_ij = <a_i^ a_j>``) of a real
+    symmetric ``A``, L x L or a stack (..., L, L), without eigenvectors: ``P =
+    (1 - X) / 2`` from the Newton-Schulz sign iteration ``X <- X + X (1 - X^2) / 2``
+    from ``A / alpha``, alpha the largest absolute row sum (Higham, Functions of
+    Matrices, SIAM 2008, ch. 5).  Each matrix stops at its first step k with
+    ``||1 - X^2||_F < L eps``, the same alone or in any stack.  A step multiplies
+    a level's |x| by at most 1.5, so this certifies ``min |E| >= alpha 1.5^-k
+    sqrt(1 - L eps)``; past the last k where that exceeds ``ZERO_TOL max(1,
+    alpha)``, the gapless test of :func:`particle_ground_state`, a matrix goes
+    to that function, with its values and errors.  Holds three work arrays the
+    size of ``A``."""
+    A = _particles(A)
+    L = A.shape[-1]
+    stack = A.reshape(-1, L, L)
+    X, R, Y = (np.empty(stack.shape) for _ in range(3))  # C order: diagonal views below
+    alpha = np.abs(stack, out=X).sum(axis=-1).max(axis=-1)
+    tol = L * np.finfo(float).eps
+    with np.errstate(divide="ignore"):  # alpha = 0 certifies no step
+        cap = np.log(alpha * np.sqrt(1 - tol) / (ZERO_TOL * np.maximum(1, alpha))) / np.log(1.5)
+    np.divide(stack, np.where(alpha > 0.0, alpha, 1.0)[:, None, None], out=X)
+    diag, done = R.reshape(len(R), -1)[:, ::L + 1], np.zeros(len(R), dtype=bool)
+    for k in range(int(np.log(1 / ZERO_TOL) / np.log(1.5)) + 1):  # past every cap
+        np.matmul(X, X, out=R)
+        diag -= 1.0  # R = X^2 - 1
+        done |= (np.einsum("bij,bij->b", R, R) < tol * tol) & (k < cap)
+        if (done | (cap <= k + 1)).all():
+            break
+        R *= np.where(done, 0.0, -0.5)[:, None, None]  # a stopped matrix keeps its X
+        X += np.matmul(X, R, out=Y)
+    X *= -0.5
+    X.reshape(len(X), -1)[:, ::L + 1] += 0.5
+    if not done.all():
+        _, V = particle_ground_state(stack[~done])
+        X[~done] = V @ np.swapaxes(V, -1, -2)
+    return X.reshape(A.shape)
 
 
 def _filled(levels: np.ndarray, fill) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,16 @@ def test_lambda_plus_thermodynamic():
     assert analysis.find_lambda_minus() == pytest.approx(-lp, abs=1e-9)
 
 
+def test_sublattice_swap_symmetry():
+    """Relabelling a ring's cells (a'_n = b_n, b'_n = a_{n+1}) swaps t1 and t2:
+    eta2(lambda) = eta1(-lambda) for every N, which find_lambda_minus uses."""
+    for N in [*range(2, 80), None]:
+        for lam in np.linspace(-0.94, 0.96, 39):  # not 0: gapless at even N
+            assert abs(analysis.eta2(lam, N) - analysis.eta1(-lam, N)) <= 1e-15
+    for N in (3, 8, 59, 599, None):
+        assert analysis.find_lambda_minus(N) == -analysis.find_lambda_plus(N)
+
+
 def test_lambda_plus_monotone_in_N():
     values = [analysis.find_lambda_plus(N) for N in (8, 16, 32, 64)]
     assert all(a < b for a, b in zip(values, values[1:]))
@@ -46,8 +58,10 @@ def test_lambda_plus_monotone_in_N():
 
 
 def test_no_root_for_tiny_chains():
-    with pytest.raises(NoRootError):
-        analysis.find_lambda_plus(2)
+    for N in (2, 4):
+        for find in (analysis.find_lambda_plus, analysis.find_lambda_minus):
+            with pytest.raises(NoRootError):
+                find(N)
 
 
 def test_logfit_asymptotic_flagging():
@@ -136,13 +150,15 @@ def test_disorder_zero_amplitude_reproduces_clean():
 def test_disorder_ensemble_matches_single_realizations(boundary, chunk,
                                                        monkeypatch):
     """The stacked solve of an ensemble equals each realization alone, also
-    when the ensemble exceeds one stack (7 realizations in stacks of 3)."""
-    if chunk is not None:
-        monkeypatch.setattr(analysis, "_STACK_BYTES", chunk * 8 * 12 ** 2)
+    when the ensemble exceeds one stack (7 realizations in stacks of 3, each
+    matrix with its 3 work arrays), where it equals one stack bit for bit."""
     grid = np.array([0.15, 0.35])
-    table = analysis.disorder_ensemble(6, grid, amplitude=0.3,
-                                       num_realizations=7, base_seed=5,
-                                       boundary=boundary)
+    kw = dict(amplitude=0.3, num_realizations=7, base_seed=5, boundary=boundary)
+    table = analysis.disorder_ensemble(6, grid, **kw)
+    if chunk is not None:
+        monkeypatch.setattr(analysis, "_STACK_BYTES", chunk * 4 * 8 * 12 ** 2)
+        chunked = analysis.disorder_ensemble(6, grid, **kw)
+        assert np.array_equal(chunked.per_seed, table.per_seed)
     for i, seed in enumerate(table.seeds):
         for j, lam in enumerate(grid):
             spec = ModelSpec.ssh(6, lam, boundary=boundary,
@@ -152,6 +168,42 @@ def test_disorder_ensemble_matches_single_realizations(boundary, chunk,
     assert np.ptp(table.per_seed, axis=0).min() > 1e-3  # seeds differ
     with pytest.raises(ValueError):
         analysis.disorder_ensemble(6, grid, num_realizations=0)
+
+
+def test_disorder_ensemble_gapless_raises():
+    """A clean even ring at lambda = 0 is gapless: the projector cannot
+    certify it, and eigh raises the GaplessError it always did."""
+    with pytest.raises(GaplessError, match="^Hamiltonian is gapless; flattening undefined$"):
+        analysis.disorder_ensemble(8, [0.3, 0.0], amplitude=0.0, num_realizations=4)
+
+
+def test_disorder_ensemble_needs_no_eigh_on_deck_cases(monkeypatch):
+    """The benchmark's disorder jobs (N 12-24, lambda in +-[0.3, 0.9],
+    amplitude up to 0.3) are all certified gapped by the sign iteration."""
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for N, realizations in ((12, 10), (17, 20), (24, 30)):
+        for grid in ([0.3, 0.6, 0.9], [-0.9, -0.6, -0.3]):
+            for amplitude in (0.05, 0.3):
+                table = analysis.disorder_ensemble(N, grid, amplitude=amplitude,
+                                                   num_realizations=realizations)
+                assert np.isfinite(table.per_seed).all()
+
+
+def test_disorder_ensemble_memory_stays_in_its_chunks():
+    """At N = 256 one matrix with its three work arrays fills _STACK_BYTES;
+    the traced peak is that plus the clean matrix and small change, so a
+    work array outside the chunk rule (2 MB) would show."""
+    L = 512
+    analysis.disorder_ensemble(4, [0.4], num_realizations=1)  # one-time imports
+    tracemalloc.start()
+    try:
+        analysis.disorder_ensemble(256, [0.4], num_realizations=40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < analysis._STACK_BYTES + 1.5 * 8 * L * L
 
 
 def test_disorder_deterministic():

@@ -92,6 +92,64 @@ def test_particle_ground_state_rejects_pairing(boundary):
         gaussian.particle_ground_state(np.stack([(A + A.T) / 2.0, A]))
 
 
+def _levels_matrix(levels, seed):
+    """Symmetric matrix with the given levels in a random orthogonal basis."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(levels),) * 2))
+    return (Q * levels) @ Q.T
+
+
+def test_particle_projector_falls_back_to_eigh_where_uncertified(monkeypatch):
+    """A level at 10 ZERO_TOL needs about 70 Newton-Schulz steps to converge
+    (alpha >= 2 here), more than the 68 that still certify the gap, so that
+    matrix alone of its stack goes to particle_ground_state.  The others stop
+    at different steps, each with the value it has alone."""
+    near = [-2.0, -1.5, -0.5, 10 * gaussian.ZERO_TOL, 0.7, 1.0, 1.5, 2.0]
+    far = [-2.0, -1.5, -0.5, -0.3, 0.3, 0.7, 1.5, 2.0]
+    closer = [-2.0, -1.5, -0.5, -1e-3, 0.3, 0.7, 1.5, 2.0]
+    A = np.stack([_levels_matrix(far, 1), _levels_matrix(near, 2),
+                  _levels_matrix(closer, 3)])
+    assert np.abs(A[1]).sum(axis=-1).max() >= 2.0
+    solved, solve = [], gaussian.particle_ground_state
+    monkeypatch.setattr(gaussian, "particle_ground_state",
+                        lambda a: solved.append(a) or solve(a))
+    P = gaussian.particle_projector(A)
+    assert len(solved) == 1 and np.array_equal(solved[0], A[1:2])
+    _, V = solve(A[1:2])
+    assert np.array_equal(P[1], (V @ np.swapaxes(V, -1, -2))[0])
+    for a, p in zip(A, P):
+        _, V = solve(a)
+        assert np.max(np.abs(p - V @ V.T)) < 1e-14
+        assert np.array_equal(p, gaussian.particle_projector(a))
+        assert np.array_equal(p, gaussian.particle_projector(np.asfortranarray(a)))
+    assert np.trace(P[1]) == pytest.approx(3.0, abs=1e-12)
+
+
+def test_particle_projector_gapless_and_pairing_errors():
+    """A gapless stack raises the GaplessError of particle_ground_state, and
+    a matrix with pairing its ValueError."""
+    A = np.stack([models.particle_matrix(ModelSpec.ssh(8, lam))
+                  for lam in (0.3, 0.0)])
+    with pytest.raises(GaplessError) as want:
+        gaussian.particle_ground_state(A)
+    with pytest.raises(GaplessError) as got:
+        gaussian.particle_projector(A)
+    assert str(got.value) == str(want.value)
+    # levels ~1e-4 and one at ZERO_TOL / 2, gapless for particle_ground_state:
+    # the iteration converges in about 56 steps, past the 48 that certify
+    # min |E| > ZERO_TOL max(1, alpha) at this alpha, while a matrix with a
+    # level at 10 ZERO_TOL keeps the stack iterating to step 68
+    tiny = _levels_matrix(1e-4 * np.array([-2.0, -1.5, -0.5, 0.0, 0.7, 1.0, 1.5, 2.0])
+                          + [0, 0, 0, gaussian.ZERO_TOL / 2, 0, 0, 0, 0], 4)
+    slow = _levels_matrix([-2.0, -1.5, -0.5, 10 * gaussian.ZERO_TOL, 0.7, 1.0, 1.5, 2.0], 2)
+    with pytest.raises(GaplessError):
+        gaussian.particle_ground_state(tiny)
+    with pytest.raises(GaplessError):
+        gaussian.particle_projector(np.stack([slow, tiny]))
+    kitaev = models.particle_matrix(ModelSpec.kitaev(6, delta=0.5, mu=0.3))
+    with pytest.raises(ValueError, match="pairing"):
+        gaussian.particle_projector(kitaev)
+
+
 # ------------------------------------------------------------- restriction
 
 def test_restrict_keeps_mode_order():

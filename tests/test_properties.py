@@ -1,8 +1,9 @@
 """Property tests: the momentum-space kernel against the real-space route,
 the closed-form two-site X state against the dense Fock-space RDM, and the
 particle-matrix ground state of SSH chains, and of Kitaev chains at an
-explicit filling, against the Majorana route, and the closed-form open SSH
-chain against the full-size particle solve and mpmath.
+explicit filling, against the Majorana route, the sign-iteration projector
+of disordered SSH chains against the particle solve, and the closed-form
+open SSH chain against the full-size particle solve and mpmath.
 
 Hypothesis draws chains and site pairs with ``derandomize=True``, so every
 run checks the same examples.
@@ -170,6 +171,36 @@ def test_particle_route_matches_majorana_oracle(case):
         for w, g in zip(gaussian.pair_correlations(
                 gaussian.spectral_flatten(shifted), i, j), got):
             assert np.max(np.abs(w - g)) < 1e-12
+
+
+@st.composite
+def disordered_ssh_chains(draw):
+    """The particle matrix of an SSH chain of either boundary, onsite
+    disorder of amplitude 0 to 1, lambda anywhere in [-1, 1] or at +-0.005."""
+    lam = draw(st.sampled_from([0.005, -0.005]) | st.floats(-1.0, 1.0))
+    disorder = models.DisorderSpec(draw(st.floats(0.0, 1.0)), draw(st.integers(0, 99)))
+    return models.particle_matrix(ModelSpec.ssh(
+        draw(st.integers(2, 40)), lam, disorder=disorder,
+        boundary=draw(st.sampled_from(["periodic", "open"]))))
+
+
+@PROPERTY
+@given(disordered_ssh_chains())
+def test_particle_projector_matches_eigh_oracle(A):
+    """The sign-iteration projector against the Gram product of the filled
+    eigenvectors: the same errors, and the same matrix to 1e-13, or to
+    1e-14 / gap where the gap at the Fermi level is small (both routes are
+    backward stable; see the particle-route property above)."""
+    want = _outcome(lambda: gaussian.particle_ground_state(A)[1])
+    got = _outcome(lambda: gaussian.particle_projector(A))
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert not isinstance(got, type), got
+    levels = np.linalg.eigvalsh(A)
+    nf = np.count_nonzero(levels < 0)
+    gap = levels[nf] - levels[nf - 1] if 0 < nf < len(A) else np.inf
+    assert np.max(np.abs(got - want @ want.T)) < max(1e-13, 1e-14 / gap)
 
 
 def _threshold(N):
