@@ -1,11 +1,11 @@
 """Gaussian-state machinery for quadratic fermion Hamiltonians.
 
 Number-conserving chains are solved as L x L particle matrices
-(:func:`particle_ground_state`, :func:`particle_correlations`), clean open
-SSH chains in closed form (:func:`open_ssh_ground_state`).  The rest
-operates on real skew-symmetric matrices in the Majorana convention of
-:mod:`chainent.models` (mode ``j`` owns Majorana indices ``2j`` and
-``2j+1``).  The chain of operations
+(:func:`particle_ground_state`, :func:`particle_correlations`, or the
+projector alone, :func:`particle_projector`), clean open SSH chains in
+closed form (:func:`open_ssh_ground_state`).  The rest operates on real
+skew-symmetric matrices in the Majorana convention of :mod:`chainent.models`
+(mode ``j`` owns Majorana indices ``2j`` and ``2j+1``).  The chain of operations
 
     real-space M  ->  spectral flattening  ->  restriction  ->  dense RDM
 
