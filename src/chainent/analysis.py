@@ -33,7 +33,7 @@ from .errors import (
     ParityError,
     WindowError,
 )
-from .gaussian import open_ssh_ground_state, particle_projector
+from .gaussian import open_ssh_ground_state, pair_projector
 from .models import (
     Boundary,
     GAP_TOL,
@@ -44,7 +44,6 @@ from .models import (
     bz_mean,
     kitaev_bloch,
     momentum_grid,
-    particle_matrix,
     ssh_bloch,
     ssh_deta1_limit,
     ssh_eta1_limit,
@@ -432,10 +431,10 @@ def disorder_ensemble(N: int, lambda_grid, amplitude: float = 0.1,
     """Mean and standard deviation of the central-bond C2 over disorder seeds.
 
     Seeds are ``base_seed + i``; identical inputs give identical tables.
-    Each seed's onsite energies are drawn once and added to the clean
-    particle matrix of every lambda; the realizations of one lambda are
-    solved by :func:`gaussian.particle_projector` (``eigh`` where it cannot
-    certify the gap) in stacks of at most 8 MB of matrices and work arrays.
+    Each seed's onsite energies are drawn once and put on the chain of every
+    lambda; :func:`gaussian.pair_projector` solves all lambda x realization
+    chains, O(N) each per Zolotarev pole (``eigh`` where it cannot certify the
+    gap), in batches of at most ``_STACK_BYTES // (16 (2N + 512))`` chains.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -445,15 +444,15 @@ def disorder_ensemble(N: int, lambda_grid, amplitude: float = 0.1,
     seeds = base_seed + np.arange(num_realizations)
     energies = np.stack([DisorderSpec(amplitude=amplitude, seed=int(seed))
                          .onsite_energies(2 * N) for seed in seeds])
-    per_seed = np.empty((num_realizations, len(lams)))
-    chunk = max(1, _STACK_BYTES // (4 * 8 * (2 * N) ** 2))  # A and 3 work arrays
-    pair = np.array(_central_pair(N))
-    for j, lam in enumerate(lams):
-        clean = particle_matrix(ModelSpec.ssh(N, lam, boundary=boundary))
-        for s in range(0, num_realizations, chunk):
-            A = clean + energies[s:s + chunk, :, None] * np.eye(2 * N)
-            P = particle_projector(A)[:, pair[:, None], pair]  # only this 2 x 2 block is kept
-            per_seed[s:s + chunk, j] = x_concurrence(P[:, 0, 0], P[:, 1, 1], P[:, 0, 1], 0.0)
+    specs = [ModelSpec.ssh(N, lam, boundary=boundary) for lam in lams]
+    bonds = np.reshape([np.resize([s.t1, s.t2], 2 * N) for s in specs], (len(lams), 2 * N))
+    bonds[:, -1] *= Boundary(boundary) is Boundary.PERIODIC  # bond n joins n, n + 1 mod 2N
+    per_seed, p = np.empty((len(lams), num_realizations)), _central_pair(N)[0]
+    step = max(1, _STACK_BYTES // (16 * (2 * N + 512)))  # 2N-site rows and a few dozen poles
+    for s in range(0, per_seed.size, step):
+        j, i = np.divmod(np.arange(s, min(s + step, per_seed.size)), num_realizations)
+        per_seed[j, i] = x_concurrence(*pair_projector(energies[i], bonds[j], p))
+    per_seed = per_seed.T
     return DisorderTable(lambdas=lams, mean_c2=per_seed.mean(axis=0),
                          std_c2=per_seed.std(axis=0), per_seed=per_seed,
                          seeds=seeds, N=N, amplitude=amplitude)

@@ -1,11 +1,12 @@
 """Gaussian-state machinery for quadratic fermion Hamiltonians.
 
 Number-conserving chains are solved as L x L particle matrices
-(:func:`particle_ground_state`, :func:`particle_correlations`, or the
-projector alone, :func:`particle_projector`), clean open SSH chains in
-closed form (:func:`open_ssh_ground_state`).  The rest operates on real
-skew-symmetric matrices in the Majorana convention of :mod:`chainent.models`
-(mode ``j`` owns Majorana indices ``2j`` and ``2j+1``).  The chain of operations
+(:func:`particle_ground_state`, :func:`particle_correlations`), clean open SSH
+chains in closed form (:func:`open_ssh_ground_state`), and one neighbour pair of
+many chains in O(L) each from resolvents (:func:`pair_projector`).  The rest
+operates on real skew-symmetric matrices in the Majorana convention of
+:mod:`chainent.models` (mode ``j`` owns Majorana indices ``2j`` and ``2j+1``).
+The chain of operations
 
     real-space M  ->  spectral flattening  ->  restriction  ->  dense RDM
 
@@ -155,56 +156,115 @@ def particle_ground_state(A: np.ndarray, fill: int | None = None):
     raises ValueError outside 0..L and DegenerateFillError inside a
     degenerate pair.  Clean open SSH chains take the closed form,
     :func:`open_ssh_ground_state`; this full-size solve is its test oracle."""
-    levels, V = np.linalg.eigh(_particles(A))
+    A = np.asarray(A, dtype=float)
+    if (np.max(np.abs(A - np.swapaxes(A, -1, -2)), initial=0.0)
+            > SKEW_TOL * max(1.0, np.max(np.abs(A)))):
+        raise ValueError("matrix carries pairing terms; particle filling undefined")
+    levels, V = np.linalg.eigh(A)
     V *= _filled(levels, fill)[..., None, :]
     return levels, V
 
 
-def _particles(A) -> np.ndarray:
-    """``A`` as floats; ValueError if it is not symmetric (carries pairing)."""
-    A = np.asarray(A, dtype=float)
-    asym = np.max(np.abs(A - np.swapaxes(A, -1, -2)), initial=0.0)
-    if asym > SKEW_TOL * max(1.0, np.max(np.abs(A))):
-        raise ValueError("matrix carries pairing terms; particle filling undefined")
-    return A
+def pair_projector(onsite, bonds, p: int):
+    """Wick data ``(n_p, n_q, G_pq, 0)`` of the sites p, q = p + 1 in the ground
+    state P = (1 - sign A) / 2 of each chain A of a batch (``onsite[b, s]`` on
+    site s, ``bonds[b, s]`` joining s and s + 1 mod L, 0 on an open chain's wrap),
+    O(L) per chain and pole: sign(A) ~ M A / W + sum_j w_j W Re (A - i W
+    omega_j)^-1 on the pair (:func:`_zolotarev` on 4^-k <= |x| <= 1, W the largest
+    absolute row sum) for the least k <= 5 with W 4^-k > 2 ZERO_TOL max(1, W) and
+    no level in [-W 4^-k, W 4^-k) (Sylvester's inertia, :func:`_pair_schur`).
+    Other chains go to :func:`particle_ground_state`, with its values and errors.
+    Each chain's value is the same alone or in any batch."""
+    o, t = np.asarray(onsite, dtype=float).T, np.asarray(bonds, dtype=float).T  # a row per site
+    W = np.max(np.abs(o) + np.abs(t) + np.abs(np.roll(t, 1, axis=0)), axis=0)
+    gap, out = W * 4.0 ** -np.arange(1, 6)[:, None], np.empty((3, len(W)))
+    below = _pair_schur(o, t, p, np.concatenate([gap, -gap]))[3]  # levels below each shift
+    certified = (below[:5] == below[5:]) & (gap > 2.0 * ZERO_TOL * np.maximum(1.0, W))
+    level = np.where(certified.any(axis=0), np.argmax(certified, axis=0) + 1, 0)  # widest gap
+    fall, s = np.flatnonzero(level == 0), np.arange(len(o))
+    for i in range(0, len(fall), step := max(1, 2 ** 20 // len(o) ** 2)):  # 8 MB stacks
+        A, part = np.zeros((min(step, len(fall) - i), len(o), len(o))), fall[i:i + step]
+        A[:, s - 1, s] = t[s - 1][:, part].T  # bond s - 1 joins s - 1 and s
+        A = A + np.swapaxes(A, 1, 2) + o[:, part].T[:, None] * np.eye(len(o))
+        out[:, part] = particle_correlations(particle_ground_state(A)[1], p, p + 1)[:3]
+    for k in np.unique(level[level > 0]):  # one resolvent pass per level
+        M, omega, w = _zolotarev(k)
+        at = level == k
+        S = _pair_schur(o[:, at], t[:, at], p, 1j * W[at] * omega[:, None])[:3]
+        R = (np.stack([S[1], S[0], -S[2]]) / (S[0] * S[1] - S[2] * S[2])).real  # (A - z)^-1
+        sign = M * np.stack([o[p, at], o[p + 1, at], t[p, at]]) / W[at]
+        for j in range(len(w)):  # pole by pole: each chain sums as alone
+            sign += w[j] * W[at] * R[:, j]
+        out[:, at] = (np.array([[1.0], [1.0], [0.0]]) - sign) / 2.0
+    return out[0], out[1], out[2], 0.0
 
 
-def particle_projector(A) -> np.ndarray:
-    """Ground-state projector ``P = theta(-A)`` (``P_ij = <a_i^ a_j>``) of a real
-    symmetric ``A``, L x L or a stack (..., L, L), without eigenvectors: ``P =
-    (1 - X) / 2`` from the Newton-Schulz sign iteration ``X <- X + X (1 - X^2) / 2``
-    from ``A / alpha``, alpha the largest absolute row sum (Higham, Functions of
-    Matrices, SIAM 2008, ch. 5).  Each matrix stops at its first step k with
-    ``||1 - X^2||_F < L eps``, the same alone or in any stack.  A step multiplies
-    a level's |x| by at most 1.5, so this certifies ``min |E| >= alpha 1.5^-k
-    sqrt(1 - L eps)``; past the last k where that exceeds ``ZERO_TOL max(1,
-    alpha)``, the gapless test of :func:`particle_ground_state`, a matrix goes
-    to that function, with its values and errors.  Holds three work arrays the
-    size of ``A``."""
-    A = _particles(A)
-    L = A.shape[-1]
-    stack = A.reshape(-1, L, L)
-    X, R, Y = (np.empty(stack.shape) for _ in range(3))  # C order: diagonal views below
-    alpha = np.abs(stack, out=X).sum(axis=-1).max(axis=-1)
-    tol = L * np.finfo(float).eps
-    with np.errstate(divide="ignore"):  # alpha = 0 certifies no step
-        cap = np.log(alpha * np.sqrt(1 - tol) / (ZERO_TOL * np.maximum(1, alpha))) / np.log(1.5)
-    np.divide(stack, np.where(alpha > 0.0, alpha, 1.0)[:, None, None], out=X)
-    diag, done = R.reshape(len(R), -1)[:, ::L + 1], np.zeros(len(R), dtype=bool)
-    for k in range(int(np.log(1 / ZERO_TOL) / np.log(1.5)) + 1):  # past every cap
-        np.matmul(X, X, out=R)
-        diag -= 1.0  # R = X^2 - 1
-        done |= (np.einsum("bij,bij->b", R, R) < tol * tol) & (k < cap)
-        if (done | (cap <= k + 1)).all():
+def _pair_schur(o, t, p: int, z):
+    """Schur complement ``(S_pp, S_qq, S_pq)`` of A - z on p, q = p + 1 (chains as
+    in :func:`pair_projector`, a row per site) at shifts z (K, chains), and for
+    real z the levels below z: its negative pivots, NaN if one vanished.  Sites
+    q + 1 .. L - 1, 0 .. p - 1 go in turn: pivot d, fill-in t^2 / d on the next
+    site, and b, q's coupling to the next site, adds b^2 / d to q, becomes -b t / d."""
+    L, q, real = len(o), p + 1, not np.iscomplexobj(z)
+    o, t = np.ascontiguousarray(o, z.dtype), np.ascontiguousarray(t, z.dtype)
+    c, acc, neg, d, e, u = (np.zeros(z.shape, z.dtype) for _ in range(6))
+    b, t2, mt = t[q] + c, t * t, -t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in (*range(q + 1, L), *range(p)):
+            np.subtract(o[s], z, out=d)
+            d -= c
+            if real:
+                neg += np.copysign(1.0, d, out=u)
+            np.divide(1.0, d, out=e)
+            np.multiply(t2[s], e, out=c)
+            e *= b
+            acc += np.multiply(b, e, out=u)
+            np.multiply(mt[s], e, out=b)
+        S = o[p] - z - c, o[q] - z - acc, t[p] + b
+        if real:  # the last two pivots, S_pp and S_qq - S_pq^2 / S_pp
+            last = S[1] - S[2] ** 2 / S[0]
+            neg += np.copysign(1.0, S[0]) + np.copysign(1.0, last)
+            neg = np.where(np.isfinite(last), (L - neg) / 2.0, np.nan)
+    return (*S, neg)
+
+
+@lru_cache(maxsize=None)
+def _zolotarev(k: int):
+    """``(M, omega, w)`` of Zolotarev's best sign(x) ~ M x + sum_j w_j x / (x^2 +
+    omega_j^2) on ell = 4^-k <= |x| <= 1 (Nakatsukasa & Freund, SIAM Rev. 58, 461
+    (2016)) with the fewest poles r for an error under 2e-15: omega_j^2 =
+    c_{2j-1}, c_i = ell^2 sc^2(i K / (2r + 1)) at the modulus sqrt(1 - ell^2), or
+    1 / sc^2((2r + 1 - i) K / (2r + 1)) for i > r; the weights as products of O(1)
+    ratios.  In extended precision where numpy has it."""
+    ell = np.longdouble(4.0) ** -k
+    for r in range(1, 64):
+        _, sn, cn = _sncn(np.arange(1, r + 1, dtype=np.longdouble) / (2 * r + 1), ell)
+        c = np.concatenate([(ell * sn / cn) ** 2, (cn / sn)[::-1] ** 2])
+        odd, even = c[0::2], c[1::2]
+        R = [x * np.prod((x * x + even) / (x * x + odd)) for x in (ell, 1)]  # its extremes
+        if R[1] - R[0] < 2e-15 * (R[1] + R[0]):
             break
-        R *= np.where(done, 0.0, -0.5)[:, None, None]  # a stopped matrix keeps its X
-        X += np.matmul(X, R, out=Y)
-    X *= -0.5
-    X.reshape(len(X), -1)[:, ::L + 1] += 0.5
-    if not done.all():
-        _, V = particle_ground_state(stack[~done])
-        X[~done] = V @ np.swapaxes(V, -1, -2)
-    return X.reshape(A.shape)
+    ratios = (odd[:, None] - even) / np.where(np.eye(r, dtype=bool), 1, odd[:, None] - odd)
+    M = 2 / (R[0] + R[1])
+    return float(M), np.sqrt(odd).astype(float), (-M * np.prod(ratios, axis=1)).astype(float)
+
+
+def _sncn(frac, kc):
+    """K(k) and the Jacobi sn, cn at u = frac K(k), k = sqrt(1 - kc^2), from the
+    AGM seeded with the complementary modulus kc (Bulirsch's sncndn, Numer. Math.
+    7, 78 (1965)): cn keeps its relative accuracy as k -> 1."""
+    a, b, means = kc ** 0, kc, [(kc ** 0, kc)]
+    while abs(a - b) > 1e-10 * a:  # then the next mean is exact: quadratic convergence
+        a, b = (a + b) / 2, np.sqrt(a * b)
+        means.append((a, b))
+    agm, pi = (a + b) / 2, 4 * np.arctan(kc ** 0)  # pi in the precision of kc
+    x = 1 / np.tan(pi * np.asarray(frac) / 2)  # u agm = frac pi / 2
+    c, dn = agm * x, 1
+    for a, b in reversed(means):
+        x, c = x * c, c * dn
+        dn, x = (b + x) / (a + x), c / a
+    sn = 1 / np.sqrt(1 + c * c)  # c = cn / sn
+    return pi / (2 * agm), sn, c * sn
 
 
 def _filled(levels: np.ndarray, fill) -> np.ndarray:

@@ -149,14 +149,14 @@ def test_disorder_zero_amplitude_reproduces_clean():
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
 def test_disorder_ensemble_matches_single_realizations(boundary, chunk,
                                                        monkeypatch):
-    """The stacked solve of an ensemble equals each realization alone, also
-    when the ensemble exceeds one stack (7 realizations in stacks of 3, each
-    matrix with its 3 work arrays), where it equals one stack bit for bit."""
+    """The batched solve of an ensemble equals each realization alone, also
+    when the 14 lambda x realization chains exceed one batch (batches of 3),
+    where it equals one batch bit for bit."""
     grid = np.array([0.15, 0.35])
     kw = dict(amplitude=0.3, num_realizations=7, base_seed=5, boundary=boundary)
     table = analysis.disorder_ensemble(6, grid, **kw)
     if chunk is not None:
-        monkeypatch.setattr(analysis, "_STACK_BYTES", chunk * 4 * 8 * 12 ** 2)
+        monkeypatch.setattr(analysis, "_STACK_BYTES", chunk * 16 * (12 + 512))
         chunked = analysis.disorder_ensemble(6, grid, **kw)
         assert np.array_equal(chunked.per_seed, table.per_seed)
     for i, seed in enumerate(table.seeds):
@@ -171,15 +171,16 @@ def test_disorder_ensemble_matches_single_realizations(boundary, chunk,
 
 
 def test_disorder_ensemble_gapless_raises():
-    """A clean even ring at lambda = 0 is gapless: the projector cannot
-    certify it, and eigh raises the GaplessError it always did."""
+    """A clean even ring at lambda = 0 is gapless: the inertia count cannot
+    certify a gap, and eigh raises the GaplessError it always did."""
     with pytest.raises(GaplessError, match="^Hamiltonian is gapless; flattening undefined$"):
         analysis.disorder_ensemble(8, [0.3, 0.0], amplitude=0.0, num_realizations=4)
 
 
 def test_disorder_ensemble_needs_no_eigh_on_deck_cases(monkeypatch):
     """The benchmark's disorder jobs (N 12-24, lambda in +-[0.3, 0.9],
-    amplitude up to 0.3) are all certified gapped by the sign iteration."""
+    amplitude up to 0.3) are all certified gapped by the inertia count, so
+    no chain falls back to eigh."""
     def no_eigh(*args, **kwargs):
         raise AssertionError("np.linalg.eigh called")
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
@@ -192,9 +193,10 @@ def test_disorder_ensemble_needs_no_eigh_on_deck_cases(monkeypatch):
 
 
 def test_disorder_ensemble_memory_stays_in_its_chunks():
-    """At N = 256 one matrix with its three work arrays fills _STACK_BYTES;
-    the traced peak is that plus the clean matrix and small change, so a
-    work array outside the chunk rule (2 MB) would show."""
+    """At N = 256 the central-pair route holds a few 512-site rows and
+    (poles x chains) arrays per batch, far under the bound the projector's
+    stacks once filled (_STACK_BYTES plus a 512 x 512 matrix and a half), so
+    a full-size matrix per chain (2 MB each) would show."""
     L = 512
     analysis.disorder_ensemble(4, [0.4], num_realizations=1)  # one-time imports
     tracemalloc.start()

@@ -263,6 +263,33 @@ def test_cli_verify(capsys):
     assert "PASS  closed-form pair concurrence equals dense RDM concurrence" in out
 
 
+_SABOTAGED_VERIFY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from chainent import analysis, cli
+analysis.jump_at_zero = lambda N: 99.0
+analysis.find_lambda_plus = lambda N=None, *args, **kwargs: 0.2
+sys.exit(cli.main(["verify"]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]])
+def test_cli_verify_fails_on_sabotaged_invariants(optimize):
+    """With jump_at_zero returning 99 and find_lambda_plus a constant, verify
+    fails both checks with their residual and tolerance and exits 3, also
+    under python -O, which strips assert statements."""
+    src = os.path.dirname(os.path.dirname(chainent.__file__))
+    proc = subprocess.run([sys.executable, *optimize, "-c", _SABOTAGED_VERIFY, src],
+                          capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_NUMERICAL, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "FAIL  even-N jump equals 2/N: residual 99 exceeds tolerance 1e-12" in lines
+    assert any(line.startswith("FAIL  |eta1(lambda_plus)| equals sqrt(2) - 1: residual 0.0")
+               and line.endswith("exceeds tolerance 1e-11") for line in lines)
+    assert sum(line.startswith("PASS  ") for line in lines) == 5
+    assert lines[-1] == "2 failed"
+
+
 def test_cli_rejects_n_beyond_memory(tmp_path, monkeypatch, capsys):
     """An --N whose largest array exceeds physical memory (faked as 4 MB)
     exits 2 with one line naming --N, before anything is allocated."""
@@ -304,6 +331,8 @@ import json, sys
 sys.path.insert(0, sys.argv[1])
 import chainent
 from chainent import cli
+if chainent.gaussian._zolotarev.cache_info().currsize:
+    sys.exit("Zolotarev tables built at import")
 def scipy_modules():
     return sorted(m for m in sys.modules if m.startswith("scipy"))
 loaded = [scipy_modules()]
@@ -327,13 +356,17 @@ def _loaded_scipy(tmp_path, runs):
 def test_import_and_momentum_commands_load_no_scipy(tmp_path):
     """``import chainent`` and every command but critical, thermodynamic
     sweep and thermodynamic kitaev (not run here) load no scipy module; obc
-    is checked on its own below."""
+    is checked on its own below.  The disorder runs build their Zolotarev
+    tables on first use, none at import."""
     runs = [["sweep", "--N", "8", "--grid", "0.1:0.5:3"], ["kitaev", "--N", "8"],
             ["graph", "--N", "8", "--lambda", "0.3"],
             ["graph", "--N", "8", "--lambda", "0.3", "--boundary", "open",
              "--disorder-amplitude", "0.2"],
-            ["graph", "--N", "8", "--lambda", "0.3", "--boundary", "open"]]
-    assert _loaded_scipy(tmp_path, runs) == [[]] * 6
+            ["graph", "--N", "8", "--lambda", "0.3", "--boundary", "open"],
+            ["disorder", "--N", "8", "--grid", "0.2:0.6:3", "--realizations", "4"],
+            ["disorder", "--N", "8", "--grid", "0.2:0.6:3", "--realizations", "4",
+             "--boundary", "open"]]
+    assert _loaded_scipy(tmp_path, runs) == [[]] * 8
 
 
 def test_obc_loads_scipy_linalg_only(tmp_path):

@@ -92,62 +92,132 @@ def test_particle_ground_state_rejects_pairing(boundary):
         gaussian.particle_ground_state(np.stack([(A + A.T) / 2.0, A]))
 
 
-def _levels_matrix(levels, seed):
-    """Symmetric matrix with the given levels in a random orthogonal basis."""
-    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(levels),) * 2))
-    return (Q * levels) @ Q.T
+def _chain(spec):
+    """On-site energies and bonds (site s to s + 1 mod L, 0 on an open
+    chain's wrap) of an SSH chain: the input of ``pair_projector``."""
+    A = models.particle_matrix(spec)
+    s = np.arange(len(A))
+    return np.diag(A), A[s, (s + 1) % len(A)]
+
+
+def _wick(chains, p):
+    """``pair_projector`` on a list of (onsite, bonds) chains."""
+    onsite, bonds = (np.array(x) for x in zip(*chains))
+    return np.array(gaussian.pair_projector(onsite, bonds, p)[:3])
 
 
 def test_particle_projector_falls_back_to_eigh_where_uncertified(monkeypatch):
-    """A level at 10 ZERO_TOL needs about 70 Newton-Schulz steps to converge
-    (alpha >= 2 here), more than the 68 that still certify the gap, so that
-    matrix alone of its stack goes to particle_ground_state.  The others stop
-    at different steps, each with the value it has alone."""
-    near = [-2.0, -1.5, -0.5, 10 * gaussian.ZERO_TOL, 0.7, 1.0, 1.5, 2.0]
-    far = [-2.0, -1.5, -0.5, -0.3, 0.3, 0.7, 1.5, 2.0]
-    closer = [-2.0, -1.5, -0.5, -1e-3, 0.3, 0.7, 1.5, 2.0]
-    A = np.stack([_levels_matrix(far, 1), _levels_matrix(near, 2),
-                  _levels_matrix(closer, 3)])
-    assert np.abs(A[1]).sum(axis=-1).max() >= 2.0
+    """Chains of 24 sites certified at gaps W 4^-k of every k from 1 to 5 and
+    one open chain whose edge splitting lies below the floor W 2^-10: that
+    chain alone goes to particle_ground_state (a stack of its particle
+    matrix), every chain equals its solo solve bit for bit, and all equal the
+    eigenvector Gram product."""
+    specs = [ModelSpec.ssh(12, -0.4, disorder=models.DisorderSpec(0.2, 1)),
+             ModelSpec.ssh(12, 0.3, boundary="open"),
+             ModelSpec.ssh(12, 0.7, disorder=models.DisorderSpec(1.5, 2)),
+             ModelSpec.ssh(12, 0.05, boundary="open", disorder=models.DisorderSpec(0.01, 3)),
+             ModelSpec.ssh(12, 0.01, disorder=models.DisorderSpec(0.05, 4)),
+             ModelSpec.ssh(12, 0.2, boundary="open")]
+    chains, p = [_chain(spec) for spec in specs], 11
+    ratios = []  # the gap at the Fermi level over the largest absolute row sum
+    for spec in specs:
+        A = models.particle_matrix(spec)
+        ratios.append(np.min(np.abs(np.linalg.eigvalsh(A))) / np.abs(A).sum(axis=1).max())
+    assert ratios[1] < 2.0 ** -10 < min(ratios[:1] + ratios[2:])
+    assert sorted(np.ceil(-np.log(np.delete(ratios, 1)) / np.log(4.0))) == [1, 2, 3, 4, 5]
     solved, solve = [], gaussian.particle_ground_state
     monkeypatch.setattr(gaussian, "particle_ground_state",
                         lambda a: solved.append(a) or solve(a))
-    P = gaussian.particle_projector(A)
-    assert len(solved) == 1 and np.array_equal(solved[0], A[1:2])
-    _, V = solve(A[1:2])
-    assert np.array_equal(P[1], (V @ np.swapaxes(V, -1, -2))[0])
-    for a, p in zip(A, P):
-        _, V = solve(a)
-        assert np.max(np.abs(p - V @ V.T)) < 1e-14
-        assert np.array_equal(p, gaussian.particle_projector(a))
-        assert np.array_equal(p, gaussian.particle_projector(np.asfortranarray(a)))
-    assert np.trace(P[1]) == pytest.approx(3.0, abs=1e-12)
+    got = _wick(chains, p)
+    assert len(solved) == 1 and np.array_equal(solved[0], [models.particle_matrix(specs[1])])
+    for b, (chain, spec) in enumerate(zip(chains, specs)):
+        assert np.array_equal(got[:, b], _wick([chain], p)[:, 0])
+        _, V = solve(models.particle_matrix(spec))
+        want = gaussian.particle_correlations(V, p, p + 1)[:3]
+        assert np.max(np.abs(got[:, b] - want)) < 1e-13
 
 
 def test_particle_projector_gapless_and_pairing_errors():
-    """A gapless stack raises the GaplessError of particle_ground_state, and
-    a matrix with pairing its ValueError."""
-    A = np.stack([models.particle_matrix(ModelSpec.ssh(8, lam))
-                  for lam in (0.3, 0.0)])
+    """A gapless chain raises the GaplessError of particle_ground_state from
+    any batch: a clean even ring at lambda = 0, and a chain whose levels, all
+    about 1e-13, fall under ZERO_TOL, where no shift of the inertia count
+    exceeds 2 ZERO_TOL.  The same chain scaled to levels about 1e-10 is
+    certified and solved.  Pairing cannot be expressed in on-site energies and
+    bonds; its ValueError stays with particle_ground_state."""
+    gapped, gapless = (_chain(ModelSpec.ssh(8, lam)) for lam in (0.3, 0.0))
     with pytest.raises(GaplessError) as want:
-        gaussian.particle_ground_state(A)
+        gaussian.particle_ground_state(models.particle_matrix(ModelSpec.ssh(8, 0.0)))
     with pytest.raises(GaplessError) as got:
-        gaussian.particle_projector(A)
+        _wick([gapped, gapless], 7)
     assert str(got.value) == str(want.value)
-    # levels ~1e-4 and one at ZERO_TOL / 2, gapless for particle_ground_state:
-    # the iteration converges in about 56 steps, past the 48 that certify
-    # min |E| > ZERO_TOL max(1, alpha) at this alpha, while a matrix with a
-    # level at 10 ZERO_TOL keeps the stack iterating to step 68
-    tiny = _levels_matrix(1e-4 * np.array([-2.0, -1.5, -0.5, 0.0, 0.7, 1.0, 1.5, 2.0])
-                          + [0, 0, 0, gaussian.ZERO_TOL / 2, 0, 0, 0, 0], 4)
-    slow = _levels_matrix([-2.0, -1.5, -0.5, 10 * gaussian.ZERO_TOL, 0.7, 1.0, 1.5, 2.0], 2)
     with pytest.raises(GaplessError):
-        gaussian.particle_ground_state(tiny)
-    with pytest.raises(GaplessError):
-        gaussian.particle_projector(np.stack([slow, tiny]))
+        _wick([gapped, tuple(1e-13 * x for x in gapped)], 7)
+    small = _wick([tuple(1e-10 * x for x in gapped)], 7)[:, 0]
+    assert np.max(np.abs(small - _wick([gapped], 7)[:, 0])) < 1e-13
     kitaev = models.particle_matrix(ModelSpec.kitaev(6, delta=0.5, mu=0.3))
     with pytest.raises(ValueError, match="pairing"):
-        gaussian.particle_projector(kitaev)
+        gaussian.particle_ground_state(kitaev)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_pair_schur_inertia_counts_levels_below_each_shift(boundary):
+    """The negative pivots of the central-pair elimination count the levels
+    of A below each real shift, as eigvalsh does (Sylvester's law of
+    inertia); an exactly vanishing pivot gives NaN, never a wrong count."""
+    rng = np.random.default_rng(5)
+    for N in (2, 3, 8, 13):
+        chains = [_chain(ModelSpec.ssh(N, lam, boundary=boundary,
+                                       disorder=models.DisorderSpec(amp, seed)))
+                  for seed, (lam, amp) in enumerate([(0.3, 0.5), (-0.6, 1.0), (0.05, 0.1)])]
+        onsite, bonds = (np.array(x) for x in zip(*chains))
+        z = rng.uniform(-2.5, 2.5, (40, len(chains)))
+        for p in range(2 * N - 1):
+            count = gaussian._pair_schur(onsite.T, bonds.T, p, z)[3]
+            for b, (o, t) in enumerate(chains):
+                A = np.diag(o) + np.diag(t[:-1], 1) + np.diag(t[:-1], -1)
+                A[0, -1] = A[-1, 0] = A[0, -1] + t[-1]
+                levels = np.linalg.eigvalsh(A)
+                assert np.array_equal(count[:, b], np.sum(levels < z[:, b, None], axis=1))
+    # clean, t1 = 1/2, shift 1/2: the pivots from site q + 1 = 4 are -1/2 and
+    # -1/2 + (1/2)^2 / (1/2) = 0
+    spec = ModelSpec.ssh(4, 0.5, boundary=boundary)
+    o, t = _chain(spec)
+    count = gaussian._pair_schur(o[:, None], t[:, None], 2, np.array([[0.5], [0.6]]))[3]
+    levels = np.linalg.eigvalsh(models.particle_matrix(spec))
+    assert np.isnan(count[0, 0]) and count[1, 0] == np.sum(levels < 0.6)
+
+
+def test_sncn_matches_mpmath():
+    """K, sn and cn from the AGM seeded with the complementary modulus agree
+    with mpmath to 1e-15, near k = 1 too (kc = 2^-10, 1e-6)."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    frac = np.arange(1, 40, dtype=np.longdouble) / 40
+    for kc in (0.5, 0.25, 2.0 ** -10, 1e-6):
+        K, sn, cn = gaussian._sncn(frac, np.longdouble(kc))
+        m = 1 - mpmath.mpf(kc) ** 2
+        want = mpmath.ellipk(m)
+        assert abs(float(K) / float(want) - 1.0) < 1e-15
+        for f, s, c in zip(frac, sn, cn):
+            u = mpmath.mpf(int(f * 40)) / 40 * want
+            assert abs(float(s) - float(mpmath.ellipfun("sn", u, m=m))) < 1e-15
+            assert abs(float(c) - float(mpmath.ellipfun("cn", u, m=m))) < 1e-15
+
+
+def test_zolotarev_levels_reach_sign_to_1e14():
+    """Every level of Zolotarev's approximant, evaluated in float64 as
+    pair_projector sums it, is within 1e-14 of sign(x) = 1 on its interval
+    4^-k <= x <= 1 (the approximant is odd), with poles that grow with k."""
+    poles = []
+    for k in range(1, 6):
+        M, omega, w = gaussian._zolotarev(k)
+        x = np.concatenate([np.geomspace(4.0 ** -k, 1.0, 20001), np.linspace(4.0 ** -k, 1.0, 20001)])
+        approx = M * x
+        for om, wj in zip(omega, w):
+            approx += wj * x / (x * x + om * om)
+        assert np.max(np.abs(approx - 1.0)) < 1e-14
+        poles.append(len(omega))
+    assert poles == sorted(poles) and poles[0] >= 8 and poles[-1] <= 40
 
 
 # ------------------------------------------------------------- restriction

@@ -1,7 +1,7 @@
 """Property tests: the momentum-space kernel against the real-space route,
 the closed-form two-site X state against the dense Fock-space RDM, and the
 particle-matrix ground state of SSH chains, and of Kitaev chains at an
-explicit filling, against the Majorana route, the sign-iteration projector
+explicit filling, against the Majorana route, the central-pair resolvent
 of disordered SSH chains against the particle solve, and the closed-form
 open SSH chain against the full-size particle solve and mpmath.
 
@@ -187,12 +187,17 @@ def disordered_ssh_chains(draw):
 @PROPERTY
 @given(disordered_ssh_chains())
 def test_particle_projector_matches_eigh_oracle(A):
-    """The sign-iteration projector against the Gram product of the filled
-    eigenvectors: the same errors, and the same matrix to 1e-13, or to
-    1e-14 / gap where the gap at the Fermi level is small (both routes are
-    backward stable; see the particle-route property above)."""
+    """The central-pair resolvent route against the Gram product of the
+    filled eigenvectors, on every neighbour pair (s, s + 1 mod L) at once (a
+    batch of the chain's L rotations, each read at its sites 0 and 1): the
+    same errors, and the same n_s, n_{s+1} and G to 1e-13, or to 1e-14 / gap
+    where the gap at the Fermi level is small (both routes are backward
+    stable; see the particle-route property above)."""
+    L, s = len(A), np.arange(len(A))
+    rotations = (s[:, None] + s) % L  # row b: the chain read from site b on
+    onsite, bonds = np.diag(A)[rotations], A[s, (s + 1) % L][rotations]
     want = _outcome(lambda: gaussian.particle_ground_state(A)[1])
-    got = _outcome(lambda: gaussian.particle_projector(A))
+    got = _outcome(lambda: gaussian.pair_projector(onsite, bonds, 0))
     if isinstance(want, type):
         assert got is want
         return
@@ -200,7 +205,9 @@ def test_particle_projector_matches_eigh_oracle(A):
     levels = np.linalg.eigvalsh(A)
     nf = np.count_nonzero(levels < 0)
     gap = levels[nf] - levels[nf - 1] if 0 < nf < len(A) else np.inf
-    assert np.max(np.abs(got - want @ want.T)) < max(1e-13, 1e-14 / gap)
+    P = want @ want.T
+    expected = (np.diagonal(P), np.diagonal(P)[(s + 1) % L], P[s, (s + 1) % L])
+    assert np.max(np.abs(np.array(got[:3]) - expected)) < max(1e-13, 1e-14 / gap)
 
 
 def _threshold(N):
