@@ -181,12 +181,10 @@ def pair_projector(onsite, bonds, p: int):
     below = _pair_schur(o, t, p, np.concatenate([gap, -gap]))[3]  # levels below each shift
     certified = (below[:5] == below[5:]) & (gap > 2.0 * ZERO_TOL * np.maximum(1.0, W))
     level = np.where(certified.any(axis=0), np.argmax(certified, axis=0) + 1, 0)  # widest gap
-    fall, s = np.flatnonzero(level == 0), np.arange(len(o))
-    for i in range(0, len(fall), step := max(1, 2 ** 20 // len(o) ** 2)):  # 8 MB stacks
-        A, part = np.zeros((min(step, len(fall) - i), len(o), len(o))), fall[i:i + step]
-        A[:, s - 1, s] = t[s - 1][:, part].T  # bond s - 1 joins s - 1 and s
-        A = A + np.swapaxes(A, 1, 2) + o[:, part].T[:, None] * np.eye(len(o))
-        out[:, part] = particle_correlations(particle_ground_state(A)[1], p, p + 1)[:3]
+    for b in np.flatnonzero(level == 0):
+        A = np.roll(np.diag(t[:, b]), 1, axis=1)  # bond s joins s and s + 1
+        A = A + A.T + np.diag(o[:, b])
+        out[:, b] = particle_correlations(particle_ground_state(A)[1], p, p + 1)[:3]
     for k in np.unique(level[level > 0]):  # one resolvent pass per level
         M, omega, w = _zolotarev(k)
         at = level == k

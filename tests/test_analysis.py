@@ -177,6 +177,19 @@ def test_disorder_ensemble_gapless_raises():
         analysis.disorder_ensemble(8, [0.3, 0.0], amplitude=0.0, num_realizations=4)
 
 
+def test_disorder_ensemble_reports_the_first_failing_lambda():
+    """The grid is solved in one batch, yet the error is the one a lambda by
+    lambda solve meets first: a gapless lambda before one outside [-1, 1]
+    raises GaplessError, the other order the ValueError."""
+    kw = dict(amplitude=0.0, num_realizations=2, boundary="open")
+    with pytest.raises(GaplessError):  # lambda = 0.6: edge levels split by ~1e-30
+        analysis.disorder_ensemble(40, [0.0, 0.6, 1.2], **kw)
+    with pytest.raises(ValueError, match=r"^lambda must lie in \[-1, 1\]$"):
+        analysis.disorder_ensemble(40, [0.0, 1.2, 0.6], **kw)
+    with pytest.raises(ValueError, match="lambda must lie"):
+        analysis.disorder_ensemble(40, [np.nan], **kw)
+
+
 def test_disorder_ensemble_needs_no_eigh_on_deck_cases(monkeypatch):
     """The benchmark's disorder jobs (N 12-24, lambda in +-[0.3, 0.9],
     amplitude up to 0.3) are all certified gapped by the inertia count, so

@@ -109,9 +109,9 @@ def _wick(chains, p):
 def test_particle_projector_falls_back_to_eigh_where_uncertified(monkeypatch):
     """Chains of 24 sites certified at gaps W 4^-k of every k from 1 to 5 and
     one open chain whose edge splitting lies below the floor W 2^-10: that
-    chain alone goes to particle_ground_state (a stack of its particle
-    matrix), every chain equals its solo solve bit for bit, and all equal the
-    eigenvector Gram product."""
+    chain alone goes to particle_ground_state, with its particle matrix, every
+    chain equals its solo solve bit for bit, and all equal the eigenvector
+    Gram product."""
     specs = [ModelSpec.ssh(12, -0.4, disorder=models.DisorderSpec(0.2, 1)),
              ModelSpec.ssh(12, 0.3, boundary="open"),
              ModelSpec.ssh(12, 0.7, disorder=models.DisorderSpec(1.5, 2)),
@@ -129,7 +129,7 @@ def test_particle_projector_falls_back_to_eigh_where_uncertified(monkeypatch):
     monkeypatch.setattr(gaussian, "particle_ground_state",
                         lambda a: solved.append(a) or solve(a))
     got = _wick(chains, p)
-    assert len(solved) == 1 and np.array_equal(solved[0], [models.particle_matrix(specs[1])])
+    assert len(solved) == 1 and np.array_equal(solved[0], models.particle_matrix(specs[1]))
     for b, (chain, spec) in enumerate(zip(chains, specs)):
         assert np.array_equal(got[:, b], _wick([chain], p)[:, 0])
         _, V = solve(models.particle_matrix(spec))
