@@ -3,10 +3,11 @@
 ``tests/golden/<case>/`` holds the files each command below wrote before
 the code it runs was rebuilt: the momentum-space cases before the one
 Bloch-vector kernel, the real-space cases (open and disordered graphs,
-``disorder``, ``obc``) before the closed-form two-site X state, and
+``disorder``, ``obc``) before the closed-form two-site X state,
 ``obc_n2_neg`` and ``obc_n3_cross`` before the half-size open-chain
-ground state.  The
-refactors must reproduce every number to 1e-12 (absolute) and every text
+ground state, and the three Kitaev graphs before Kitaev chains left the
+2L x 2L Majorana matrix for the polar factor of the L x L particle matrix.
+The refactors must reproduce every number to 1e-12 (absolute) and every text
 field exactly, including the edge order.  Do not re-record these files to
 make a failing case pass: they are the contract, not a snapshot of the
 current code.
@@ -41,6 +42,16 @@ CASES = {
                        "--boundary", "open"],
     "graph_open_n16_csv": ["graph", "--N", "16", "--lambda", "-0.2",
                            "--boundary", "open", "--format", "csv"],
+    # Kitaev graphs: open trivial and open topological chains, and a ring
+    "graph_kitaev_open_n12": ["graph", "--model", "kitaev", "--N", "12",
+                              "--delta", "0.7", "--mu", "2.9",
+                              "--boundary", "open"],
+    "graph_kitaev_open_n31_csv": ["graph", "--model", "kitaev", "--N", "31",
+                                  "--t", "1.1", "--delta", "1.3", "--mu",
+                                  "-3.1", "--boundary", "open", "--format",
+                                  "csv"],
+    "graph_kitaev_ring_n16": ["graph", "--model", "kitaev", "--N", "16",
+                              "--delta", "0.6", "--mu", "1.2"],
     "graph_disorder_n10": ["graph", "--N", "10", "--lambda", "-0.4",
                            "--disorder-amplitude", "0.2", "--seed", "3"],
     "disorder_n12": ["disorder", "--N", "12", "--grid", "-0.6:0.6:4",
