@@ -409,8 +409,8 @@ def _central_pair(N: int):
 
 
 def central_pair_concurrence(spec: ModelSpec, fill: int | None = None) -> float:
-    """Concurrence of the central inter-cell pair of an SSH chain's
-    real-space ground state, from the closed form of its X state."""
+    """Concurrence of the central inter-cell pair of an SSH chain's ground
+    state (``entanglement._ground_state``), from the closed form of its X state."""
     return float(x_concurrence(*_ground_state(spec, fill)(*_central_pair(spec.N))))
 
 

@@ -241,8 +241,9 @@ def model_spec(v: dict) -> models.ModelSpec:
 def _check_fits(v) -> None:
     """ValueError naming the flag whose largest array exceeds physical memory: a
     few length-N rows (zone sums, the closed-form open chain), (2N)^2 floats for
-    ``graph`` and ``disorder`` (SSH particle matrix, Kitaev Majorana form), a few
-    columns of grid points, the realizations x max(2N, points) tables of ``disorder``."""
+    ``graph`` and ``disorder`` (the SSH particle matrix; for Kitaev, an L x L SVD
+    and the 2L x 2L Mbar), a few columns of grid points, the realizations x
+    max(2N, points) tables of ``disorder``."""
     N = max(v.get("N") or 0, 0)  # N < 2 is rejected where it is used
     points = v["grid"][2] if v.get("grid") else 0
     draws = max(v.get("realizations") or 0, 0)
@@ -379,12 +380,19 @@ def _verify_checks():
         bd = gaussian.block_diagonalize(M)
         return np.max(np.abs(bd.W.T @ gaussian.canonical_blocks(bd.epsilons) @ bd.W - M))
 
-    def rdm_consistency():
+    def rdm_consistency():  # the FFT route of a clean ring against eta_analytic's zone sum
         spec = models.ModelSpec.ssh(8, 0.5)
         rdm = entanglement.rdm_pair(spec, (0, "a"), (0, "b"))
         eta = entanglement.eta_analytic(spec, (0, "a"), (0, "b"))
         return max(np.max(np.abs(rdm.matrix - entanglement.rdm_matrix_from_eta(eta.value))),
                    abs(np.trace(rdm.matrix) - 1.0))
+
+    def polar_route():  # rdm_pair of an open Kitaev chain against its Majorana flattening
+        spec = models.ModelSpec.kitaev(8, delta=0.7, mu=1.2, boundary="open")
+        Mbar = gaussian.spectral_flatten(models.realspace_hamiltonian(spec))
+        return max(np.max(np.abs(entanglement.rdm_pair(spec, (i, "s"), (j, "s")).matrix
+                                 - entanglement.x_state(*gaussian.pair_correlations(Mbar, i, j))))
+                   for i, j in zip(*np.triu_indices(spec.N, k=1)))
 
     def closed_form_pairs():
         worst = 0.0
@@ -403,6 +411,7 @@ def _verify_checks():
             ("pfaffian squared equals determinant",
              lambda: abs(gaussian.pfaffian(A - A.T) ** 2 - np.linalg.det(A - A.T)), 1e-9),
             ("two-site RDM matches analytic form", rdm_consistency, 1e-12),
+            ("open Kitaev pair RDM matches flattened Majorana matrix", polar_route, 1e-12),
             ("closed-form pair concurrence equals dense RDM concurrence",
              closed_form_pairs, 1e-12),
             ("even-N jump equals 2/N", lambda: max(

@@ -6,6 +6,8 @@ state in the occupation basis, following the entangled-graph construction
 literally; parity superselection and exchange strings for non-adjacent pairs
 are deliberately ignored (the pairwise concurrence is defined on the
 occupation-number density matrix as-is, an X state by Wick's theorem).
+Every ground state's Wick data come from :func:`_ground_state`, the one
+place its route is picked.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ import numpy as np
 
 from .errors import GaplessError, InvalidStateError
 from .gaussian import (
+    _check_pairs,
+    _filled,
     _majorana_wick,
     open_ssh_ground_state,
     particle_correlations,
     particle_ground_state,
-    spectral_flatten,
 )
 from .models import (
     Boundary,
@@ -32,8 +35,8 @@ from .models import (
     bloch_vector,
     bz_mean,
     gapped_grid,
+    majorana_matrix,
     particle_matrix,
-    realspace_hamiltonian,
     ssh_bloch,
     ssh_eta1_limit,
 )
@@ -83,11 +86,7 @@ def eta_analytic(spec: ModelSpec, site1: Site, site2: Site) -> EtaValue:
         raise ValueError("eta_analytic applies to SSH specs")
     if not spec.clean_periodic:
         raise ValueError("analytic route requires a clean periodic chain")
-    i, j = mode_index(site1), mode_index(site2)
-    if i == j:
-        raise IndexError("a pair needs two distinct modes")
-    if min(i, j) < 0 or max(i, j) >= spec.num_modes:
-        raise IndexError("mode index out of range")
+    i, j = map(int, _check_pairs(mode_index(site1), mode_index(site2), spec.num_modes))
     if i % 2 == j % 2:
         return EtaValue(0.0, (site1, site2))
     if i % 2:  # eta_{b_n a_m} = eta_{a_m b_n}
@@ -169,34 +168,33 @@ def rdm_matrix_from_eta(eta: float) -> np.ndarray:
 
 
 def _ground_state(spec: ModelSpec, fill: int | None):
-    """Wick data ``corr(i, j)`` of the real-space ground state filling
-    ``fill`` levels, or every negative one.  Clean open SSH chains take the
-    closed form (:func:`gaussian.open_ssh_ground_state`); other SSH
-    chains, and any chain at an explicit fill, their L x L particle matrix
-    (ValueError on Kitaev pairing); Kitaev chains at the default fill
-    flatten their Majorana matrix."""
+    """Wick data ``corr(i, j)`` of the ground state filling ``fill`` levels,
+    or every negative one: the one route choice.  Clean rings at the default
+    fill take one FFT (:func:`_bloch_correlations`); clean open SSH chains the
+    closed form; other SSH chains and any explicit fill the L x L particle
+    matrix (ValueError on pairing); other Kitaev chains its polar factor
+    Q = U V^T, H = U S V^T: M = ``majorana_matrix(H)`` has levels +-S and
+    flattens to M (-M^2)^(-1/2) = ``majorana_matrix(Q)``."""
+    if spec.clean_periodic and fill is None:
+        return _bloch_correlations(spec)
     if spec.family is Family.SSH and spec.disorder is None \
             and spec.boundary is Boundary.OPEN:
         return open_ssh_ground_state(spec.N, spec.t1, spec.t2, fill)[1]
     if spec.family is Family.SSH or fill is not None:
         _, V = particle_ground_state(particle_matrix(spec), fill)
         return partial(particle_correlations, V)
-    return partial(_majorana_wick, spectral_flatten(realspace_hamiltonian(spec)))
+    U, S, Vt = np.linalg.svd(particle_matrix(spec))
+    _filled(S, None)  # the GaplessError of spectral_flatten
+    return partial(_majorana_wick, majorana_matrix(U @ Vt))
 
 
 def rdm_pair(spec: ModelSpec, site1: Site, site2: Site,
              fill: int | None = None) -> TwoSiteRDM:
-    """Two-site reduced density matrix of the ground state.
-
-    Clean periodic SSH chains go through the analytic eta; anything else
-    (Kitaev chains, open boundary, disorder) goes through the real-space
-    ground state.  Sites are labelled as in :func:`mode_index`.
+    """Two-site reduced density matrix of the ground state
+    (:func:`_ground_state`), sites labelled as in :func:`mode_index`.
     ``fill`` selects the number of occupied single-particle levels for
     fillings other than "all negative levels" (open-boundary zero modes).
     """
-    if spec.family is Family.SSH and spec.clean_periodic and fill is None:
-        eta = eta_analytic(spec, site1, site2).value
-        return TwoSiteRDM(rdm_matrix_from_eta(eta), (site1, site2), eta=eta)
     n1, n2, G, F = _ground_state(spec, fill)(mode_index(site1, spec.family),
                                             mode_index(site2, spec.family))
     eta = None
@@ -291,26 +289,28 @@ class EntangledGraph:
 
 
 def _bloch_correlations(spec: ModelSpec):
-    """Wick data ``corr(i, j)`` of a clean periodic chain from one inverse FFT
-    of the unit Bloch vector; SSH pairs must be (a_n, b_m)."""
-    N = spec.N
+    """Wick data ``corr(i, j)`` of a clean ring at the default fill from one
+    inverse FFT of the unit Bloch vector, pairs checked as in
+    :func:`gaussian.pair_correlations`; same-sublattice SSH pairs have G = 0."""
+    N, L = spec.N, spec.num_modes
     _, (hx, hy, hz), r = gapped_grid(partial(bloch_vector, spec), N)
-    if spec.family is Family.SSH:
-        G = -0.5 * np.fft.ifft((hx + 1j * hy) / r).real  # -eta(m - n) / 2
-        return lambda i, j: (0.5, 0.5, G[(j // 2 - i // 2) % N], 0.0)
-    G, F = -0.5 * np.fft.ifft(hz / r).real, 0.5 * np.fft.ifft(hy / r).imag
-    return lambda i, j: (0.5 + G[0], 0.5 + G[0], G[(i - j) % N], F[(i - j) % N])
+    if spec.family is Family.SSH:  # G[m - n] = -eta / 2 of (a_n, b_m): b's cell minus a's
+        G = -0.5 * np.fft.ifft((hx + 1j * hy) / r).real
+        wick = lambda i, j: (0.5, 0.5, np.where(
+            i % 2 == j % 2, 0.0, G[(j // 2 - i // 2) * (1 - 2 * (i % 2)) % N]), 0.0)
+    else:
+        G, F = -0.5 * np.fft.ifft(hz / r).real, 0.5 * np.fft.ifft(hy / r).imag
+        wick = lambda i, j: (0.5 + G[0], 0.5 + G[0], G[(i - j) % N], F[(i - j) % N])
+    return lambda i, j: wick(*_check_pairs(i, j, L))
 
 
 def entangled_graph(spec: ModelSpec, fill: int | None = None) -> EntangledGraph:
     """All pairwise concurrences (:func:`x_concurrence`) as an entangled graph.
 
-    Clean periodic chains at the default filling take their correlations
-    from one inverse FFT of the unit Bloch vector; other chains, or an
-    explicit ``fill``, from the real-space ground state (:func:`_ground_state`).
-    Pairs more than N/2 cells apart (periodic distance on rings) are
-    skipped.  Edges follow mode order, except on the clean SSH ring:
-    (a_n, b_{n+d}), n-major.
+    The Wick data come from :func:`_ground_state`.  Pairs more than N/2
+    cells apart (periodic distance on rings) are skipped.  Edges follow mode
+    order, except on the clean SSH ring at the default fill: (a_n, b_{n+d}),
+    n-major.
 
     Phase labels (SSH only): c1 > 0 = c2 -> P0; c1 > c2 > 0 -> Q0;
     c2 > c1 > 0 -> Q1; c2 > 0 = c1 -> P1; ties within 1e-10 -> Critical.
@@ -318,13 +318,12 @@ def entangled_graph(spec: ModelSpec, fill: int | None = None) -> EntangledGraph:
     """
     N, L, subs = spec.N, spec.num_modes, SUBLATTICES[spec.family]
     w, periodic = len(subs), spec.boundary is Boundary.PERIODIC
-    momentum = spec.clean_periodic and fill is None
-    corr = _bloch_correlations(spec) if momentum else _ground_state(spec, fill)
+    corr = _ground_state(spec, fill)
     # the SSH cell bonds, c1 on (a_n, b_n) and c2 on (b_n, a_{n+1}); Kitaev has none
     cells = np.arange(N if w == 2 else 0)
     bonds = cells if periodic else cells[:-1]
     bi, bj = np.r_[2 * cells, (2 * bonds + 2) % L], np.r_[2 * cells + 1, 2 * bonds + 1]
-    if momentum:  # a clean ring's Wick data depend only on the cell offset
+    if spec.clean_periodic and fill is None:  # Wick data depend only on the cell offset
         d = np.arange(2 - w, N)  # pairs (a_0, b_d) from d = 0, (s_0, s_d) from 1
         by_offset = np.zeros(N)
         by_offset[d] = x_concurrence(*corr(0 * d, w * d + w - 1))

@@ -3,10 +3,11 @@
 Number-conserving chains are solved as L x L particle matrices
 (:func:`particle_ground_state`, :func:`particle_correlations`), clean open SSH
 chains in closed form (:func:`open_ssh_ground_state`), and one neighbour pair of
-many chains in O(L) each from resolvents (:func:`pair_projector`).  The rest
-operates on real skew-symmetric matrices in the Majorana convention of
-:mod:`chainent.models` (mode ``j`` owns Majorana indices ``2j`` and ``2j+1``).
-The chain of operations
+many chains in O(L) each from resolvents (:func:`pair_projector`); Kitaev
+chains flatten through their particle matrix's polar factor.  The rest, the
+toolbox and test oracle, operates on real skew-symmetric matrices in the
+Majorana convention of :mod:`chainent.models` (mode ``j`` owns Majorana
+indices ``2j`` and ``2j+1``).  The chain of operations
 
     real-space M  ->  spectral flattening  ->  restriction  ->  dense RDM
 

@@ -261,6 +261,7 @@ def test_cli_verify(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
     assert "PASS  closed-form pair concurrence equals dense RDM concurrence" in out
+    assert "PASS  open Kitaev pair RDM matches flattened Majorana matrix" in out
 
 
 _SABOTAGED_VERIFY = """
@@ -286,7 +287,7 @@ def test_cli_verify_fails_on_sabotaged_invariants(optimize):
     assert "FAIL  even-N jump equals 2/N: residual 99 exceeds tolerance 1e-12" in lines
     assert any(line.startswith("FAIL  |eta1(lambda_plus)| equals sqrt(2) - 1: residual 0.0")
                and line.endswith("exceeds tolerance 1e-11") for line in lines)
-    assert sum(line.startswith("PASS  ") for line in lines) == 5
+    assert sum(line.startswith("PASS  ") for line in lines) == 6
     assert lines[-1] == "2 failed"
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from chainent import entanglement as ent
-from chainent import gaussian, models
+from chainent import analysis, gaussian, models
+from chainent.cli import main
 from chainent.entanglement import Phase
 from chainent.errors import InvalidStateError
 from chainent.models import Boundary, DisorderSpec, ModelSpec
@@ -222,14 +223,41 @@ def test_entangled_graph_clean_ring_honours_fill():
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
 def test_rdm_pair_checks_sites_on_both_routes(boundary):
-    """The analytic ring route rejects what the real-space route rejects:
-    cells outside 0..N-1, a site paired with itself, unknown sublattices."""
-    spec = ModelSpec.ssh(8, 0.3, boundary=boundary)
-    for pair in [((0, "b"), (9, "a")), ((-8, "b"), (1, "a"))]:
-        with pytest.raises(IndexError, match="mode index out of range"):
-            ent.rdm_pair(spec, *pair)
-    with pytest.raises(IndexError, match="two distinct modes"):
-        ent.rdm_pair(spec, (3, "a"), (3, "a"))
-    with pytest.raises(ValueError, match="sublattice"):
-        ent.rdm_pair(spec, (0, "x"), (1, "a"))
-    assert ent.rdm_pair(spec, (7, "b"), (0, "a")).eta is not None
+    """The FFT route of clean rings rejects what the real-space routes
+    reject, on SSH and Kitaev chains: cells outside 0..N-1, a site paired
+    with itself, unknown sublattices."""
+    for spec, (s, t) in [(ModelSpec.ssh(8, 0.3, boundary=boundary), ("b", "a")),
+                         (ModelSpec.kitaev(8, delta=0.6, mu=1.2, boundary=boundary),
+                          ("s", "s"))]:
+        for pair in [((0, s), (9, t)), ((-8, s), (1, t))]:
+            with pytest.raises(IndexError, match="mode index out of range"):
+                ent.rdm_pair(spec, *pair)
+        with pytest.raises(IndexError, match="two distinct modes"):
+            ent.rdm_pair(spec, (3, t), (3, t))
+        with pytest.raises(ValueError, match="sublattice"):
+            ent.rdm_pair(spec, (0, "x"), (1, t))
+        # the wrap pair is valid; only the SSH state has the one-parameter form
+        assert (ent.rdm_pair(spec, (7, s), (0, t)).eta is None) == (s == "s")
+
+
+def test_default_fill_routes_call_no_dense_eigensolver(monkeypatch, tmp_path):
+    """Kitaev chains off the FFT route take one SVD of their L x L particle
+    matrix, and clean rings the FFT: with eigh and spectral_flatten made to
+    fail, open and disordered Kitaev graphs, rdm_pair on a Kitaev ring and
+    the central pair of a clean SSH ring still run."""
+    def dense(*args, **kwargs):
+        raise AssertionError("dense solver called")
+
+    ring, ssh = ModelSpec.kitaev(16, delta=0.6, mu=1.2), ModelSpec.ssh(8, -0.4)
+    want_ring = ent.x_state(*gaussian.pair_correlations(
+        gaussian.spectral_flatten(models.realspace_hamiltonian(ring)), 0, 1))
+    want_ssh = ent.x_concurrence(*gaussian.particle_correlations(
+        gaussian.particle_ground_state(models.particle_matrix(ssh))[1], 7, 8))
+    monkeypatch.setattr(np.linalg, "eigh", dense)
+    monkeypatch.setattr(gaussian, "spectral_flatten", dense)
+    for argv in (["--N", "12", "--delta", "0.7", "--mu", "2.9", "--boundary", "open"],
+                 ["--N", "10", "--mu", "1.2", "--disorder-amplitude", "0.3"]):
+        assert main(["graph", "--model", "kitaev", *argv, "--outdir", str(tmp_path)]) == 0
+    got = ent.rdm_pair(ring, (0, "s"), (1, "s")).matrix
+    assert np.max(np.abs(got - want_ring)) < 1e-12
+    assert abs(analysis.central_pair_concurrence(ssh) - want_ssh) < 1e-12

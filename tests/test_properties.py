@@ -1,9 +1,11 @@
 """Property tests: the momentum-space kernel against the real-space route,
 the closed-form two-site X state against the dense Fock-space RDM, and the
 particle-matrix ground state of SSH chains, and of Kitaev chains at an
-explicit filling, against the Majorana route, the central-pair resolvent
-of disordered SSH chains against the particle solve, and the closed-form
-open SSH chain against the full-size particle solve and mpmath.
+explicit filling, against the Majorana route, Kitaev chains at the default
+filling (the polar factor of the particle matrix) against the same route,
+the central-pair resolvent of disordered SSH chains against the particle
+solve, and the closed-form open SSH chain against the full-size particle
+solve and mpmath.
 
 Hypothesis draws chains and site pairs with ``derandomize=True``, so every
 run checks the same examples.
@@ -17,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chainent import analysis, entanglement, gaussian, models
-from chainent.errors import ChainentError
+from chainent.errors import ChainentError, GaplessError
 from chainent.models import ModelSpec
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
@@ -171,6 +173,42 @@ def test_particle_route_matches_majorana_oracle(case):
         for w, g in zip(gaussian.pair_correlations(
                 gaussian.spectral_flatten(shifted), i, j), got):
             assert np.max(np.abs(w - g)) < 1e-12
+
+
+@st.composite
+def kitaev_chains(draw):
+    """A Kitaev chain of either boundary, clean or with onsite disorder of
+    amplitude 0 to 1, with Delta = 0 or not, and mu across +-2t."""
+    t = draw(st.floats(0.2, 2.0))
+    disorder = st.builds(models.DisorderSpec, st.floats(0.0, 1.0), st.integers(0, 99))
+    return ModelSpec.kitaev(
+        draw(st.integers(2, 40)), t=t, delta=draw(st.just(0.0) | st.floats(0.2, 2.0)),
+        mu=t * draw(st.sampled_from([-2.0, 2.0]) | st.floats(-3.0, 3.0)),
+        boundary=draw(st.sampled_from(["periodic", "open"])),
+        disorder=draw(st.none() | disorder))
+
+
+@PROPERTY
+@given(kitaev_chains())
+def test_kitaev_polar_route_matches_majorana_oracle(spec):
+    """Kitaev chains at the default fill (the polar factor of the particle
+    matrix, or the FFT on clean rings) against spectral_flatten plus
+    pair_correlations on every ordered pair: the same GaplessError, with the
+    same message off the FFT route, or Wick data within 1e-13, or within
+    1e-14 / sigma_min below sigma_min = 0.1, the smallest level (both routes
+    are backward stable; see the particle-route property above)."""
+    i, j = np.nonzero(~np.eye(spec.N, dtype=bool))
+    try:
+        Mbar = gaussian.spectral_flatten(models.realspace_hamiltonian(spec))
+    except GaplessError as exc:
+        with pytest.raises(GaplessError) as got:
+            entanglement._ground_state(spec, None)
+        assert spec.clean_periodic or str(got.value) == str(exc)
+        return
+    got = entanglement._ground_state(spec, None)(i, j)
+    sigma_min = np.linalg.svd(models.particle_matrix(spec), compute_uv=False)[-1]
+    for w, g in zip(gaussian.pair_correlations(Mbar, i, j), got):
+        assert np.max(np.abs(w - g)) < max(1e-13, 1e-14 / sigma_min)
 
 
 @st.composite
