@@ -21,7 +21,6 @@ from .entanglement import (
     _ground_state,
     concurrence_from_eta,
     eta_summand,
-    eta_analytic,
     eta_thermodynamic,
     mode_index,
     x_concurrence,
@@ -56,17 +55,21 @@ SQRT2_MINUS_1 = np.sqrt(2.0) - 1.0
 # ---------------------------------------------------------------- eta values
 
 def eta1(lam: float, N: int | None = None) -> float:
-    """eta1 = BZ average of normalized h_x; the elliptic closed form when N
-    is None."""
-    if N is None:
-        return eta_thermodynamic(lam, "intra").value
-    return eta_analytic(ModelSpec.ssh(N, lam), (0, "a"), (0, "b")).value
+    """eta1 = BZ average of normalized h_x; the elliptic closed form when N is None."""
+    return _eta(lam, N, "intra", d=0)
 
 
 def eta2(lam: float, N: int | None = None) -> float:
+    return _eta(lam, N, "inter", d=-1)
+
+
+def _eta(lam, N, pair: str, d: int) -> float:
+    """eta_{a_n b_{n+d}} as eta_analytic's zone mean, with ModelSpec.ssh's errors."""
     if N is None:
-        return eta_thermodynamic(lam, "inter").value
-    return eta_analytic(ModelSpec.ssh(N, lam), (0, "b"), (1, "a")).value
+        return eta_thermodynamic(lam, pair).value
+    if N >= 2 and not -1.0 <= lam <= 1.0:  # N < 2 raises first, in momentum_grid
+        raise ValueError("lambda must lie in [-1, 1]")
+    return bz_mean(partial(eta_summand, d=d), partial(ssh_bloch, lam), N)
 
 
 def deta1(lam: float, N: int | None = None) -> float:

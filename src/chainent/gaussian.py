@@ -173,14 +173,21 @@ def pair_projector(onsite, bonds, p: int):
     O(L) per chain and pole: sign(A) ~ M A / W + sum_j w_j W Re (A - i W
     omega_j)^-1 on the pair (:func:`_zolotarev` on 4^-k <= |x| <= 1, W the largest
     absolute row sum) for the least k <= 5 with W 4^-k > 2 ZERO_TOL max(1, W) and
-    no level in [-W 4^-k, W 4^-k) (Sylvester's inertia, :func:`_pair_schur`).
-    Other chains go to :func:`particle_ground_state`, with its values and errors.
-    Each chain's value is the same alone or in any batch."""
+    no level in [-W 4^-k, W 4^-k): k = 1 where Weyl and Gershgorin on T^2 prove it,
+    A = diag(o) + T, min |E| >= sqrt(min_s (t_{s-1}^2 + t_s^2 - |t_{s-1} t_{s-2}|
+    - |t_s t_{s+1}|)) - max |o| >= (1 + 1e-9) W / 4, else by Sylvester's inertia
+    (:func:`_pair_schur`).  Other chains go to :func:`particle_ground_state`, with
+    its values and errors.  Each chain's value is the same alone or in any batch."""
     o, t = np.asarray(onsite, dtype=float).T, np.asarray(bonds, dtype=float).T  # a row per site
-    W = np.max(np.abs(o) + np.abs(t) + np.abs(np.roll(t, 1, axis=0)), axis=0)
+    prev = np.roll(t, 1, axis=0)  # bond s - 1
+    W = np.max(np.abs(o) + np.abs(t) + np.abs(prev), axis=0)
     gap, out = W * 4.0 ** -np.arange(1, 6)[:, None], np.empty((3, len(W)))
-    below = _pair_schur(o, t, p, np.concatenate([gap, -gap]))[3]  # levels below each shift
-    certified = (below[:5] == below[5:]) & (gap > 2.0 * ZERO_TOL * np.maximum(1.0, W))
+    certified = gap > 2.0 * ZERO_TOL * np.maximum(1.0, W)
+    gersh = prev * prev + t * t - np.abs(prev * np.roll(t, 2, 0)) - np.abs(t * np.roll(t, -1, 0))
+    bound = np.sqrt(np.maximum(np.min(gersh, axis=0), 0.0)) - np.max(np.abs(o), axis=0)
+    if (rest := ~(certified[0] & (bound >= (1.0 + 1e-9) * gap[0]))).any():  # unproven
+        below = _pair_schur(o[:, rest], t[:, rest], p, np.concatenate([gap, -gap])[:, rest])[3]
+        certified[:, rest] &= below[:5] == below[5:]
     level = np.where(certified.any(axis=0), np.argmax(certified, axis=0) + 1, 0)  # widest gap
     for b in np.flatnonzero(level == 0):
         A = np.roll(np.diag(t[:, b]), 1, axis=1)  # bond s joins s and s + 1
@@ -205,7 +212,7 @@ def _pair_schur(o, t, p: int, z):
     q + 1 .. L - 1, 0 .. p - 1 go in turn: pivot d, fill-in t^2 / d on the next
     site, and b, q's coupling to the next site, adds b^2 / d to q, becomes -b t / d."""
     L, q, real = len(o), p + 1, not np.iscomplexobj(z)
-    o, t = np.ascontiguousarray(o, z.dtype), np.ascontiguousarray(t, z.dtype)
+    o, t, z = (np.ascontiguousarray(x, z.dtype) for x in (o, t, z))  # C order, as the work arrays
     c, acc, neg, d, e, u = (np.zeros(z.shape, z.dtype) for _ in range(6))
     b, t2, mt = t[q] + c, t * t, -t
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -137,6 +137,31 @@ def test_particle_projector_falls_back_to_eigh_where_uncertified(monkeypatch):
         assert np.max(np.abs(got[:, b] - want)) < 1e-13
 
 
+def test_gap_bound_skips_the_inertia_sweep_of_proven_chains(monkeypatch):
+    """Rings like the benchmark's disorder jobs (N = 24, lambda = 0.4,
+    amplitude 0.14) have a bulk gap that Weyl and Gershgorin prove in closed
+    form: their batch runs no elimination at real shifts.  Mixed with an open
+    topological chain, whose edge levels the bound cannot prove, the batch
+    runs one real-shift elimination over that chain alone, and every chain
+    equals its solo solve bit for bit."""
+    rings = [_chain(ModelSpec.ssh(24, 0.4, disorder=models.DisorderSpec(0.14, seed)))
+             for seed in range(30)]
+    edge = _chain(ModelSpec.ssh(24, 0.4, boundary="open", disorder=models.DisorderSpec(0.14, 30)))
+    calls, schur = [], gaussian._pair_schur
+    monkeypatch.setattr(gaussian, "_pair_schur",
+                        lambda o, t, p, z: calls.append((z.dtype.kind, o, t)) or schur(o, t, p, z))
+    _wick(rings, 23)
+    assert [kind for kind, _, _ in calls] == ["c"]
+    calls.clear()
+    mixed = rings[:15] + [edge] + rings[15:]
+    got = _wick(mixed, 23)
+    real = [(o, t) for kind, o, t in calls if kind == "f"]
+    assert len(real) == 1
+    assert np.array_equal(real[0][0], edge[0][:, None]) and np.array_equal(real[0][1], edge[1][:, None])
+    for b, chain in enumerate(mixed):
+        assert np.array_equal(got[:, b], _wick([chain], 23)[:, 0])
+
+
 def test_particle_projector_gapless_and_pairing_errors():
     """A gapless chain raises the GaplessError of particle_ground_state from
     any batch: a clean even ring at lambda = 0, and a chain whose levels, all

@@ -4,18 +4,19 @@ particle-matrix ground state of SSH chains, and of Kitaev chains at an
 explicit filling, against the Majorana route, Kitaev chains at the default
 filling (the polar factor of the particle matrix) against the same route,
 the central-pair resolvent of disordered SSH chains against the particle
-solve, and the closed-form open SSH chain against the full-size particle
-solve and mpmath.
+solve, its closed-form gap bound against Sylvester's inertia, and the
+closed-form open SSH chain against the full-size particle solve and mpmath.
 
 Hypothesis draws chains and site pairs with ``derandomize=True``, so every
 run checks the same examples.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chainent import analysis, entanglement, gaussian, models
@@ -246,6 +247,49 @@ def test_particle_projector_matches_eigh_oracle(A):
     P = want @ want.T
     expected = (np.diagonal(P), np.diagonal(P)[(s + 1) % L], P[s, (s + 1) % L])
     assert np.max(np.abs(np.array(got[:3]) - expected)) < max(1e-13, 1e-14 / gap)
+
+
+@st.composite
+def bond_chains(draw):
+    """On-site energies, bonds (bond s joins s and s + 1 mod L) and a pair p
+    of one chain: SSH bonds 1 -+ lambda, lambda in [-3, 3], times a scale of
+    either sign, a few bonds negated or zero, the wrap bond 0 on an open
+    chain, and on-site energies up to 0 to 1 times the largest bond."""
+    N = draw(st.integers(2, 40))
+    lam = draw(st.floats(-3.0, 3.0))
+    bonds = draw(st.sampled_from([1.0, -1.0, 1e-3, 40.0])) * np.tile([1.0 - lam, 1.0 + lam], N)
+    bonds[draw(st.lists(st.integers(0, 2 * N - 1), max_size=3))] *= -1.0
+    bonds[draw(st.lists(st.integers(0, 2 * N - 1), max_size=1))] = 0.0
+    bonds[-1] *= draw(st.booleans())  # 0: an open chain
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    amplitude = draw(st.sampled_from([0.0, 0.1]) | st.floats(0.0, 1.0)) * np.max(np.abs(bonds))
+    return amplitude * rng.uniform(-1.0, 1.0, 2 * N), bonds, draw(st.integers(0, 2 * N - 2))
+
+
+# L = 4, where the Gershgorin terms of sites s + 2 and s - 2 fall on one site
+@example((np.array([0.05, -0.05, 0.02, 0.0]), np.array([0.3, 1.7, 0.3, 1.7]), 1))
+@example((np.array([0.05, -0.05, 0.02, 0.0]), np.array([0.3, -1.7, 0.3, 1.7]), 2))
+@example((np.zeros(4), np.array([1.7, 0.3, 1.7, 0.0]), 0))
+@settings(PROPERTY, max_examples=500)
+@given(bond_chains())
+def test_gap_bound_proves_only_certified_chains(case):
+    """A chain whose level 1 the closed-form bound proves (Weyl and Gershgorin
+    on T^2: pair_projector runs no real-shift elimination for it) is also
+    certified there by Sylvester's inertia at +-W/4, and eigvalsh puts no
+    level within W/4 of 0."""
+    onsite, bonds, p = case
+    kinds, schur = [], gaussian._pair_schur
+    with mock.patch.object(gaussian, "_pair_schur",
+                           lambda o, t, p, z: kinds.append(z.dtype.kind) or schur(o, t, p, z)):
+        _outcome(lambda: gaussian.pair_projector(onsite[None], bonds[None], p))
+    if kinds[0] == "f":  # not proven: the inertia count decides, as before
+        return
+    W = np.max(np.abs(onsite) + np.abs(bonds) + np.abs(np.roll(bonds, 1)))
+    count = schur(onsite[:, None], bonds[:, None], p, np.array([[W / 4.0], [-W / 4.0]]))[3]
+    assert count[0, 0] == count[1, 0]
+    A = np.diag(onsite) + np.diag(bonds[:-1], 1) + np.diag(bonds[:-1], -1)
+    A[0, -1] = A[-1, 0] = A[0, -1] + bonds[-1]
+    assert np.min(np.abs(np.linalg.eigvalsh(A))) >= W / 4.0
 
 
 def _threshold(N):
