@@ -241,8 +241,8 @@ def model_spec(v: dict) -> models.ModelSpec:
 def _check_fits(v) -> None:
     """ValueError naming the flag whose largest array exceeds physical memory: a
     few length-N rows (zone sums, the closed-form open chain), (2N)^2 floats for
-    ``graph`` and ``disorder`` (the SSH particle matrix; for Kitaev, an L x L SVD
-    and the 2L x 2L Mbar), a few columns of grid points, the realizations x
+    ``graph`` and ``disorder`` (the SSH particle matrix; for Kitaev, one L x L SVD
+    and no 2L x 2L Mbar), a few columns of grid points, the realizations x
     max(2N, points) tables of ``disorder``."""
     N = max(v.get("N") or 0, 0)  # N < 2 is rejected where it is used
     points = v["grid"][2] if v.get("grid") else 0

@@ -22,7 +22,7 @@ from .errors import GaplessError, InvalidStateError
 from .gaussian import (
     _check_pairs,
     _filled,
-    _majorana_wick,
+    _polar_wick,
     open_ssh_ground_state,
     particle_correlations,
     particle_ground_state,
@@ -35,7 +35,6 @@ from .models import (
     bloch_vector,
     bz_mean,
     gapped_grid,
-    majorana_matrix,
     particle_matrix,
     ssh_bloch,
     ssh_eta1_limit,
@@ -172,9 +171,9 @@ def _ground_state(spec: ModelSpec, fill: int | None):
     or every negative one: the one route choice.  Clean rings at the default
     fill take one FFT (:func:`_bloch_correlations`); clean open SSH chains the
     closed form; other SSH chains and any explicit fill the L x L particle
-    matrix (ValueError on pairing); other Kitaev chains its polar factor
-    Q = U V^T, H = U S V^T: M = ``majorana_matrix(H)`` has levels +-S and
-    flattens to M (-M^2)^(-1/2) = ``majorana_matrix(Q)``."""
+    matrix (ValueError on pairing); other Kitaev chains the polar factor Q = U V^T
+    of H = U S V^T, read by :func:`gaussian._polar_wick`: M = ``majorana_matrix(H)``
+    has levels +-S and flattens to M (-M^2)^(-1/2) = ``majorana_matrix(Q)``."""
     if spec.clean_periodic and fill is None:
         return _bloch_correlations(spec)
     if spec.family is Family.SSH and spec.disorder is None \
@@ -185,7 +184,7 @@ def _ground_state(spec: ModelSpec, fill: int | None):
         return partial(particle_correlations, V)
     U, S, Vt = np.linalg.svd(particle_matrix(spec))
     _filled(S, None)  # the GaplessError of spectral_flatten
-    return partial(_majorana_wick, majorana_matrix(U @ Vt))
+    return partial(_polar_wick, U @ Vt)
 
 
 def rdm_pair(spec: ModelSpec, site1: Site, site2: Site,

@@ -3,8 +3,8 @@
 Number-conserving chains are solved as L x L particle matrices
 (:func:`particle_ground_state`, :func:`particle_correlations`), clean open SSH
 chains in closed form (:func:`open_ssh_ground_state`), and one neighbour pair of
-many chains in O(L) each from resolvents (:func:`pair_projector`); Kitaev
-chains flatten through their particle matrix's polar factor.  The rest, the
+many chains in O(L) each from resolvents of A / W (:func:`pair_projector`); Kitaev
+chains read their Wick data off the particle matrix's polar factor.  The rest, the
 toolbox and test oracle, operates on real skew-symmetric matrices in the
 Majorana convention of :mod:`chainent.models` (mode ``j`` owns Majorana
 indices ``2j`` and ``2j+1``).  The chain of operations
@@ -170,50 +170,52 @@ def pair_projector(onsite, bonds, p: int):
     """Wick data ``(n_p, n_q, G_pq, 0)`` of the sites p, q = p + 1 in the ground
     state P = (1 - sign A) / 2 of each chain A of a batch (``onsite[b, s]`` on
     site s, ``bonds[b, s]`` joining s and s + 1 mod L, 0 on an open chain's wrap),
-    O(L) per chain and pole: sign(A) ~ M A / W + sum_j w_j W Re (A - i W
-    omega_j)^-1 on the pair (:func:`_zolotarev` on 4^-k <= |x| <= 1, W the largest
-    absolute row sum) for the least k <= 5 with W 4^-k > 2 ZERO_TOL max(1, W) and
-    no level in [-W 4^-k, W 4^-k): k = 1 where Weyl and Gershgorin on T^2 prove it,
-    A = diag(o) + T, min |E| >= sqrt(min_s (t_{s-1}^2 + t_s^2 - |t_{s-1} t_{s-2}|
-    - |t_s t_{s+1}|)) - max |o| >= (1 + 1e-9) W / 4, else by Sylvester's inertia
-    (:func:`_pair_schur`).  Other chains go to :func:`particle_ground_state`, with
-    its values and errors.  Each chain's value is the same alone or in any batch."""
-    o, t = np.asarray(onsite, dtype=float).T, np.asarray(bonds, dtype=float).T  # a row per site
-    prev = np.roll(t, 1, axis=0)  # bond s - 1
-    W = np.max(np.abs(o) + np.abs(t) + np.abs(prev), axis=0)
-    gap, out = W * 4.0 ** -np.arange(1, 6)[:, None], np.empty((3, len(W)))
-    certified = gap > 2.0 * ZERO_TOL * np.maximum(1.0, W)
+    O(L) per chain and pole on A / W, W the largest absolute row sum, so at any finite
+    scale: sign(A) ~ M A / W + sum_j w_j Re (A / W - i omega_j)^-1 on the pair
+    (:func:`_zolotarev` on 4^-k <= |x| <= 1) for the least k <= 5 with W 4^-k > 2
+    ZERO_TOL max(1, W) and no level of A / W in [-4^-k, 4^-k): k = 1 where Weyl and
+    Gershgorin on T^2 prove it, A / W = diag(o) + T, min |E| >= sqrt(min_s (t_{s-1}^2
+    + t_s^2 - |t_{s-1} t_{s-2}| - |t_s t_{s+1}|)) - max |o| >= (1 + 1e-9) / 4, else by
+    Sylvester's inertia (:func:`_pair_schur`).  Other chains go unscaled to
+    :func:`particle_ground_state`.  A chain's value is the same alone or in any batch."""
+    onsite, bonds = (np.asarray(a, dtype=float).T for a in (onsite, bonds))  # a row per site
+    prev = np.roll(bonds, 1, axis=0)  # bond s - 1
+    W = np.max(np.abs(onsite) + np.abs(bonds) + np.abs(prev), axis=0)
+    scale = np.where(W > 0.0, W, 1.0)  # a zero chain stays 0
+    o, t, prev = onsite / scale, bonds / scale, prev / scale  # A / W
+    gap, out = 4.0 ** -np.arange(1, 6)[:, None], np.empty((3, len(W)))
+    certified = W * gap > 2.0 * ZERO_TOL * np.maximum(1.0, W)
     gersh = prev * prev + t * t - np.abs(prev * np.roll(t, 2, 0)) - np.abs(t * np.roll(t, -1, 0))
     bound = np.sqrt(np.maximum(np.min(gersh, axis=0), 0.0)) - np.max(np.abs(o), axis=0)
     if (rest := ~(certified[0] & (bound >= (1.0 + 1e-9) * gap[0]))).any():  # unproven
-        below = _pair_schur(o[:, rest], t[:, rest], p, np.concatenate([gap, -gap])[:, rest])[3]
+        below = _pair_schur(o[:, rest], t[:, rest], p, np.concatenate([gap, -gap]))[3]
         certified[:, rest] &= below[:5] == below[5:]
     level = np.where(certified.any(axis=0), np.argmax(certified, axis=0) + 1, 0)  # widest gap
     for b in np.flatnonzero(level == 0):
-        A = np.roll(np.diag(t[:, b]), 1, axis=1)  # bond s joins s and s + 1
-        A = A + A.T + np.diag(o[:, b])
+        A = np.roll(np.diag(bonds[:, b]), 1, axis=1)  # bond s joins s and s + 1
+        A = A + A.T + np.diag(onsite[:, b])
         out[:, b] = particle_correlations(particle_ground_state(A)[1], p, p + 1)[:3]
     for k in np.unique(level[level > 0]):  # one resolvent pass per level
         M, omega, w = _zolotarev(k)
         at = level == k
-        S = _pair_schur(o[:, at], t[:, at], p, 1j * W[at] * omega[:, None])[:3]
-        R = (np.stack([S[1], S[0], -S[2]]) / (S[0] * S[1] - S[2] * S[2])).real  # (A - z)^-1
-        sign = M * np.stack([o[p, at], o[p + 1, at], t[p, at]]) / W[at]
+        S = _pair_schur(o[:, at], t[:, at], p, 1j * omega[:, None])[:3]
+        R = (np.stack([S[1], S[0], -S[2]]) / (S[0] * S[1] - S[2] * S[2])).real  # (A / W - z)^-1
+        sign = M * np.stack([o[p, at], o[p + 1, at], t[p, at]])
         for j in range(len(w)):  # pole by pole: each chain sums as alone
-            sign += w[j] * W[at] * R[:, j]
+            sign += w[j] * R[:, j]
         out[:, at] = (np.array([[1.0], [1.0], [0.0]]) - sign) / 2.0
     return out[0], out[1], out[2], 0.0
 
 
 def _pair_schur(o, t, p: int, z):
     """Schur complement ``(S_pp, S_qq, S_pq)`` of A - z on p, q = p + 1 (chains as
-    in :func:`pair_projector`, a row per site) at shifts z (K, chains), and for
+    in :func:`pair_projector`, a row per site) at shifts z (K, chains or 1), and for
     real z the levels below z: its negative pivots, NaN if one vanished.  Sites
     q + 1 .. L - 1, 0 .. p - 1 go in turn: pivot d, fill-in t^2 / d on the next
     site, and b, q's coupling to the next site, adds b^2 / d to q, becomes -b t / d."""
     L, q, real = len(o), p + 1, not np.iscomplexobj(z)
     o, t, z = (np.ascontiguousarray(x, z.dtype) for x in (o, t, z))  # C order, as the work arrays
-    c, acc, neg, d, e, u = (np.zeros(z.shape, z.dtype) for _ in range(6))
+    c, acc, neg, d, e, u = (np.zeros((len(z), o.shape[1]), z.dtype) for _ in range(6))
     b, t2, mt = t[q] + c, t * t, -t
     with np.errstate(divide="ignore", invalid="ignore"):
         for s in (*range(q + 1, L), *range(p)):
@@ -460,16 +462,20 @@ def pair_correlations(Mbar: np.ndarray, i, j):
     """Wick data ``(n_i, n_j, G_ij, F_ij)`` of mode pairs, elementwise over
     index arrays: ``n = <a^+ a>``, ``G_ij = <a_i^+ a_j>``, ``F_ij = <a_i a_j>``.
     ``Mbar`` and the modes are validated as in :func:`restrict`."""
-    return _majorana_wick(_require_skew(Mbar), i, j)
-
-
-def _majorana_wick(Mbar: np.ndarray, i, j):
-    """:func:`pair_correlations` on an ``Mbar`` this package built."""
+    Mbar = _require_skew(Mbar)
     i, j = _check_pairs(i, j, Mbar.shape[0] // 2)
     # <c_p c_q> = i Mbar_pq for p != q, and a_j = (c_{2j} + i c_{2j+1}) / 2
     A, B, C, D = (Mbar[2 * i + s, 2 * j + t] for s, t in ((0, 0), (0, 1), (1, 0), (1, 1)))
     n = (1.0 - np.diagonal(Mbar, 1)[0::2]) / 2.0
     return n[i], n[j], (C - B + 1j * (A + D)) / 4.0, (1j * (A - D) - B - C) / 4.0
+
+
+def _polar_wick(Q: np.ndarray, i, j):
+    """:func:`pair_correlations` of ``majorana_matrix(Q)`` read off the L x L Q:
+    n = (1 - Q_ii) / 2, G_ij = -(Q_ij + Q_ji) / 4, F_ij = (Q_ji - Q_ij) / 4."""
+    i, j = _check_pairs(i, j, len(Q))
+    n = (1.0 - np.diagonal(Q)) / 2.0
+    return n[i], n[j], -(Q[i, j] + Q[j, i]) / 4.0, (Q[j, i] - Q[i, j]) / 4.0
 
 
 @lru_cache(maxsize=16)

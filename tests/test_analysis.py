@@ -416,3 +416,21 @@ def test_kitaev_compressibility_centred_difference():
                        (d[2:] - d[:-2]) / (mus[2:] - mus[:-2]), rtol=0, atol=0)
     for few in ([0.5], [0.5, 0.7]):
         assert np.isnan(analysis.kitaev_density(few).compressibility).all()
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: analysis.eta1(1.5, 16), ValueError, "lambda must lie in [-1, 1]"),
+    (lambda: analysis.sweep([0.2, 0.1]), ValueError, "lambda grid must be strictly increasing"),
+    (lambda: analysis.obc_center_derivative(8, [0.1, 0.2]), GridTooCoarseError,
+     "need at least 3 points"),
+    (lambda: analysis.free_energy_check(16, 1e-5), GaplessError,
+     "step straddles the critical point"),
+    (lambda: analysis.kitaev_compressibility_logfit((1e-3, 1e-5)), WindowError,
+     "fit window must not touch mu_c"),
+], ids=["eta1-lambda", "sweep-decreasing", "obc-two-points", "free-energy-step",
+        "kitaev-logfit-window"])
+def test_public_errors(call, error, message):
+    """Errors of the public analysis API: type and message."""
+    with pytest.raises(error) as got:
+        call()
+    assert type(got.value) is error and str(got.value) == message

@@ -77,6 +77,28 @@ def test_cli_sweep_rejects_gapless_grid(tmp_path):
     assert code == 2
 
 
+def test_cli_sweep_skips_gapless_points(tmp_path, capsys):
+    """A thermodynamic grid through lambda = 0 writes the other rows, names
+    the skipped point on stderr and exits 3, or 0 with --skip-gapless and the
+    same file; finite-N points past the 1e-15 zero check are skipped at the
+    band touching."""
+    argv = ["sweep", "--grid", "-0.5:0.5:3", "--outdir"]
+    assert main(argv + [str(tmp_path / "strict")]) == 3
+    assert capsys.readouterr().err == "skipped lambda=0: lambda = 0 is the critical point\n"
+    _, rows = serialize.read_csv(tmp_path / "strict" / "sweep.csv")
+    assert [row[0] for row in rows] == [-0.5, 0.5]
+    assert main(argv + [str(tmp_path / "skip"), "--skip-gapless"]) == 0
+    assert capsys.readouterr().err == "skipped lambda=0: lambda = 0 is the critical point\n"
+    assert ((tmp_path / "skip" / "sweep.csv").read_bytes()
+            == (tmp_path / "strict" / "sweep.csv").read_bytes())
+    assert main(["sweep", "--N", "16", "--grid", "-3e-13:1e-13:3",
+                 "--outdir", str(tmp_path / "touch")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(line.startswith("skipped lambda=")
+                                 and line.endswith(": band touching") for line in err)
+    assert serialize.read_csv(tmp_path / "touch" / "sweep.csv")[1] == []
+
+
 def test_cli_sweep_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -212,6 +234,20 @@ def test_cli_kitaev_zero_hamiltonian_is_gapless(tmp_path, capsys, N):
     # mu = 0 off the grid: a flat band, gapped
     assert main(["kitaev", "--grid", "0.5:1:3", "--t", "0", "--delta", "0",
                  *N, "--outdir", str(tmp_path)]) == 0
+
+
+def test_cli_disorder_huge_amplitude_under_warnings_as_errors(tmp_path):
+    """The resolvent runs on A / W, so an onsite amplitude of 1e155 (whose
+    squares overflow) gives finite rows and exit 0 under python -W error."""
+    src = os.path.dirname(os.path.dirname(chainent.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "chainent.cli", "disorder", "--N", "6",
+         "--grid", "0.3:0.6:2", "--amplitude", "1e155", "--realizations", "3",
+         "--outdir", str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    _, rows = serialize.read_csv(tmp_path / "disorder.csv")
+    assert len(rows) == 2 and all(np.isfinite(row[1]) and np.isfinite(row[2]) for row in rows)
 
 
 def test_cli_kitaev_json_format(tmp_path):
@@ -591,3 +627,16 @@ def test_readme_lists_every_flag():
         for command in row.defaults:
             assert f"`{row.at('flag', command)}`" in text
             assert row.key in text
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--config", "{tmp}/missing.ini"],
+     "error: cannot read config file '{tmp}/missing.ini'"),
+    (["graph"], "error: --N ([model] N) is required"),
+    (["graph", "--N", "8"], "error: --lambda ([model] lambda) is required for SSH"),
+], ids=["missing-config", "graph-without-N", "ssh-graph-without-lambda"])
+def test_cli_missing_inputs_exit_2(tmp_path, capsys, argv, message):
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--outdir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message.format(tmp=tmp_path) + "\n"
+    assert not os.path.exists(tmp_path / "out")

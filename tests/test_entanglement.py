@@ -242,7 +242,8 @@ def test_rdm_pair_checks_sites_on_both_routes(boundary):
 
 def test_default_fill_routes_call_no_dense_eigensolver(monkeypatch, tmp_path):
     """Kitaev chains off the FFT route take one SVD of their L x L particle
-    matrix, and clean rings the FFT: with eigh and spectral_flatten made to
+    matrix and read the Wick data off its polar factor, and clean rings the
+    FFT: with eigh, spectral_flatten and the 2L x 2L Majorana builder made to
     fail, open and disordered Kitaev graphs, rdm_pair on a Kitaev ring and
     the central pair of a clean SSH ring still run."""
     def dense(*args, **kwargs):
@@ -255,9 +256,41 @@ def test_default_fill_routes_call_no_dense_eigensolver(monkeypatch, tmp_path):
         gaussian.particle_ground_state(models.particle_matrix(ssh))[1], 7, 8))
     monkeypatch.setattr(np.linalg, "eigh", dense)
     monkeypatch.setattr(gaussian, "spectral_flatten", dense)
+    for module in (models, ent, gaussian):
+        monkeypatch.setattr(module, "majorana_matrix", dense, raising=False)
     for argv in (["--N", "12", "--delta", "0.7", "--mu", "2.9", "--boundary", "open"],
                  ["--N", "10", "--mu", "1.2", "--disorder-amplitude", "0.3"]):
         assert main(["graph", "--model", "kitaev", *argv, "--outdir", str(tmp_path)]) == 0
     got = ent.rdm_pair(ring, (0, "s"), (1, "s")).matrix
     assert np.max(np.abs(got - want_ring)) < 1e-12
     assert abs(analysis.central_pair_concurrence(ssh) - want_ssh) < 1e-12
+
+
+_X = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: ent.rdm_pair(ModelSpec.ssh(8, 0.3), (0, "a"), (0, "b"), fill=-1),
+     ValueError, "num_filled out of range"),
+    (lambda: ent.rdm_pair(ModelSpec.ssh(8, 0.3), (0, "a"), (0, "b"), fill=17),
+     ValueError, "num_filled out of range"),
+    (lambda: ent.rdm_pair(ModelSpec.ssh(8, 0.3, boundary="open"), (0, "a"), (0, "b"), fill=-1),
+     ValueError, "num_filled out of range"),
+    (lambda: ent.rdm_pair(ModelSpec.ssh(8, 0.3, boundary="open"), (0, "a"), (0, "b"), fill=17),
+     ValueError, "num_filled out of range"),
+    (lambda: ent.eta_analytic(ModelSpec.kitaev(8, mu=0.3), (0, "s"), (1, "s")),
+     ValueError, "eta_analytic applies to SSH specs"),
+    (lambda: ent.eta_analytic(ModelSpec.ssh(8, 0.3, boundary="open"), (0, "a"), (0, "b")),
+     ValueError, "analytic route requires a clean periodic chain"),
+    (lambda: ent.concurrence(np.eye(3) / 3.0), InvalidStateError, "two-site RDM must be 4x4"),
+    (lambda: ent.concurrence(_X + np.diag([0.1, 0.0, 0.0], 1)), InvalidStateError,
+     "matrix is not Hermitian"),
+    (lambda: ent.concurrence(2.0 * _X - np.diag([0.0, 0.0, 0.0, 1.0])), InvalidStateError,
+     "matrix is not positive semidefinite"),
+], ids=["fill-1-ring", "fill-2N+1-ring", "fill-1-open", "fill-2N+1-open", "eta-kitaev",
+        "eta-open", "concurrence-3x3", "concurrence-non-hermitian", "concurrence-non-psd"])
+def test_public_errors(call, error, message):
+    """Errors of the public entanglement API: type and message."""
+    with pytest.raises(error) as got:
+        call()
+    assert type(got.value) is error and str(got.value) == message

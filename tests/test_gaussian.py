@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -142,8 +144,9 @@ def test_gap_bound_skips_the_inertia_sweep_of_proven_chains(monkeypatch):
     amplitude 0.14) have a bulk gap that Weyl and Gershgorin prove in closed
     form: their batch runs no elimination at real shifts.  Mixed with an open
     topological chain, whose edge levels the bound cannot prove, the batch
-    runs one real-shift elimination over that chain alone, and every chain
-    equals its solo solve bit for bit."""
+    runs one real-shift elimination over that chain alone, scaled by its
+    largest absolute row sum W, and every chain equals its solo solve bit for
+    bit."""
     rings = [_chain(ModelSpec.ssh(24, 0.4, disorder=models.DisorderSpec(0.14, seed)))
              for seed in range(30)]
     edge = _chain(ModelSpec.ssh(24, 0.4, boundary="open", disorder=models.DisorderSpec(0.14, 30)))
@@ -157,9 +160,35 @@ def test_gap_bound_skips_the_inertia_sweep_of_proven_chains(monkeypatch):
     got = _wick(mixed, 23)
     real = [(o, t) for kind, o, t in calls if kind == "f"]
     assert len(real) == 1
-    assert np.array_equal(real[0][0], edge[0][:, None]) and np.array_equal(real[0][1], edge[1][:, None])
+    W = np.max(np.abs(edge[0]) + np.abs(edge[1]) + np.abs(np.roll(edge[1], 1)))
+    assert np.array_equal(real[0][0], edge[0][:, None] / W)
+    assert np.array_equal(real[0][1], edge[1][:, None] / W)
     for b, chain in enumerate(mixed):
         assert np.array_equal(got[:, b], _wick([chain], 23)[:, 0])
+
+
+def test_pair_projector_solves_any_finite_scale():
+    """sign(A) = sign(A / W): certified chains (N = 16 rings at lambda = 0.4
+    with amplitude 0.14 and at lambda = 0.3 with amplitude 2) scaled by a power
+    of two give the unscaled Wick data bit for bit, and by 1e155 or 1e300
+    within 1e-14, with no overflow anywhere.  An all-zero chain still raises
+    the GaplessError of particle_ground_state, with no warning on the way."""
+    chains = [_chain(ModelSpec.ssh(16, lam, disorder=models.DisorderSpec(amp, seed)))
+              for lam, amp in ((0.4, 0.14), (0.3, 2.0)) for seed in range(5)]
+    onsite, bonds = (np.array(x) for x in zip(*chains))
+    want = np.array(gaussian.pair_projector(onsite, bonds, 15)[:3])
+    for s in (2.0 ** 520, 1e155, 1e300):
+        with np.errstate(over="raise"):
+            got = np.array(gaussian.pair_projector(s * onsite, s * bonds, 15)[:3])
+        if s == 2.0 ** 520:
+            assert np.array_equal(got, want)
+        assert np.max(np.abs(got - want)) < 1e-14
+    zero, mixed = np.zeros((1, 8)), [np.r_[x[:1], 0.0 * x[:1]] for x in (onsite, bonds)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for o, t in ((zero, zero), mixed):  # alone, and after a gapped chain
+            with pytest.raises(GaplessError, match="gapless"):
+                gaussian.pair_projector(o, t, 3)
 
 
 def test_particle_projector_gapless_and_pairing_errors():
@@ -369,3 +398,14 @@ def test_majorana_correlator_rejects_bad_indices():
         gaussian.majorana_correlator(Mbar, [3, 1])  # not increasing
     with pytest.raises(IndexError):
         gaussian.majorana_correlator(Mbar, [0, 99])
+
+
+@pytest.mark.parametrize("modes,message", [([0, 0], "duplicate modes in restriction"),
+                                           ([99], "mode index out of range")],
+                         ids=["duplicate", "out-of-range"])
+def test_restrict_errors(modes, message):
+    """restrict rejects a repeated mode and a mode outside the chain with IndexError."""
+    Mbar = gaussian.spectral_flatten(ssh_matrix(8, 0.3))
+    with pytest.raises(IndexError) as got:
+        gaussian.restrict(Mbar, modes)
+    assert type(got.value) is IndexError and str(got.value) == message

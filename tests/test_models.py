@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chainent import models
-from chainent.errors import GaplessError
+from chainent.errors import DisorderUnsupportedError, GaplessError
 from chainent.models import Boundary, DisorderSpec, Family, ModelSpec
 
 
@@ -158,3 +158,15 @@ def test_ssh_deta1_limit_log_asymptote():
         rest = models.ssh_deta1_limit(lams) - 2.0 / np.pi * np.log(
             (np.e / 2.0) ** 2 * np.abs(lams))
         assert np.all(np.abs(rest) <= np.abs(lams * np.log(np.abs(lams))))
+
+
+@pytest.mark.parametrize("spec,message", [
+    (ModelSpec.ssh(8, 0.3, disorder=DisorderSpec(0.1, 1)),
+     "momentum space requires translation invariance"),
+    (ModelSpec.ssh(8, 0.3, boundary="open"), "momentum space requires periodic boundaries"),
+], ids=["disordered", "open"])
+def test_bloch_vector_rejects_specs_without_momentum(spec, message):
+    """Bloch vectors need a clean ring: DisorderUnsupportedError otherwise."""
+    with pytest.raises(DisorderUnsupportedError) as got:
+        models.bloch_vector(spec, 0.3)
+    assert type(got.value) is DisorderUnsupportedError and str(got.value) == message
