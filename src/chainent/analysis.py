@@ -458,8 +458,12 @@ def disorder_ensemble(N: int, lambda_grid, amplitude: float = 0.1,
     for lam in lams[len(good):len(good) + 1]:  # its ValueError, after the lambdas before it
         ModelSpec.ssh(N, lam, boundary=boundary)
     per_seed = per_seed.T
+    # std of each column scaled by a power of two, which is exact: squared deviations of
+    # C2 below ~1e-154 (amplitudes above ~1e154) would underflow to a std of 0
+    scale = np.frexp(np.abs(per_seed).max(axis=0))[1]
     return DisorderTable(lambdas=lams, mean_c2=per_seed.mean(axis=0),
-                         std_c2=per_seed.std(axis=0), per_seed=per_seed,
+                         std_c2=np.ldexp(np.ldexp(per_seed, -scale).std(axis=0), scale),
+                         per_seed=per_seed,
                          seeds=seeds, N=N, amplitude=amplitude)
 
 

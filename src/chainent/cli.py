@@ -8,16 +8,20 @@ contract test are all built from that table.  Each value is the flag if
 given, else the file's key, else the default; ``--outdir`` then falls back
 to ``$CHAINENT_OUTDIR`` and the current directory.
 
+A plain argv (the command, then whole tokens of its rows) is read in one
+pass over the table; argparse is built only for help, abbreviated flags and
+usage errors, and configparser is imported only for ``--config``.
+
 Exit codes: 0 success, 2 validation error (one ``error:`` line), 3
 numerical error (gapless model at a requested point).
 """
 
 from __future__ import annotations
 
-import argparse
-import configparser
+import functools
 import math
 import os
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -56,8 +60,9 @@ def _one_of(*options: str) -> Type:
 INT = Type(int, "an integer")
 FLOAT = Type(_finite, "a finite number")
 PATH = Type(str, "a path")
-BOOL = Type(lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
-            "true or false")
+_BOOLEAN_STATES = {"1": True, "yes": True, "true": True, "on": True,  # as configparser
+                   "0": False, "no": False, "false": False, "off": False}
+BOOL = Type(lambda text: _BOOLEAN_STATES[text.lower()], "true or false")
 GRID = Type(serialize.grid_spec, "start:stop:points with finite "
             "start < stop and at least 2 points")
 
@@ -135,15 +140,19 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one ``error:`` line with exit status 2;
-    subparsers inherit the class."""
+@functools.cache
+def _build_parser():
+    """The argparse parser of every command, built on first use: only help,
+    abbreviated flags and usage errors need it."""
+    import argparse
 
-    def error(self, message):
-        self.exit(EXIT_VALIDATION, f"error: {message}\n")
+    class _Parser(argparse.ArgumentParser):
+        """Reports a usage error as one ``error:`` line with exit status 2;
+        subparsers inherit the class."""
 
+        def error(self, message):
+            self.exit(EXIT_VALIDATION, f"error: {message}\n")
 
-def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chainent",
                      description="Two-site entanglement structure of 1D "
                                  "quadratic fermion chains")
@@ -166,9 +175,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER = _build_parser()
 _GRID_FLAGS = {row.at("flag", command) for row in FLAGS if row.type is GRID
                for command in row.defaults}
+# {flag: (key, takes a value)} of each command, "--config" wherever a row is
+_PLAIN = {command: {row.at("flag", command): (row.key, row.type is not BOOL)
+                    for row in FLAGS if command in row.defaults}
+          for command in COMMANDS}
+for _takes in _PLAIN.values():
+    if _takes:
+        _takes["--config"] = ("config", True)
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse reads these as values
+
+
+def _read_plain(argv):
+    """``vars()`` of argparse's namespace for a plain argv, else None."""
+    flags = _PLAIN.get(argv[0]) if argv else None
+    if flags is None:
+        return None
+    args = {"command": argv[0], **{key: None for key, _ in flags.values()}}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        key, takes = flags.get(flag, (None, False))
+        if takes and not eq:
+            text = next(tokens, None)
+            if text and text[0] == "-" and not (  # a value to argparse after _normalize
+                    _NEGATIVE.match(text) or flag in _GRID_FLAGS and text[:2] != "--"):
+                return None
+        elif not takes:  # a bare boolean; argparse rejects "--derivative=x"
+            text = None if eq or key is None else "true"
+        if text is None or text == "--":  # argparse stores [] for "--N=--"
+            return None
+        args[key] = text
+    return args
 
 
 def _normalize(argv) -> list:
@@ -190,21 +229,22 @@ def settings(argv) -> dict:
     Raises ValueError naming the flag or ``[section] key`` whose text does not parse, or
     whose arrays would not fit in memory; argparse's usage errors raise SystemExit(2).
     """
-    args = _PARSER.parse_args(_normalize(argv))
-    command = args.command
+    args = _read_plain(argv) or vars(_build_parser().parse_args(_normalize(argv)))
+    command = args["command"]
     cfg = None  # a parser only for a config file: building one costs a third of this call
-    if getattr(args, "config", None):
+    if args.get("config"):
+        import configparser
         cfg = configparser.ConfigParser(interpolation=None)
         try:
-            if not cfg.read(args.config):
-                raise ValueError(f"cannot read config file {args.config!r}")
+            if not cfg.read(args["config"]):
+                raise ValueError(f"cannot read config file {args['config']!r}")
         except configparser.Error as exc:  # its messages span lines
             raise ValueError(" ".join(str(exc).split())) from None
     values = {"command": command}
     for row in FLAGS:
         if command not in row.defaults:
             continue
-        text, where = getattr(args, row.key), row.at("flag", command)
+        text, where = args[row.key], row.at("flag", command)
         section = row.at("section", command)
         if text is None and cfg is not None and cfg.has_option(section, row.key):
             text, where = cfg.get(section, row.key), f"[{section}] {row.key}"

@@ -145,6 +145,16 @@ def test_disorder_zero_amplitude_reproduces_clean():
     assert np.allclose(table.std_c2, 0.0, atol=1e-12)
 
 
+def test_disorder_std_of_tiny_concurrences():
+    """At amplitude 1e200 the central C2 is ~1e-200, whose squared deviations
+    underflow; the std of the power-of-two scaled columns does not."""
+    table = analysis.disorder_ensemble(6, [0.3, 0.6], amplitude=1e200,
+                                       num_realizations=3)
+    want = (table.per_seed * 1e200).std(axis=0) / 1e200
+    assert np.all(want > 0)
+    np.testing.assert_allclose(table.std_c2, want, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("chunk", [None, 3])
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
 def test_disorder_ensemble_matches_single_realizations(boundary, chunk,

@@ -3,8 +3,11 @@ import os
 import subprocess
 import sys
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from test_golden import CASES as GOLDEN_CASES
 
 import chainent
 from chainent import analysis, entanglement, gaussian, models, serialize
@@ -363,28 +366,29 @@ def test_cli_rejects_sizes_beyond_memory(tmp_path, capsys, argv, flag):
     assert not os.listdir(tmp_path)
 
 
-_LOADED_SCIPY = """
+_LOADED = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import chainent
 from chainent import cli
 if chainent.gaussian._zolotarev.cache_info().currsize:
     sys.exit("Zolotarev tables built at import")
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
-loaded = [scipy_modules()]
+def watched():
+    return sorted(m for m in sys.modules
+                  if m.startswith("scipy") or m in ("argparse", "configparser"))
+loaded = [watched()]
 for argv in json.loads(sys.argv[3]):
     assert cli.main(argv + ["--outdir", sys.argv[2]]) == 0, argv
-    loaded.append(scipy_modules())
+    loaded.append(watched())
 print(json.dumps(loaded))
 """
 
 
-def _loaded_scipy(tmp_path, runs):
-    """scipy modules of a fresh interpreter after ``import chainent`` and
-    after each CLI run."""
+def _loaded(tmp_path, runs):
+    """scipy modules, argparse and configparser of a fresh interpreter after
+    ``import chainent`` and after each CLI run."""
     src = os.path.dirname(os.path.dirname(chainent.__file__))
-    proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, src,
+    proc = subprocess.run([sys.executable, "-c", _LOADED, src,
                            str(tmp_path), json.dumps(runs)],
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
@@ -394,7 +398,8 @@ def test_import_and_momentum_commands_load_no_scipy(tmp_path):
     """``import chainent`` and every command but critical, thermodynamic
     sweep and thermodynamic kitaev (not run here) load no scipy module; obc
     is checked on its own below.  The disorder runs build their Zolotarev
-    tables on first use, none at import."""
+    tables on first use, none at import.  Every argv here is plain, so
+    neither argparse nor configparser is loaded either."""
     runs = [["sweep", "--N", "8", "--grid", "0.1:0.5:3"], ["kitaev", "--N", "8"],
             ["graph", "--N", "8", "--lambda", "0.3"],
             ["graph", "--N", "8", "--lambda", "0.3", "--boundary", "open",
@@ -403,15 +408,30 @@ def test_import_and_momentum_commands_load_no_scipy(tmp_path):
             ["disorder", "--N", "8", "--grid", "0.2:0.6:3", "--realizations", "4"],
             ["disorder", "--N", "8", "--grid", "0.2:0.6:3", "--realizations", "4",
              "--boundary", "open"]]
-    assert _loaded_scipy(tmp_path, runs) == [[]] * 8
+    assert _loaded(tmp_path, runs) == [[]] * 8
+
+
+def test_only_help_abbreviations_and_config_load_their_parsers(tmp_path):
+    """argparse is imported for help and for an abbreviated flag, which only
+    it reads, and configparser for ``--config``; the abbreviated run writes
+    the bytes of the same run with whole flags."""
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\nN = 8\ngrid = 0.1:0.3:3\n")
+    for n, (argv, loads) in enumerate([
+            (["graph", "--help"], ["argparse"]),
+            (["sweep", "--N", "8", "--gri", "0.1:0.3:3"], ["argparse"]),
+            (["sweep", "--config", str(config)], ["configparser"])]):
+        assert _loaded(tmp_path / str(n), [argv]) == [[], loads], argv
+    assert main(["sweep", "--N", "8", "--grid", "0.1:0.3:3",
+                 "--outdir", str(tmp_path / "whole")]) == 0
+    assert _outputs(tmp_path / "1") == _outputs(tmp_path / "whole")
 
 
 def test_obc_loads_scipy_linalg_only(tmp_path):
     """obc once loaded scipy.linalg for its eigensolver and nothing else of
     scipy; the closed-form open chain needs no eigensolver, so it now loads
     no scipy module at all."""
-    assert _loaded_scipy(tmp_path, [["obc", "--N", "8",
-                                     "--grid", "0.1:0.3:3"]]) == [[], []]
+    assert _loaded(tmp_path, [["obc", "--N", "8", "--grid", "0.1:0.3:3"]]) == [[], []]
 
 
 # ----------------------------------------------- flags and config files
@@ -517,6 +537,96 @@ def test_cli_config_file_equals_flags(tmp_path, case):
     assert main(with_file + ["--config", str(cfg), "--outdir", str(a)]) == 0
     assert main(flags_only + ["--outdir", str(b)]) == 0
     assert _outputs(a) == _outputs(b) and _outputs(a)
+
+
+# A plain argv is read without argparse; the reader must give argparse's
+# namespace or say "not plain", never a third answer.
+FLAGS_OF = {command: [row.at("flag", command) for row in cli.FLAGS
+                      if command in row.defaults] for command in cli.COMMANDS}
+EVERY_FLAG = sorted({flag for flags in FLAGS_OF.values() for flag in flags})
+BARE = {row.at("flag", command) for row in cli.FLAGS if row.type is cli.BOOL
+        for command in row.defaults}
+VALUES = ["8", "0.3", "-0.3", "-.5", "-7", "-1e5", "-inf", "-", "", "0.1:0.3:3",
+          "-0.3:0.3:3", "--0.3:0.3:3", "true", "x", "a=b", "-x y", "--N", "-h", "--"]
+NOISE = ["--", "-h", "--help", "--no-such-flag", "value", *EVERY_FLAG,
+         *sorted({f[:k] for f in EVERY_FLAG + ["--config"] for k in range(3, len(f))})]
+
+
+@st.composite
+def _argvs(draw):
+    """A command (or none, or not one), then mostly its own flags in every
+    form, values that do and do not read as negative numbers, and now and
+    then a token only argparse handles."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "frobnicate", "--N", None]))
+    flags = FLAGS_OF.get(command, [])
+    flags = flags + ["--config"] * bool(flags)
+    value = st.sampled_from(VALUES) | st.text(".:=019aefinx -", max_size=5)
+    argv = [] if command is None else [command]
+    for _ in range(draw(st.integers(0, 4))):
+        if flags and draw(st.integers(0, 19)):
+            flag = draw(st.sampled_from(flags))
+            form = draw(st.sampled_from(["bare" if flag in BARE else "space"] * 4
+                                        + ["space", "eq", "bare"]))
+            if form == "bare":
+                argv.append(flag)
+            elif form == "eq":
+                argv.append(f"{flag}={draw(value)}")
+            else:
+                argv += [flag, draw(value)]
+        else:
+            argv += [draw(st.sampled_from(NOISE))] + draw(st.lists(value, max_size=1))
+    return argv
+
+
+def test_plain_reader_matches_argparse():
+    """Over 1,500 derandomized argv, a plain one reads as argparse reads it;
+    the draws take both routes hundreds of times each."""
+    seen = {True: 0, False: 0}
+
+    @hypothesis.settings(derandomize=True, max_examples=1500, deadline=None)
+    @hypothesis.given(_argvs())
+    def check(argv):
+        plain = cli._read_plain(argv)
+        seen[plain is not None] += 1
+        if plain is not None:
+            assert plain == vars(cli._build_parser().parse_args(cli._normalize(argv))), argv
+
+    check()
+    assert min(seen.values()) > 300, seen
+
+
+@pytest.mark.parametrize("argv,plain", [
+    (["sweep", "--grid", "-0.3:0.3:3", "--N=8", "--derivative"], True),
+    (["graph", "--lambda", "-0.3", "--mu", "-.5", "--seed", "-7", "--N", "8"], True),
+    (["graph", "--N", "8", "--N", "9", "--config", "a.ini"], True),
+    (["verify"], True),
+    (["graph", "--mu", "-1e5"], False), (["graph", "--mu", "-inf"], False),
+    (["sweep", "--grid", "--0.3:0.3:3"], False), (["sweep", "--gri", "0:1:3"], False),
+    (["sweep", "--derivative=true"], False), (["sweep", "--N"], False),
+    (["sweep", "-h"], False), (["sweep", "--", "--N", "8"], False),
+    (["verify", "--config", "a.ini"], False), (["graph", "--amplitude", "0.1"], False),
+    (["sweep", "--N=--"], False), ([], False), (["--N", "8", "sweep"], False),
+])
+def test_plain_reader_cases(argv, plain):
+    """Which argv take the one-pass route; the property above checks only
+    that an argv it takes reads as argparse reads it."""
+    assert (cli._read_plain(argv) is not None) == plain
+
+
+def test_plain_runs_never_build_the_parser(tmp_path, monkeypatch):
+    """Every SAME_RUN run, as flags and as a config file, and every golden
+    argv runs with the argparse builder replaced by one that raises."""
+    def no_parser():
+        raise AssertionError("argparse parser built for a plain argv")
+    monkeypatch.setattr(cli, "_build_parser", no_parser)
+    cfg = tmp_path / "run.ini"
+    for case in SAME_RUN:
+        text, with_file, flags_only = _same_run(case)
+        cfg.write_text(text)
+        for argv in (with_file + ["--config", str(cfg)], flags_only):
+            assert main(argv + ["--outdir", str(tmp_path / case)]) == 0, argv
+    for case, argv in GOLDEN_CASES.items():
+        assert main(argv + ["--outdir", str(tmp_path / case)]) == 0, argv
 
 
 # Exit-code contract, generated from the flag table: every row of every
