@@ -1,9 +1,10 @@
 """Two-site entanglement structure of 1D quadratic fermion chains.
 
 The package computes Wootters concurrences of site pairs in ground states of
-the SSH and Kitaev chains, both from closed-form momentum sums and from a
-general real-space Gaussian-state pipeline (Majorana correlation matrices,
-spectral flattening, subsystem restriction, dense reduced density matrices).
+the SSH and Kitaev chains, from closed-form momentum sums and from the
+real-space Wick data of each pair's X state: one FFT on clean rings, a closed
+form on clean open SSH chains, the particle matrix or its polar factor on
+other chains (Majorana flattening and dense RDMs remain only as checks).
 """
 
 from .analysis import (

@@ -2,15 +2,16 @@
 
 Every flag except ``--config`` is one row of :data:`FLAGS`: the flag, the
 ``[section] key`` that mirrors it in the INI file read by ``--config``, its
-type, and its default in each subcommand that takes it.  The parser, the
-merge of flags with the file, the model of ``graph`` and the exit-code
-contract test are all built from that table.  Each value is the flag if
-given, else the file's key, else the default; ``--outdir`` then falls back
-to ``$CHAINENT_OUTDIR`` and the current directory.
+type, and its default in each subcommand that takes it.  The argv reader,
+its help, the merge of flags with the file, the model of ``graph`` and the
+exit-code contract test are all built from that table.  Each value is the
+flag if given, else the file's key, else the default; ``--outdir`` then
+falls back to ``$CHAINENT_OUTDIR`` and the current directory.
 
-A plain argv (the command, then whole tokens of its rows) is read in one
-pass over the table; argparse is built only for help, abbreviated flags and
-usage errors, and configparser is imported only for ``--config``.
+An argv is read in one pass: a value is the next token or the text after
+``=`` (so ``--lambda -1e-3`` reads -0.001) and the row's type accepts or
+rejects it; a unique prefix stands for its flag.  configparser is imported
+only for ``--config``.
 
 Exit codes: 0 success, 2 validation error (one ``error:`` line), 3
 numerical error (gapless model at a requested point).
@@ -18,10 +19,8 @@ numerical error (gapless model at a requested point).
 
 from __future__ import annotations
 
-import functools
 import math
 import os
-import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -140,97 +139,89 @@ COMMANDS = {
 }
 
 
-@functools.cache
-def _build_parser():
-    """The argparse parser of every command, built on first use: only help,
-    abbreviated flags and usage errors need it."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        """Reports a usage error as one ``error:`` line with exit status 2;
-        subparsers inherit the class."""
-
-        def error(self, message):
-            self.exit(EXIT_VALIDATION, f"error: {message}\n")
-
-    parser = _Parser(prog="chainent",
-                     description="Two-site entanglement structure of 1D "
-                                 "quadratic fermion chains")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, text in COMMANDS.items():
-        p = sub.add_parser(command, help=text)
-        rows = [row for row in FLAGS if command in row.defaults]
-        if rows:
-            p.add_argument("--config", help="INI file of [section] key = "
-                           "value lines; flags override it")
-        for row in rows:
-            default = row.defaults[command]
-            help = "; ".join(filter(None, [
-                row.type.expected, f"[{row.at('section', command)}] {row.key}",
-                default and f"default {default}", row.help]))
-            kind = (dict(action="store_const", const="true")
-                    if row.type is BOOL else {})
-            p.add_argument(row.at("flag", command), dest=row.key, help=help,
-                           **kind)
-    return parser
-
-
-_GRID_FLAGS = {row.at("flag", command) for row in FLAGS if row.type is GRID
-               for command in row.defaults}
-# {flag: (key, takes a value)} of each command, "--config" wherever a row is
-_PLAIN = {command: {row.at("flag", command): (row.key, row.type is not BOOL)
+# {flag: (key, takes a value)} of chainent (None) and of each command: its
+# rows, "--config" wherever a row is, and -h/--help, whose key is None
+_TAKES = {command: {row.at("flag", command): (row.key, row.type is not BOOL)
                     for row in FLAGS if command in row.defaults}
-          for command in COMMANDS}
-for _takes in _PLAIN.values():
+          for command in (None, *COMMANDS)}
+for _takes in _TAKES.values():
     if _takes:
         _takes["--config"] = ("config", True)
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse reads these as values
+    _takes["-h"] = _takes["--help"] = (None, False)
 
 
-def _read_plain(argv):
-    """``vars()`` of argparse's namespace for a plain argv, else None."""
-    flags = _PLAIN.get(argv[0]) if argv else None
-    if flags is None:
-        return None
-    args = {"command": argv[0], **{key: None for key, _ in flags.values()}}
-    tokens = iter(argv[1:])
+def _read_argv(argv) -> dict:
+    """The command of ``argv`` and the text of each flag it takes (None: not
+    given), or ``{"command": "help", "topic": command}`` at ``-h``/``--help``.
+
+    A bare boolean reads ``"true"``; the last of a repeated flag wins.
+    Raises ValueError on a usage error.
+    """
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    flags = _TAKES[command]
+    args = {"command": command, **{key: None for key, _ in flags.values() if key}}
+    tokens, unknown = iter(argv[command is not None:]), []
     for token in tokens:
         flag, eq, text = token.partition("=")
-        key, takes = flags.get(flag, (None, False))
-        if takes and not eq:
-            text = next(tokens, None)
-            if text and text[0] == "-" and not (  # a value to argparse after _normalize
-                    _NEGATIVE.match(text) or flag in _GRID_FLAGS and text[:2] != "--"):
-                return None
-        elif not takes:  # a bare boolean; argparse rejects "--derivative=x"
-            text = None if eq or key is None else "true"
-        if text is None or text == "--":  # argparse stores [] for "--N=--"
-            return None
+        if flag not in flags and flag[:2] == "--" and flag != "--":  # a unique prefix
+            match = [f for f in flags if f.startswith(flag)]
+            if len(match) > 1:
+                raise ValueError(f"ambiguous option: {flag} could match {', '.join(match)}")
+            flag = match[0] if match else flag
+        if flag not in flags:
+            unknown.append(token)
+            continue
+        key, takes = flags[flag]
+        if eq and not takes:
+            raise ValueError(f"{flag} takes no value, got {text!r}")
+        if key is None:
+            return {"command": "help", "topic": command}
+        if not takes:
+            text = "true"
+        elif not eq and (text := next(tokens, None)) is None:
+            raise ValueError(f"{flag} needs a value")
         args[key] = text
+    if command is None:
+        raise ValueError(f"expected a command ({', '.join(COMMANDS)})"
+                         + (f", got {argv[0]!r}" if argv else ""))
+    if unknown:
+        raise ValueError(f"unrecognized arguments: {', '.join(map(repr, unknown))}")
     return args
 
 
-def _normalize(argv) -> list:
-    """Join ``--grid -0.2:0.2:41`` into one token so argparse does not read
-    the leading minus of the value as a new option."""
-    out = []
-    for tok in argv:
-        if out and out[-1] in _GRID_FLAGS and not tok.startswith("--"):
-            out[-1] = f"{out[-1]}={tok}"
-        else:
-            out.append(tok)
-    return out
+def _usage(command) -> str:
+    """The ``--help`` text of ``command`` (None: of chainent itself), built
+    from COMMANDS and the FLAGS rows."""
+    rows = [row for row in FLAGS if command in row.defaults]
+    entries = [("-h, --help", "show this help and exit"),
+               *(COMMANDS.items() if command is None else ()),
+               *[("--config CONFIG", "INI file of [section] key = value lines; "
+                  "flags override it")] * bool(rows)]
+    for row in rows:
+        flag, default = row.at("flag", command), row.defaults[command]
+        entries.append((flag if row.type is BOOL else f"{flag} {row.key.upper()}", "; ".join(
+            filter(None, [row.type.expected, f"[{row.at('section', command)}] {row.key}",
+                          default and f"default {default}", row.help]))))
+    head = (f"{command} [flags]\n\n{COMMANDS[command]}" if command else
+            f"{{{','.join(COMMANDS)}}} ...\n\nTwo-site entanglement structure of 1D "
+            "quadratic fermion chains; chainent <command> --help lists its flags")
+    width = max(len(name) for name, _ in entries) + 2
+    return "\n".join([f"usage: chainent {head}\n",
+                      *(f"  {name:<{width}}{text}" for name, text in entries)])
 
 
 def settings(argv) -> dict:
     """The subcommand of ``argv`` (key ``"command"``) and every value it
-    takes, each resolved as flag, then ``--config`` file, then default.
+    takes, each resolved as flag, then ``--config`` file, then default; for
+    ``-h``/``--help``, the ``help`` command and its ``topic``.
 
-    Raises ValueError naming the flag or ``[section] key`` whose text does not parse, or
-    whose arrays would not fit in memory; argparse's usage errors raise SystemExit(2).
+    Raises ValueError on a usage error, or naming the flag or ``[section] key``
+    whose text does not parse, or whose arrays would not fit in memory.
     """
-    args = _read_plain(argv) or vars(_build_parser().parse_args(_normalize(argv)))
+    args = _read_argv(argv)
     command = args["command"]
+    if command == "help":
+        return args
     cfg = None  # a parser only for a config file: building one costs a third of this call
     if args.get("config"):
         import configparser
@@ -255,7 +246,11 @@ def settings(argv) -> dict:
         except (ValueError, KeyError):
             raise ValueError(f"{where} must be {row.type.expected}, "
                              f"got {text!r}") from None
-    _check_fits(values)
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    for what, need in _needs(values):
+        if need > memory:
+            raise ValueError(f"{what} needs about {need / 1e9:.3g} GB in one "
+                             f"array, more than the {memory / 1e9:.3g} GB of memory")
     if "grid" in values:
         values["grid"] = np.linspace(*values["grid"])
     return values
@@ -278,23 +273,21 @@ def model_spec(v: dict) -> models.ModelSpec:
                                    disorder=disorder)
 
 
-def _check_fits(v) -> None:
-    """ValueError naming the flag whose largest array exceeds physical memory: a
-    few length-N rows (zone sums, the closed-form open chain), (2N)^2 floats for
-    ``graph`` and ``disorder`` (the SSH particle matrix; for Kitaev, one L x L SVD
-    and no 2L x 2L Mbar), a few columns of grid points, the realizations x
-    max(2N, points) tables of ``disorder``."""
+def _needs(v) -> list:
+    """(flag, bytes) of the largest array each size flag makes: a few length-N
+    rows (zone sums, the closed-form open chain), (2N)^2 floats for ``disorder``
+    and clean ``graph`` rings, 96 L^2 bytes for the all-pairs Wick arrays of
+    other graphs (L modes; 52-84 L^2 traced), a few columns of grid points,
+    the realizations x max(2N, points) tables of ``disorder``."""
     N = max(v.get("N") or 0, 0)  # N < 2 is rejected where it is used
     points = v["grid"][2] if v.get("grid") else 0
     draws = max(v.get("realizations") or 0, 0)
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    for what, need in (
-            (f"--N {N}", 32 * N * N if v["command"] in ("graph", "disorder") else 64 * N),
-            (f"--grid of {points} points", 64 * points),
-            (f"--realizations {draws}", 8 * draws * max(2 * N, points))):
-        if need > memory:
-            raise ValueError(f"{what} needs about {need / 1e9:.3g} GB in one "
-                             f"array, more than the {memory / 1e9:.3g} GB of memory")
+    if v["command"] == "graph" and (v["boundary"] == "open" or v["amplitude"] is not None):
+        largest = 96 * (N * (2 if v["family"] == "ssh" else 1)) ** 2
+    else:
+        largest = 32 * N * N if v["command"] in ("graph", "disorder") else 64 * N
+    return [(f"--N {N}", largest), (f"--grid of {points} points", 64 * points),
+            (f"--realizations {draws}", 8 * draws * max(2 * N, points))]
 
 
 def _outdir(v) -> str:
@@ -316,6 +309,11 @@ def _write_table(rows, header, v, stem) -> str:
 
 
 # ------------------------------------------------------------- subcommands
+
+def cmd_help(v) -> int:
+    print(_usage(v["topic"]))
+    return EXIT_OK
+
 
 def cmd_sweep(v) -> int:
     N, grid = v["N"], v["grid"]
@@ -483,8 +481,6 @@ def main(argv=None) -> int:
         v = settings(sys.argv[1:] if argv is None else list(argv))
         # looked up per call, so a rebinding of cmd_<name> takes effect
         return globals()[f"cmd_{v['command']}"](v)
-    except SystemExit as exc:  # argparse: --help, or its one-line error
-        return exc.code
     except GaplessError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import hypothesis
 import numpy as np
@@ -366,6 +367,29 @@ def test_cli_rejects_sizes_beyond_memory(tmp_path, capsys, argv, flag):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("flags", [
+    ["--lambda", "-0.3", "--boundary", "open"],
+    ["--lambda", "0.3", "--disorder-amplitude", "0.2"],
+    ["--model", "kitaev", "--mu", "2.5", "--boundary", "open"],
+], ids=["open-ssh", "disordered-ssh-ring", "open-kitaev"])
+def test_graph_memory_gate_matches_its_route(flags):
+    """The memory gate's --N estimate for an open or disordered graph (96
+    bytes per pair of its L modes) is at least the traced peak of
+    entangled_graph and at most four times it, at two sizes."""
+    argv = ["graph", *flags, "--N"]
+    entanglement.entangled_graph(cli.model_spec(cli.settings(argv + ["6"])))  # one-time setup
+    for N in (100, 200):
+        v = cli.settings(argv + [str(N)])
+        (what, estimate), *_ = cli._needs(v)
+        tracemalloc.start()
+        try:
+            entanglement.entangled_graph(cli.model_spec(v))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert what == f"--N {N}" and estimate / 4 <= peak <= estimate, (N, peak, estimate)
+
+
 _LOADED = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -412,14 +436,14 @@ def test_import_and_momentum_commands_load_no_scipy(tmp_path):
 
 
 def test_only_help_abbreviations_and_config_load_their_parsers(tmp_path):
-    """argparse is imported for help and for an abbreviated flag, which only
-    it reads, and configparser for ``--config``; the abbreviated run writes
-    the bytes of the same run with whole flags."""
+    """Help and an abbreviated flag load no argparse, as the CLI reads every
+    argv itself, and only ``--config`` loads configparser; the abbreviated
+    run writes the bytes of the same run with whole flags."""
     config = tmp_path / "run.ini"
     config.write_text("[run]\nN = 8\ngrid = 0.1:0.3:3\n")
     for n, (argv, loads) in enumerate([
-            (["graph", "--help"], ["argparse"]),
-            (["sweep", "--N", "8", "--gri", "0.1:0.3:3"], ["argparse"]),
+            (["graph", "--help"], []),
+            (["sweep", "--N", "8", "--gri", "0.1:0.3:3"], []),
             (["sweep", "--config", str(config)], ["configparser"])]):
         assert _loaded(tmp_path / str(n), [argv]) == [[], loads], argv
     assert main(["sweep", "--N", "8", "--grid", "0.1:0.3:3",
@@ -539,8 +563,9 @@ def test_cli_config_file_equals_flags(tmp_path, case):
     assert _outputs(a) == _outputs(b) and _outputs(a)
 
 
-# A plain argv is read without argparse; the reader must give argparse's
-# namespace or say "not plain", never a third answer.
+# The CLI reads every argv itself.  Its oracle is the argparse parser it
+# once used, built from the same table, with a --grid value joined to its
+# flag as the CLI once joined it; it refuses with ValueError, --help too.
 FLAGS_OF = {command: [row.at("flag", command) for row in cli.FLAGS
                       if command in row.defaults] for command in cli.COMMANDS}
 EVERY_FLAG = sorted({flag for flags in FLAGS_OF.values() for flag in flags})
@@ -552,11 +577,49 @@ NOISE = ["--", "-h", "--help", "--no-such-flag", "value", *EVERY_FLAG,
          *sorted({f[:k] for f in EVERY_FLAG + ["--config"] for k in range(3, len(f))})]
 
 
+def _argparse_oracle():
+    """``vars()`` of argparse's namespace for an argv, built as the CLI's
+    parser was before the CLI read argv itself."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ValueError(message)
+
+        def exit(self, status=0, message=None):  # after printing help
+            raise ValueError("help")
+
+        def print_help(self, file=None):
+            pass
+
+    parser = Parser(prog="chainent")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command in cli.COMMANDS:
+        p = sub.add_parser(command)
+        if FLAGS_OF[command]:
+            p.add_argument("--config")
+        for row in cli.FLAGS:
+            if command in row.defaults:
+                kind = (dict(action="store_const", const="true")
+                        if row.type is cli.BOOL else {})
+                p.add_argument(row.at("flag", command), dest=row.key, **kind)
+
+    def read(argv):
+        joined = []
+        for token in argv:
+            if joined and joined[-1] == "--grid" and not token.startswith("--"):
+                joined[-1] = f"--grid={token}"
+            else:
+                joined.append(token)
+        return vars(parser.parse_args(joined))
+    return read
+
+
 @st.composite
 def _argvs(draw):
     """A command (or none, or not one), then mostly its own flags in every
     form, values that do and do not read as negative numbers, and now and
-    then a token only argparse handles."""
+    then help, an abbreviation, ``--`` or a flag it does not take."""
     command = draw(st.sampled_from([*cli.COMMANDS, "frobnicate", "--N", None]))
     flags = FLAGS_OF.get(command, [])
     flags = flags + ["--config"] * bool(flags)
@@ -578,55 +641,61 @@ def _argvs(draw):
     return argv
 
 
-def test_plain_reader_matches_argparse():
-    """Over 1,500 derandomized argv, a plain one reads as argparse reads it;
-    the draws take both routes hundreds of times each."""
-    seen = {True: 0, False: 0}
+def test_reader_matches_argparse(capsys):
+    """Over 1,500 derandomized argv: where argparse reads an argv (and stores
+    no [] for an explicit ``--`` value), the reader reads it the same; where
+    the reader refuses one, main exits 2 with one ``error:`` line; at
+    -h/--help main prints usage and exits 0.  The draws reach the first two
+    cases hundreds of times each, and help dozens of times."""
+    oracle, seen = _argparse_oracle(), {"same": 0, "refused": 0, "help": 0}
 
     @hypothesis.settings(derandomize=True, max_examples=1500, deadline=None)
     @hypothesis.given(_argvs())
     def check(argv):
-        plain = cli._read_plain(argv)
-        seen[plain is not None] += 1
-        if plain is not None:
-            assert plain == vars(cli._build_parser().parse_args(cli._normalize(argv))), argv
+        try:
+            read = cli._read_argv(argv)
+        except ValueError:
+            read = None
+        try:
+            expected = oracle(argv)
+        except ValueError:
+            expected = None
+        if expected is not None and [] not in expected.values():
+            seen["same"] += 1
+            assert read == expected, argv
+        if read is None or read["command"] == "help":
+            seen["refused" if read is None else "help"] += 1
+            capsys.readouterr()
+            code = main(argv)
+            out, err = capsys.readouterr()
+            if read is None:
+                assert code == 2 and not out, argv
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            else:
+                assert code == 0 and out.startswith("usage: chainent ") and not err, argv
 
     check()
-    assert min(seen.values()) > 300, seen
+    assert min(seen["same"], seen["refused"]) > 300 and seen["help"] > 50, seen
 
 
-@pytest.mark.parametrize("argv,plain", [
-    (["sweep", "--grid", "-0.3:0.3:3", "--N=8", "--derivative"], True),
-    (["graph", "--lambda", "-0.3", "--mu", "-.5", "--seed", "-7", "--N", "8"], True),
-    (["graph", "--N", "8", "--N", "9", "--config", "a.ini"], True),
-    (["verify"], True),
-    (["graph", "--mu", "-1e5"], False), (["graph", "--mu", "-inf"], False),
-    (["sweep", "--grid", "--0.3:0.3:3"], False), (["sweep", "--gri", "0:1:3"], False),
-    (["sweep", "--derivative=true"], False), (["sweep", "--N"], False),
-    (["sweep", "-h"], False), (["sweep", "--", "--N", "8"], False),
-    (["verify", "--config", "a.ini"], False), (["graph", "--amplitude", "0.1"], False),
-    (["sweep", "--N=--"], False), ([], False), (["--N", "8", "sweep"], False),
-])
-def test_plain_reader_cases(argv, plain):
-    """Which argv take the one-pass route; the property above checks only
-    that an argv it takes reads as argparse reads it."""
-    assert (cli._read_plain(argv) is not None) == plain
-
-
-def test_plain_runs_never_build_the_parser(tmp_path, monkeypatch):
-    """Every SAME_RUN run, as flags and as a config file, and every golden
-    argv runs with the argparse builder replaced by one that raises."""
-    def no_parser():
-        raise AssertionError("argparse parser built for a plain argv")
-    monkeypatch.setattr(cli, "_build_parser", no_parser)
-    cfg = tmp_path / "run.ini"
-    for case in SAME_RUN:
-        text, with_file, flags_only = _same_run(case)
-        cfg.write_text(text)
-        for argv in (with_file + ["--config", str(cfg)], flags_only):
-            assert main(argv + ["--outdir", str(tmp_path / case)]) == 0, argv
-    for case, argv in GOLDEN_CASES.items():
-        assert main(argv + ["--outdir", str(tmp_path / case)]) == 0, argv
+@pytest.mark.parametrize("argv,key,value", [
+    (["sweep", "--gri", "0:1:3"], "grid", [0.0, 0.5, 1.0]),
+    (["sweep", "--gri=0:1:3", "--deriv"], "derivative", True),
+    (["graph", "--lambda", "-1e-3"], "lambda", -0.001),
+    (["graph", "--N", "8", "--mu", "-1e5"], "mu", -1e5),
+    (["graph", "--d", "0.5"], "error",
+     "ambiguous option: --d could match --delta, --disorder-amplitude"),
+], ids=["prefix", "prefixes", "negative-exponent", "large-negative", "ambiguous-prefix"])
+def test_reader_cases(argv, key, value):
+    """A unique prefix stands for its flag, an ambiguous one is refused, and
+    a value is the next token even where it starts with ``-`` (argparse
+    refused ``--lambda -1e-3`` and ``--mu -1e5``)."""
+    if key == "error":
+        with pytest.raises(ValueError) as exc:
+            cli.settings(argv)
+        assert str(exc.value) == value
+    else:
+        assert np.array_equal(cli.settings(argv)[key], value)
 
 
 # Exit-code contract, generated from the flag table: every row of every
@@ -709,6 +778,8 @@ def test_cli_exit_code_contract(tmp_path, capsys, command, key):
     # a seed past int64 once the realizations are counted from it
     ["disorder", "--N", "4", "--grid", "0.1:0.3:2", "--realizations", "2",
      "--seed", str(2 ** 64)],
+    # an explicit "--" value: a traceback while argparse stored [] for it
+    ["sweep", "--N=--"], ["sweep", "--grid=--"], ["disorder", "--seed=--"],
 ])
 def test_cli_error_is_one_line(capsys, argv):
     assert main(argv) == 2
@@ -725,6 +796,21 @@ def test_cli_config_syntax_error_is_one_line(tmp_path, capsys):
 
 
 def test_cli_help_exits_zero(capsys):
+    """-h, --help and their prefixes print usage and exit 0; a command's
+    usage names the flag and ``[section] key`` of each of its rows."""
+    for argv in (["--help"], ["-h"], ["--he"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: chainent ") and all(c in out for c in cli.COMMANDS)
+    for command in cli.COMMANDS:
+        for help in ("-h", "--help", "--he"):
+            assert main([command, help]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith(f"usage: chainent {command} "), (command, help)
+            for row in cli.FLAGS:
+                if command in row.defaults:
+                    assert row.at("flag", command) in out
+                    assert f"[{row.at('section', command)}] {row.key}" in out
     assert main(["graph", "--help"]) == 0
     assert "[model] boundary" in capsys.readouterr().out
 
