@@ -437,7 +437,7 @@ def disorder_ensemble(N: int, lambda_grid, amplitude: float = 0.1,
     Each seed's onsite energies are drawn once and put on the chain of every
     lambda; :func:`gaussian.pair_projector` solves all lambda x realization
     chains, O(N) each per Zolotarev pole (``eigh`` where it cannot certify the
-    gap), in batches of at most ``_STACK_BYTES // (16 (2N + 512))`` chains.
+    gap), in batches of at most :func:`_disorder_batch` chains.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -451,7 +451,7 @@ def disorder_ensemble(N: int, lambda_grid, amplitude: float = 0.1,
     bonds = np.tile(np.stack([1.0 - good, 1.0 + good], axis=1), N)  # t1, t2 (ModelSpec.ssh)
     bonds[:, -1] *= Boundary(boundary) is Boundary.PERIODIC  # bond n joins n, n + 1 mod 2N
     per_seed, p = np.empty((len(good), num_realizations)), _central_pair(N)[0]
-    step = max(1, _STACK_BYTES // (16 * (2 * N + 512)))  # 2N-site rows and a few dozen poles
+    step = _disorder_batch(N)
     for s in range(0, per_seed.size, step):
         j, i = np.divmod(np.arange(s, min(s + step, per_seed.size)), num_realizations)
         per_seed[j, i] = x_concurrence(*pair_projector(energies[i], bonds[j], p))
@@ -465,6 +465,10 @@ def disorder_ensemble(N: int, lambda_grid, amplitude: float = 0.1,
                          std_c2=np.ldexp(np.ldexp(per_seed, -scale).std(axis=0), scale),
                          per_seed=per_seed,
                          seeds=seeds, N=N, amplitude=amplitude)
+
+
+def _disorder_batch(N: int) -> int:  # 2N-site rows and a few dozen poles per chain
+    return max(1, _STACK_BYTES // (16 * (2 * N + 512)))
 
 
 def obc_fill_count(N: int, lam, fill: str):

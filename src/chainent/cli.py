@@ -246,13 +246,13 @@ def settings(argv) -> dict:
         except (ValueError, KeyError):
             raise ValueError(f"{where} must be {row.type.expected}, "
                              f"got {text!r}") from None
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    memory = gaussian.physical_memory()
     for what, need in _needs(values):
         if need > memory:
-            raise ValueError(f"{what} needs about {need / 1e9:.3g} GB in one "
-                             f"array, more than the {memory / 1e9:.3g} GB of memory")
+            raise ValueError(f"{what} needs about {need / 1e9:.3g} GB, more than "
+                             f"the {memory / 1e9:.3g} GB of memory")
     if "grid" in values:
-        values["grid"] = np.linspace(*values["grid"])
+        values["grid"] = serialize.grid_points(*values["grid"])
     return values
 
 
@@ -274,18 +274,21 @@ def model_spec(v: dict) -> models.ModelSpec:
 
 
 def _needs(v) -> list:
-    """(flag, bytes) of the largest array each size flag makes: a few length-N
-    rows (zone sums, the closed-form open chain), (2N)^2 floats for ``disorder``
-    and clean ``graph`` rings, 96 L^2 bytes for the all-pairs Wick arrays of
-    other graphs (L modes; 52-84 L^2 traced), a few columns of grid points,
-    the realizations x max(2N, points) tables of ``disorder``."""
+    """(flag, bytes) of what each size flag makes at its peak: a few length-N
+    rows (zone sums, the closed-form open chain), (2N)^2 floats for clean
+    ``graph`` rings, 96 L^2 bytes for the all-pairs Wick arrays of other
+    graphs (L modes; 52-84 L^2 traced), 19 floats per site and 2 kB of poles
+    per chain of a ``disorder`` batch (its peak, traced, 0.55-0.97 of it), a few
+    columns of grid points, the realizations x max(2N, points) tables of ``disorder``."""
     N = max(v.get("N") or 0, 0)  # N < 2 is rejected where it is used
     points = v["grid"][2] if v.get("grid") else 0
     draws = max(v.get("realizations") or 0, 0)
     if v["command"] == "graph" and (v["boundary"] == "open" or v["amplitude"] is not None):
         largest = 96 * (N * (2 if v["family"] == "ssh" else 1)) ** 2
+    elif v["command"] == "disorder":
+        largest = min(analysis._disorder_batch(N), points * draws) * (304 * N + 2048) + 16384
     else:
-        largest = 32 * N * N if v["command"] in ("graph", "disorder") else 64 * N
+        largest = 32 * N * N if v["command"] == "graph" else 64 * N
     return [(f"--N {N}", largest), (f"--grid of {points} points", 64 * points),
             (f"--realizations {draws}", 8 * draws * max(2 * N, points))]
 

@@ -22,7 +22,7 @@ class OddDimensionError(ChainentError):
 
 
 class SizeError(ChainentError):
-    """Dense reduced-density-matrix reconstruction exceeds the mode cap."""
+    """A dense matrix exceeds the dense-RDM mode cap or the physical memory."""
 
 
 class InvalidStateError(ChainentError):

@@ -18,6 +18,8 @@ Higher-order ground-state correlators come out of Pfaffians of Mbar.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -166,6 +168,11 @@ def particle_ground_state(A: np.ndarray, fill: int | None = None):
     return levels, V
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory, the bound of every memory check."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def pair_projector(onsite, bonds, p: int):
     """Wick data ``(n_p, n_q, G_pq, 0)`` of the sites p, q = p + 1 in the ground
     state P = (1 - sign A) / 2 of each chain A of a batch (``onsite[b, s]`` on
@@ -191,6 +198,10 @@ def pair_projector(onsite, bonds, p: int):
         below = _pair_schur(o[:, rest], t[:, rest], p, np.concatenate([gap, -gap]))[3]
         certified[:, rest] &= below[:5] == below[5:]
     level = np.where(certified.any(axis=0), np.argmax(certified, axis=0) + 1, 0)  # widest gap
+    if (level == 0).any() and 32 * len(o) ** 2 > (memory := physical_memory()):
+        raise SizeError(f"a {len(o)}-site chain the resolvent cannot certify needs an eigh of "
+                        f"{32 * len(o) ** 2 / 1e9:.3g} GB, more than the {memory / 1e9:.3g} GB "
+                        "of memory")  # eigh's traced 24 L^2 bytes and the matrix
     for b in np.flatnonzero(level == 0):
         A = np.roll(np.diag(bonds[:, b]), 1, axis=1)  # bond s joins s and s + 1
         A = A + A.T + np.diag(onsite[:, b])
@@ -295,23 +306,64 @@ def _filled(levels: np.ndarray, fill) -> np.ndarray:
     return filled
 
 
-def _newton(f, lo, hi):
+def _newton(f, lo, hi, bracketed=False):
     """Root x of each increasing ``f`` (value, slope, ...) on [lo, hi], and
-    f(x): Newton steps from hi, bisecting where a step leaves the bracket; each
-    x stops where its step first falls within 8e-16 max(|hi|, 1), f / slope's rounding."""
+    f(x): Newton steps from hi, each x stopping where its step first falls
+    within 8e-16 max(|hi|, 1), f / slope's rounding.  An x that ends outside
+    [lo, hi] or unconverged is solved again ``bracketed``: bisecting where a
+    step leaves the bracket of the signs seen."""
     tol = 8e-16 * np.maximum(np.abs(hi), 1.0)
-    x, lo, hi = hi, lo - tol, hi + tol
+    x, below, above = hi, lo - tol, hi + tol
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(64):
             fx = f(x)
-            lo, hi = np.where(fx[0] < 0, x, lo), np.where(fx[0] > 0, x, hi)
             new = x - fx[0] / fx[1]
-            if not (inside := (lo <= new) & (new <= hi)).all():
-                new = np.where(inside, new, (lo + hi) / 2.0)
+            if bracketed:
+                below, above = np.where(fx[0] < 0, x, below), np.where(fx[0] > 0, x, above)
+                if not (inside := (below <= new) & (new <= above)).all():
+                    new = np.where(inside, new, (below + above) / 2.0)
             if (done := np.abs(new - x) <= tol).all():
                 break
             x = np.where(done, x, new)  # so x solved with others = x solved alone
-    return x, fx
+    if bracketed or (kept := done & (lo - tol <= x) & (x <= hi + tol)).all():
+        return x, fx
+    safe, fsafe = _newton(f, lo, hi, bracketed=True)
+    return np.where(kept, x, safe), [np.where(kept, a, b) for a, b in zip(fx, fsafe)]
+
+
+def _last_root(N: int, t1: float, t2: float):
+    """``(kappa, 0, level)`` of the edge pair ``k = pi + i kappa`` of
+    :func:`open_ssh_ground_state` (t1, t2 >= 0) if ``t2 N > t1 (N + 1)``, else
+    ``(0, q, level)`` of ``k = pi - q``.  At that threshold the root merges with
+    x = 0, so Newton runs on u = x^2 with x = 0 divided out (the slope at small
+    u from its series); concave in u, it lands at or below the root, then climbs."""
+    s, top = N + 0.5, t2 * N > t1 * (N + 1)
+    c, half = (t2 + t1) / (t2 - t1) if t2 != t1 else math.inf, (math.pi / (2 * N + 1)) ** 2
+    if top and c == 1.0:  # t1 under half an ulp of t2: tanh(kappa / 2) = 1 / c, e^-kappa = t1 / t2
+        x = math.log(t2 / t1) if t1 else 800.0  # bare end sites: kappa = inf, e^-800 = 0
+        return x, 0.0, (t1 / t2) ** N * (t2 - t1 - t1 * math.expm1(-x))
+    # q = pi / (2N + 1) at t1 = t2 splits the q of t2 > t1 from the others
+    lo, u = ((1e-300, math.log(t2 / t1) ** 2) if top else (1e-300, half) if t2 > t1
+             else (half, (math.pi / (N + 1)) ** 2))
+    for _ in range(64):
+        x = math.sqrt(u)
+        if top:  # f = 1/2 - r, r = artanh(tanh(s kappa) / c) / kappa; b its slope at u = 0
+            T = math.tanh(s * x)
+            r, dr = math.atanh(T / c) / x, s * c * (1.0 - T * T) / (c * c - T * T)
+            f, small, b = 0.5 - r, s * s * u < 1e-4, s ** 3 * (c * c - 1.0) / (3.0 * c ** 3)
+        else:  # f = s - r, r = arg((t2 - t1) cos(q / 2) + i (t1 + t2) sin(q / 2)) / q
+            sin = math.sin(x / 2.0)
+            r = math.atan2((t1 + t2) * sin, (t2 - t1) * math.cos(x / 2.0)) / x
+            dr = (t2 * t2 - t1 * t1) / (2.0 * ((t2 - t1) ** 2 + 4.0 * t1 * t2 * sin ** 2))
+            f, small, b = s - r, t2 > t1 and c * c * u < 1e-4, c * (c * c - 1.0) / 24.0
+        new = max(u - f / (b if small else (r - dr) / (2.0 * u)), lo)  # dr: d(x r)/dx
+        if abs(new - u) <= 4e-15 * (u + 1.0 / (s * s)):
+            break
+        u = new
+    x = math.sqrt(new)
+    if top:
+        return x, 0.0, math.exp(-N * x) * (t2 - t1 - t1 * math.expm1(-x))
+    return 0.0, x, math.sqrt((t2 - t1) ** 2 + 4.0 * t1 * t2 * math.sin(x / 2.0) ** 2)
 
 
 def open_ssh_ground_state(N: int, t1, t2, fill=None):
@@ -321,8 +373,9 @@ def open_ssh_ground_state(N: int, t1, t2, fill=None):
     Montambaux, PRB 84, 195452 (2011)): levels ``+-|t1 + t2 e^{ik}|`` over
     the roots of ``t1 sin((N+1)k) + t2 sin(Nk)``, one per
     ``(j pi/(N+1), j pi/N)``, j < N, then ``k = pi - q`` or, if
-    ``t2 N > t1 (N+1)``, the edge pair ``k = pi + i kappa``.  Only the rows
-    of the requested pairs are formed.  A negative bond is gauged away.
+    ``t2 N > t1 (N+1)``, the edge pair ``k = pi + i kappa``
+    (:func:`_last_root`, one chain at a time in Python floats).  Only the
+    rows of the requested pairs are formed.  A negative bond is gauged away.
     ``fill`` and the errors are those of :func:`particle_ground_state`.
     ``t1``, ``t2`` and ``fill`` may also be 1-D arrays over B chains, solved
     together and each as alone: levels (B, 2N), Wick data (B, pairs).  The
@@ -331,46 +384,19 @@ def open_ssh_ground_state(N: int, t1, t2, fill=None):
         t1, t2 = np.reshape(t1, (-1, 1)) * 1.0, np.reshape(t2, (-1, 1)) * 1.0
     sign1, sign2, t1, t2 = 1.0 - 2.0 * (t1 < 0), 1.0 - 2.0 * (t2 < 0), abs(t1), abs(t2)
     j, y = np.arange(1, N), np.arange(1, N + 1)
-    jpi = j * np.pi
+    jpi, sq, cross = j * np.pi, t1 * t1 + t2 * t2, 2.0 * t1 * t2
 
     def phase(k):  # N k + psi - j pi, its slope, psi
         cos = np.cos(k)
         psi = np.arctan2(t1 * np.sin(k), t2 + t1 * cos)
-        slope = N + t1 * (t1 + t2 * cos) / (t1 * t1 + t2 * t2 + 2.0 * t1 * t2 * cos)
+        slope = N + t1 * (t1 + t2 * cos) / (sq + cross * cos)
         return N * k + psi - jpi, slope, psi
 
-    def edge_pair(t1, t2):  # k = pi + i kappa: the last row and level
-        # u stands in for t1 = 0, where the end sites are bare: kappa = inf, e^-800 = 0
-        u = t1 + (t1 == 0.0) * (0.5 * t2)
-
-        def edge(x):  # tanh((N + 1/2) x) = c tanh(x/2), c = (t1 + t2) / (t2 - t1)
-            T, c = np.tanh((N + 0.5) * x), (t2 + u) / (t2 - u)
-            return (x / 2.0 - np.arctanh(T / c),
-                    0.5 - (N + 0.5) * c * (1.0 - T * T) / (c * c - T * T))
-
-        kappa = np.where(t1 == 0.0, 800.0, _newton(edge, 0.0, np.log(t2 / u))[0])
-        return (-np.exp(kappa * (y - N)) * np.expm1(-2.0 * kappa * y),  # ~ sinh(kappa y)
-                np.exp(-N * kappa) * (t2 - t1 - t1 * np.expm1(-kappa)))
-
-    def standing(t1, t2):  # k = pi - q: (t2 - t1) tan((N + 1/2) q) = (t1 + t2) tan(q/2)
-        def trivial(x):  # and eps^2
-            eps2 = (t2 - t1) ** 2 + 4.0 * t1 * t2 * np.sin(x / 2.0) ** 2
-            return ((N + 0.5) * x - np.arctan2((t1 + t2) * np.sin(x / 2.0),
-                                               (t2 - t1) * np.cos(x / 2.0)),
-                    N + 0.5 - (t2 * t2 - t1 * t1) / (2.0 * eps2), eps2)
-
-        q, (_, _, eps2) = _newton(trivial, 0.0, np.pi / (N + 1))
-        return np.sin(q * y), np.sqrt(eps2)
-
     k, (_, norm2, psi) = _newton(phase, jpi / (N + 1), jpi / N)
-    top = t2 * N > t1 * (N + 1)  # the chains that take the edge pair
-    if np.isscalar(t1):  # one chain: scalars, several times cheaper per step than arrays
-        last, level = (edge_pair if top else standing)(t1, t2)
-    else:
-        last, level = np.empty((len(t1), N)), np.empty((len(t1), 1))
-        for solve, pick in ((edge_pair, top[:, 0]), (standing, ~top[:, 0])):
-            if pick.any():
-                last[pick], level[pick] = solve(t1[pick], t2[pick])
+    roots = [_last_root(N, a, b) for a, b in zip(np.ravel(t1).tolist(), np.ravel(t2).tolist())]
+    kappa, q, level = np.transpose(roots).reshape(3, *np.shape(t1))
+    # 2 e^{-N kappa} sinh(kappa y) of the edge pair, or sin(q y)
+    last = np.exp(kappa * (y - N)) * (np.sin(q * y) - np.expm1(-2.0 * kappa * y))
     eps = np.concatenate([np.sqrt((t1 - t2) ** 2 + 4.0 * t1 * t2 * np.cos(k / 2.0) ** 2),
                           np.reshape(level, np.shape(t1) or (1,))], axis=-1)  # descending
     levels = np.concatenate([-eps, eps[..., ::-1]], axis=-1)

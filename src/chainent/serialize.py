@@ -7,6 +7,7 @@ produce byte-identical files, each formatted in one pass and one write.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from json.encoder import encode_basestring_ascii
@@ -118,7 +119,18 @@ def emit_plot_data(result, outdir, prefix="sweep") -> list:
 
 def parse_grid(text: str) -> np.ndarray:
     """Inclusive ``start:stop:points`` grid specification."""
-    return np.linspace(*grid_spec(text))
+    return grid_points(*grid_spec(text))
+
+
+def grid_points(start: float, stop: float, num: int) -> np.ndarray:
+    """``np.linspace(start, stop, num)``, num >= 2, bit for bit by its own arithmetic."""
+    y, step = np.arange(num, dtype=float), (stop - start) / (num - 1)
+    if not step:  # subnormal: linspace's y / (num - 1) * span
+        y, step = y / (num - 1), stop - start
+    y *= step
+    y += start
+    y[-1] = stop
+    return y
 
 
 def grid_spec(text: str) -> tuple:
@@ -128,7 +140,7 @@ def grid_spec(text: str) -> tuple:
         raise ValueError(f"grid must be start:stop:points, got {text!r}")
     start, stop = float(parts[0]), float(parts[1])
     points = int(parts[2])
-    if not np.isfinite([start, stop]).all():
+    if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError("grid bounds must be finite")
     if points < 2:
         raise ValueError("grid needs at least 2 points")

@@ -390,6 +390,48 @@ def test_graph_memory_gate_matches_its_route(flags):
         assert what == f"--N {N}" and estimate / 4 <= peak <= estimate, (N, peak, estimate)
 
 
+def test_disorder_memory_gate_matches_its_route():
+    """The memory gate's --N estimate for ``disorder`` (the O(N) rows of each
+    chain of a pair_projector batch) is at least the
+    traced peak of disorder_ensemble and at most four times it, at two sizes.
+    N = 20,000, refused at 12.8 GB while it was budgeted as an N x N matrix,
+    now passes with about 30 MB."""
+    argv = ["disorder", "--grid", "0.3:0.6:3", "--realizations", "10", "--N"]
+    analysis.disorder_ensemble(4, [0.4], num_realizations=1)  # one-time setup
+    for N in (100, 1000):
+        v = cli.settings(argv + [str(N)])
+        (what, estimate), *_ = cli._needs({**v, "grid": (0.3, 0.6, 3)})  # as the gate sees it
+        tracemalloc.start()
+        try:
+            analysis.disorder_ensemble(N, v["grid"], amplitude=v["amplitude"],
+                                       num_realizations=v["realizations"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert what == f"--N {N}" and estimate / 4 <= peak <= estimate, (N, peak, estimate)
+    v = cli.settings(["disorder", "--N", "20000", "--realizations", "2"])
+    assert cli._needs({**v, "grid": (0.3, 0.6, 2)})[0][1] < 40e6
+
+
+def test_disorder_eigh_fallback_checks_memory_first(tmp_path, monkeypatch, capsys):
+    """A chain the resolvent cannot certify (gap far under W 4^-5) goes to an
+    L x L eigh; where that cannot fit (memory faked as 48 kB, the eigh of 48
+    sites needs 74 kB) the ensemble raises SizeError before building it, and
+    the CLI, whose O(N) gate let the argv through, exits 2 with one line."""
+    from chainent.errors import SizeError
+
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 12, "SC_PAGE_SIZE": 4096}.__getitem__)
+    with pytest.raises(SizeError, match="48-site chain"):
+        analysis.disorder_ensemble(24, [1e-5], amplitude=1e-6, num_realizations=1)
+    argv = ["disorder", "--N", "24", "--amplitude", "1e-6", "--realizations", "1",
+            "--outdir", str(tmp_path), "--grid"]
+    assert main(argv + ["1e-5:2e-5:2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a 48-site chain") and err.count("\n") == 1
+    assert not os.listdir(tmp_path)
+    assert main(argv + ["0.3:0.6:2"]) == 0  # certified chains need no eigh
+
+
 _LOADED = """
 import json, sys
 sys.path.insert(0, sys.argv[1])

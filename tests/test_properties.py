@@ -381,6 +381,7 @@ def _mp_edge(N, t1, t2):
 
 EDGE_CASES = [
     (16, 1.0), (16, -1.0),               # a zero bond: kappa -> infinity
+    (16, np.nextafter(1.0, 0.0)),        # t1 under half an ulp of t2: c = 1.0
     (16, 1.7), (16, -2.5),               # |lambda| > 1: a negative bond
     (8, _threshold(8)), (8, np.nextafter(_threshold(8), 0.0)),
     (8, np.nextafter(_threshold(8), 1.0)),  # the edge root at k = pi
@@ -412,16 +413,77 @@ def test_closed_form_open_chain_edge_cases(N, lam):
     assert np.max(np.abs(n_above - n_below - density)) < 1e-14
 
 
+class _CountingMath:
+    """``math`` with a count of the calls to tanh and atan2, one per
+    evaluation of the last-root equation on either branch."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        f = getattr(math, name)
+        if name not in ("tanh", "atan2"):
+            return f
+
+        def counted(*args):
+            self.calls += 1
+            return f(*args)
+        return counted
+
+
+@pytest.mark.parametrize("N", [64, 256])
+def test_last_root_converges_quadratically_at_the_threshold(N, monkeypatch):
+    """At the edge-pair threshold and one ulp either side the last root
+    merges with the trivial x = 0, where Newton on x converges linearly (64
+    evaluations at N = 64, 46-48 at N = 256); on u = x^2 with x = 0 divided
+    out it takes at most 10.  The levels match the full-size solve."""
+    thr = _threshold(N)
+    for lam in (np.nextafter(thr, 0.0), thr, np.nextafter(thr, 1.0)):
+        counting = _CountingMath()
+        monkeypatch.setattr(gaussian, "math", counting)
+        levels = gaussian.open_ssh_ground_state(N, 1.0 - lam, 1.0 + lam)[0]
+        monkeypatch.undo()
+        assert 1 <= counting.calls <= 10, (lam, counting.calls)
+        A = np.diag(np.resize([1.0 - lam, 1.0 + lam], 2 * N - 1), 1)
+        assert np.max(np.abs(levels - np.linalg.eigvalsh(A + A.T))) < 1e-13
+
+
+def test_bulk_newton_falls_back_where_a_step_leaves_its_bracket(monkeypatch):
+    """Plain Newton steps with a patched slope (a fifth of the true one) leave
+    the bracket and never settle; those roots take the bisection-safeguarded
+    loop's values, the others plain Newton's, each as if solved alone."""
+    roots = np.linspace(0.1, 0.9, 7)
+    patched = np.arange(7) % 2 == 1
+
+    def f(x, r=roots, p=patched):
+        return x ** 3 - r ** 3, np.where(p, 0.2, 1.0) * 3.0 * x ** 2
+
+    lo, hi = roots - 0.05, roots + 0.05
+    newton, calls = gaussian._newton, []
+    safe = newton(f, lo, hi, bracketed=True)[0]
+    monkeypatch.setattr(gaussian, "_newton",
+                        lambda *args, **kw: calls.append(kw) or newton(*args, **kw))
+    x, (value, slope) = gaussian._newton(f, lo, hi)
+    assert calls == [{}, {"bracketed": True}]
+    assert np.array_equal(x[patched], safe[patched])
+    assert np.max(np.abs(x - roots)) < 1e-15 and np.array_equal(value, x ** 3 - roots ** 3)
+    for b in range(7):
+        alone = gaussian._newton(lambda x: f(x, roots[b], patched[b]), lo[b], hi[b])[0]
+        assert alone == x[b]
+
+
 @pytest.mark.parametrize("N", [2, 3, 8, 255])
 def test_closed_form_open_chain_batch_equals_each_chain(N):
     """One batched solve over chains of both last-root branches (the
-    edge-pair threshold and one ulp either side, zero bonds at lambda = +-1,
-    negative bonds beyond) equals each chain solved alone, bit for bit, with
-    a fill per chain or one for all; a chain that fails alone (a zero edge
-    level at fill None, a degenerate fill) fails the batch the same way."""
+    edge-pair threshold and one ulp either side, k = pi - q on both sides of
+    t1 = t2, t1 = 2^-53 where (t2 + t1) / (t2 - t1) rounds to 1, zero bonds
+    at lambda = +-1, negative bonds beyond) equals each
+    chain solved alone, bit for bit, with a fill per chain or one for all; a
+    chain that fails alone (a zero edge level at fill None, a degenerate
+    fill) fails the batch the same way."""
     thr = _threshold(N)
-    lams = np.array([-3.0, -1.0, -0.4, 0.0, np.nextafter(thr, 0.0), thr,
-                     np.nextafter(thr, 1.0), 0.3, 1.0, 1.7])
+    lams = np.array([-3.0, -1.0, -0.4, -thr, 0.0, 1e-9, thr / 2.0, np.nextafter(thr, 0.0),
+                     thr, np.nextafter(thr, 1.0), 0.3, np.nextafter(1.0, 0.0), 1.0, 1.7])
     t1, t2 = 1.0 - lams, 1.0 + lams
     i, j = np.triu_indices(2 * N, k=1)
     i, j = i[::max(1, len(i) // 500)], j[::max(1, len(i) // 500)]
