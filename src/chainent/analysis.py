@@ -187,9 +187,8 @@ def _centred_difference(values, grid) -> np.ndarray:
 
 # --------------------------------------------------------- critical analysis
 
-def find_lambda_plus(N: int | None = None,
-                     bracket=(1e-6, 0.9), xtol=1e-12) -> float:
-    """Root of eta1(lambda) = sqrt(2) - 1 on (0, 1): where C1 dies.
+def find_lambda_plus(N: int | None = None) -> float:
+    """Root of eta1(lambda) = sqrt(2) - 1 on (0, 1), by Brent's method: where C1 dies.
 
     Finite chains with N in {2, 4} have no root (eta1(0+) already sits below
     the threshold) and raise NoRootError.
@@ -197,17 +196,16 @@ def find_lambda_plus(N: int | None = None,
     from scipy.optimize import brentq  # 0.65 s to load; only `critical` needs it
     def f(lam):
         return eta1(lam, N) - SQRT2_MINUS_1
-    if f(bracket[0]) * f(bracket[1]) > 0:
-        raise NoRootError(f"eta1 - (sqrt(2)-1) does not change sign on {bracket}")
-    return float(brentq(f, bracket[0], bracket[1], xtol=xtol))
+    if f(1e-6) * f(0.9) > 0:
+        raise NoRootError("eta1 - (sqrt(2)-1) does not change sign on (1e-06, 0.9)")
+    return float(brentq(f, 1e-6, 0.9, xtol=1e-12))
 
 
-def find_lambda_minus(N: int | None = None,
-                      bracket=(-0.9, -1e-6), xtol=1e-12) -> float:
+def find_lambda_minus(N: int | None = None) -> float:
     """Root of eta2(lambda) = sqrt(2) - 1 on (-1, 0): where C2 dies.  Swapping
     the sublattices of a ring swaps t1 and t2, so eta2(lambda) = eta1(-lambda)
-    and this is -lambda_plus on the mirrored bracket."""
-    return -find_lambda_plus(N, (-bracket[1], -bracket[0]), xtol)
+    and this is -lambda_plus."""
+    return -find_lambda_plus(N)
 
 
 def jump_at_zero(N: int) -> float:
@@ -235,9 +233,9 @@ class LogFitResult:
     asymptotic: bool
 
 
-def logfit(window=(1e-5, 1e-3), N: int | None = None,
-           num_points: int = 9) -> LogFitResult:
-    """Least-squares fit of d(eta1)/d(lambda) against ln(lambda).
+def logfit(window=(1e-5, 1e-3), N: int | None = None) -> LogFitResult:
+    """Least-squares fit of d(eta1)/d(lambda) against ln(lambda) at 9
+    geometrically spaced points of the window.
 
     In the thermodynamic limit the slope approaches 2/pi and the intercept
     (2/pi) ln(e/2)^2; the fit is meaningful only for |lambda| << 1, so a
@@ -248,7 +246,7 @@ def logfit(window=(1e-5, 1e-3), N: int | None = None,
         raise WindowError("fit window must not touch lambda = 0")
     if lo >= hi:
         raise WindowError("empty fit window")
-    lams = np.geomspace(lo, hi, num_points)
+    lams = np.geomspace(lo, hi, 9)
     return _fit_log(np.log(lams), _deta1(lams, N))
 
 
@@ -301,14 +299,15 @@ def ground_state_energy(N: int, lam: float) -> float:
     return -float(np.sum(bloch_norm(ssh_bloch(lam, momentum_grid(N)))))
 
 
-def free_energy_check(N: int, lam: float, h_step: float = 1e-5):
+def free_energy_check(N: int, lam: float):
     """Compare dE/dlambda (centered difference) with N (eta1 - eta2).
 
     Returns (lhs, rhs, |difference|)."""
-    if abs(lam) < 10 * h_step:
+    h = 1e-5
+    if abs(lam) < 10 * h:
         raise GaplessError("step straddles the critical point")
-    lhs = (ground_state_energy(N, lam + h_step)
-           - ground_state_energy(N, lam - h_step)) / (2.0 * h_step)
+    lhs = (ground_state_energy(N, lam + h)
+           - ground_state_energy(N, lam - h)) / (2.0 * h)
     rhs = N * (eta1(lam, N) - eta2(lam, N))
     return lhs, rhs, abs(lhs - rhs)
 
@@ -360,7 +359,7 @@ def kitaev_density(mu_grid, t: float = 1.0, delta: float = 1.0,
                               N=N, errors=errors)
 
 
-def kitaev_density_jump(N: int, t: float = 1.0) -> float:
+def kitaev_density_jump(N: int) -> float:
     """Density discontinuity across mu = 2t for even N; equals 1/N.
 
     One-sided limits: the k = pi term of eta_z flips sign while all other
@@ -373,9 +372,9 @@ def kitaev_density_jump(N: int, t: float = 1.0) -> float:
 
 
 def kitaev_compressibility_logfit(window=(1e-5, 1e-3), t: float = 1.0,
-                                  delta: float = 1.0,
-                                  num_points: int = 9) -> LogFitResult:
-    """Fit of the thermodynamic dn/dmu against ln|mu - mu_c| near mu_c = 2t.
+                                  delta: float = 1.0) -> LogFitResult:
+    """Fit of the thermodynamic dn/dmu against ln|mu - mu_c| near mu_c = 2t,
+    at 9 geometrically spaced points of the window.
 
     The divergence is logarithmic.  Under this parametrization the exact
     prefactor is 1/(4 pi delta): dn/dmu = -(1/2) d(eta_z)/dmu and the k = pi
@@ -391,7 +390,7 @@ def kitaev_compressibility_logfit(window=(1e-5, 1e-3), t: float = 1.0,
     lo, hi = window
     if lo <= 0 or hi <= 0 or lo >= hi:
         raise WindowError("fit window must not touch mu_c")
-    mus = 2.0 * t - np.geomspace(lo, hi, num_points)
+    mus = 2.0 * t - np.geomspace(lo, hi, 9)
     bloch = partial(kitaev_bloch, t=t, delta=delta)
 
     def dn_dmu(mu):

@@ -246,6 +246,7 @@ def settings(argv) -> dict:
         except (ValueError, KeyError):
             raise ValueError(f"{where} must be {row.type.expected}, "
                              f"got {text!r}") from None
+    values["points"] = values["grid"][2] if "grid" in values else 0  # gated before it is built
     memory = gaussian.physical_memory()
     for what, need in _needs(values):
         if need > memory:
@@ -281,7 +282,7 @@ def _needs(v) -> list:
     per chain of a ``disorder`` batch (its peak, traced, 0.55-0.97 of it), a few
     columns of grid points, the realizations x max(2N, points) tables of ``disorder``."""
     N = max(v.get("N") or 0, 0)  # N < 2 is rejected where it is used
-    points = v["grid"][2] if v.get("grid") else 0
+    points = v["points"]
     draws = max(v.get("realizations") or 0, 0)
     if v["command"] == "graph" and (v["boundary"] == "open" or v["amplitude"] is not None):
         largest = 96 * (N * (2 if v["family"] == "ssh" else 1)) ** 2

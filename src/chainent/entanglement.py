@@ -98,14 +98,13 @@ def eta_analytic(spec: ModelSpec, site1: Site, site2: Site) -> EtaValue:
 CRITICAL_POINT = "lambda = 0 is the critical point"
 
 
-def eta_thermodynamic(spec_or_lambda, pair: str = "intra") -> EtaValue:
+def eta_thermodynamic(lam: float, pair: str = "intra") -> EtaValue:
     """N -> infinity eta from the elliptic closed form
     :func:`models.ssh_eta1_limit` of the Brillouin-zone integral.
 
     ``pair`` is ``"intra"`` (a_n b_n, eta1) or ``"inter"`` (b_n a_{n+1},
     eta2, which is eta1 at -lambda).
     """
-    lam = spec_or_lambda.lam if isinstance(spec_or_lambda, ModelSpec) else spec_or_lambda
     if not -1.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [-1, 1]")
     if abs(lam) < GAP_TOL:
@@ -245,7 +244,7 @@ class Phase(str, Enum):
     CRITICAL = "Critical"
 
 
-def classify_phase(c1: float, c2: float, tol: float = 1e-10) -> Phase:
+def classify_phase(c1: float, c2: float) -> Phase:
     """Phase label from the intra-cell (c1) and inter-cell (c2) concurrences."""
     z1 = c1 <= CONCURRENCE_ZERO
     z2 = c2 <= CONCURRENCE_ZERO
@@ -253,7 +252,7 @@ def classify_phase(c1: float, c2: float, tol: float = 1e-10) -> Phase:
         return Phase.P0
     if z1 and not z2:
         return Phase.P1
-    if abs(c1 - c2) <= tol:
+    if abs(c1 - c2) <= 1e-10:
         return Phase.CRITICAL
     return Phase.Q0 if c1 > c2 else Phase.Q1
 

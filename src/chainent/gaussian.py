@@ -306,31 +306,6 @@ def _filled(levels: np.ndarray, fill) -> np.ndarray:
     return filled
 
 
-def _newton(f, lo, hi, bracketed=False):
-    """Root x of each increasing ``f`` (value, slope, ...) on [lo, hi], and
-    f(x): Newton steps from hi, each x stopping where its step first falls
-    within 8e-16 max(|hi|, 1), f / slope's rounding.  An x that ends outside
-    [lo, hi] or unconverged is solved again ``bracketed``: bisecting where a
-    step leaves the bracket of the signs seen."""
-    tol = 8e-16 * np.maximum(np.abs(hi), 1.0)
-    x, below, above = hi, lo - tol, hi + tol
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(64):
-            fx = f(x)
-            new = x - fx[0] / fx[1]
-            if bracketed:
-                below, above = np.where(fx[0] < 0, x, below), np.where(fx[0] > 0, x, above)
-                if not (inside := (below <= new) & (new <= above)).all():
-                    new = np.where(inside, new, (below + above) / 2.0)
-            if (done := np.abs(new - x) <= tol).all():
-                break
-            x = np.where(done, x, new)  # so x solved with others = x solved alone
-    if bracketed or (kept := done & (lo - tol <= x) & (x <= hi + tol)).all():
-        return x, fx
-    safe, fsafe = _newton(f, lo, hi, bracketed=True)
-    return np.where(kept, x, safe), [np.where(kept, a, b) for a, b in zip(fx, fsafe)]
-
-
 def _last_root(N: int, t1: float, t2: float):
     """``(kappa, 0, level)`` of the edge pair ``k = pi + i kappa`` of
     :func:`open_ssh_ground_state` (t1, t2 >= 0) if ``t2 N > t1 (N + 1)``, else
@@ -366,13 +341,36 @@ def _last_root(N: int, t1: float, t2: float):
     return 0.0, x, math.sqrt((t2 - t1) ** 2 + 4.0 * t1 * t2 * math.sin(x / 2.0) ** 2)
 
 
+def _bulk_roots(N: int, t1, t2):
+    """Roots k_j of :func:`open_ssh_ground_state` (t1, t2 >= 0, scalars or (B, 1)
+    columns), the slope N + psi' and psi at each: Newton on f = N k + psi - j pi
+    from j pi / N, a root stopping at its first step within f / slope's rounding."""
+    jpi, sq, cross = np.arange(1, N) * np.pi, t1 * t1 + t2 * t2, 2.0 * t1 * t2
+    k = jpi / N
+    tol = 8e-16 * np.maximum(k, 1.0)
+    for _ in range(64):
+        cos = np.cos(k)
+        psi = np.arctan2(t1 * np.sin(k), t2 + t1 * cos)
+        slope = N + t1 * (t1 + t2 * cos) / (sq + cross * cos)
+        new = k - (N * k + psi - jpi) / slope
+        if (done := np.abs(new - k) <= tol).all():
+            break
+        k = np.where(done, k, new)  # so a chain solved in a batch = solved alone
+    return k, slope, psi
+
+
 def open_ssh_ground_state(N: int, t1, t2, fill=None):
     """Ascending levels and Wick data ``corr(i, j)`` (as
     :func:`particle_correlations`) of the clean open SSH chain of N cells,
     bonds t1, t2, ..., t1, from its standing waves (Delplace, Ullmo &
     Montambaux, PRB 84, 195452 (2011)): levels ``+-|t1 + t2 e^{ik}|`` over
     the roots of ``t1 sin((N+1)k) + t2 sin(Nk)``, one per
-    ``(j pi/(N+1), j pi/N)``, j < N, then ``k = pi - q`` or, if
+    ``(j pi/(N+1), j pi/N)``, j < N (:func:`_bulk_roots`: plain Newton on
+    ``f = N k + psi - j pi``, psi = arg(t2 + t1 e^{ik}), from j pi/N, where f
+    = psi > 0; psi' >= 0 on [0, pi/2] and >= 1/2 - 1/(2 sin k) beyond, so f' >
+    (1 - 1/(2 pi)) N on [0, (N-1) pi/N] for every N, and f'' = t1 t2 (t1^2 -
+    t2^2) sin k / |t2 + t1 e^{ik}|^4 keeps one sign on (0, pi): the steps fall
+    onto the root, t1 > t2, or pass it once and climb back), then ``k = pi - q`` or, if
     ``t2 N > t1 (N+1)``, the edge pair ``k = pi + i kappa``
     (:func:`_last_root`, one chain at a time in Python floats).  Only the
     rows of the requested pairs are formed.  A negative bond is gauged away.
@@ -384,15 +382,7 @@ def open_ssh_ground_state(N: int, t1, t2, fill=None):
         t1, t2 = np.reshape(t1, (-1, 1)) * 1.0, np.reshape(t2, (-1, 1)) * 1.0
     sign1, sign2, t1, t2 = 1.0 - 2.0 * (t1 < 0), 1.0 - 2.0 * (t2 < 0), abs(t1), abs(t2)
     j, y = np.arange(1, N), np.arange(1, N + 1)
-    jpi, sq, cross = j * np.pi, t1 * t1 + t2 * t2, 2.0 * t1 * t2
-
-    def phase(k):  # N k + psi - j pi, its slope, psi
-        cos = np.cos(k)
-        psi = np.arctan2(t1 * np.sin(k), t2 + t1 * cos)
-        slope = N + t1 * (t1 + t2 * cos) / (sq + cross * cos)
-        return N * k + psi - jpi, slope, psi
-
-    k, (_, norm2, psi) = _newton(phase, jpi / (N + 1), jpi / N)
+    k, norm2, psi = _bulk_roots(N, t1, t2)
     roots = [_last_root(N, a, b) for a, b in zip(np.ravel(t1).tolist(), np.ravel(t2).tolist())]
     kappa, q, level = np.transpose(roots).reshape(3, *np.shape(t1))
     # 2 e^{-N kappa} sinh(kappa y) of the edge pair, or sin(q y)
@@ -542,14 +532,13 @@ class ReducedDensityMatrix:
     matrix: np.ndarray
 
 
-def rdm_from_restriction(MbarA: np.ndarray,
-                         max_modes: int = RDM_MODE_CAP) -> ReducedDensityMatrix:
+def rdm_from_restriction(MbarA: np.ndarray) -> ReducedDensityMatrix:
     """Reconstruct ``rho_A = prod_j (1/2 - i (eta_j/2) c'_{2j} c'_{2j+1})``
     from a restricted correlation matrix."""
     MbarA = _require_skew(MbarA)
     NA = MbarA.shape[0] // 2
-    if NA > max_modes:
-        raise SizeError(f"{NA} modes exceeds the dense-RDM cap of {max_modes}")
+    if NA > RDM_MODE_CAP:
+        raise SizeError(f"{NA} modes exceeds the dense-RDM cap of {RDM_MODE_CAP}")
     bd = block_diagonalize(MbarA)
     etas = bd.epsilons
     if np.max(etas, initial=0.0) > 1.0 + 1e-10:

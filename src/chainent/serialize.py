@@ -97,8 +97,8 @@ def read_csv(path):
         return header, [list(map(_cell, line.rstrip("\n").split(","))) for line in fh]
 
 
-def emit_plot_data(result, outdir, prefix="sweep") -> list:
-    """One file ``<prefix>_{c1,c2,dc2}.dat`` per curve present: ``lambda value`` lines in
+def emit_plot_data(result, outdir) -> list:
+    """One file ``sweep_{c1,c2,dc2}.dat`` per curve present: ``lambda value`` lines in
     ``%.17g``, NaN skipped (the oracle of ``tests/test_serialize.py``). An empty sweep
     writes none and warns."""
     if np.isnan(result.eta1).all():
@@ -108,7 +108,7 @@ def emit_plot_data(result, outdir, prefix="sweep") -> list:
     lams, written = result.lambdas.tolist(), []
     for name, col in (("c1", result.c1), ("c2", result.c2), ("dc2", result.dc2_dlambda)):
         if col is not None:
-            written.append(os.path.join(outdir, f"{prefix}_{name}.dat"))
+            written.append(os.path.join(outdir, f"sweep_{name}.dat"))
             with open(written[-1], "w") as fh:
                 fh.write("".join(["%.17g %.17g\n" % (lam, v) for lam, v
                                   in zip(lams, col.tolist()) if v == v]))

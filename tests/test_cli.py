@@ -367,6 +367,16 @@ def test_cli_rejects_sizes_beyond_memory(tmp_path, capsys, argv, flag):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_memory_estimates_read_the_returned_settings(command):
+    """The memory estimates read a command's returned settings, whose grid is
+    its points, and count those points."""
+    grid = ["--grid", "0.1:0.2:3"] if "grid" in cli.settings([command]) else []
+    v = cli.settings([command, *grid])
+    points = len(v["grid"]) if grid else 0
+    assert cli._needs(v)[1] == (f"--grid of {points} points", 64 * points)
+
+
 @pytest.mark.parametrize("flags", [
     ["--lambda", "-0.3", "--boundary", "open"],
     ["--lambda", "0.3", "--disorder-amplitude", "0.2"],
@@ -400,7 +410,7 @@ def test_disorder_memory_gate_matches_its_route():
     analysis.disorder_ensemble(4, [0.4], num_realizations=1)  # one-time setup
     for N in (100, 1000):
         v = cli.settings(argv + [str(N)])
-        (what, estimate), *_ = cli._needs({**v, "grid": (0.3, 0.6, 3)})  # as the gate sees it
+        (what, estimate), *_ = cli._needs(v)
         tracemalloc.start()
         try:
             analysis.disorder_ensemble(N, v["grid"], amplitude=v["amplitude"],
@@ -409,8 +419,8 @@ def test_disorder_memory_gate_matches_its_route():
         finally:
             tracemalloc.stop()
         assert what == f"--N {N}" and estimate / 4 <= peak <= estimate, (N, peak, estimate)
-    v = cli.settings(["disorder", "--N", "20000", "--realizations", "2"])
-    assert cli._needs({**v, "grid": (0.3, 0.6, 2)})[0][1] < 40e6
+    v = cli.settings(["disorder", "--N", "20000", "--grid", "0.3:0.6:2", "--realizations", "2"])
+    assert cli._needs(v)[0][1] < 40e6
 
 
 def test_disorder_eigh_fallback_checks_memory_first(tmp_path, monkeypatch, capsys):

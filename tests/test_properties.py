@@ -7,8 +7,9 @@ the central-pair resolvent of disordered SSH chains against the particle
 solve, its closed-form gap bound against Sylvester's inertia, and the
 closed-form open SSH chain against the full-size particle solve and mpmath.
 
-Hypothesis draws chains and site pairs with ``derandomize=True``, so every
-run checks the same examples.
+Hypothesis draws chains and site pairs with ``derandomize=True``.  It also
+mixes the literals of the loaded modules into its draws, so the examples
+change with the source and with what a run has imported.
 """
 
 import math
@@ -354,6 +355,7 @@ def _check_open_chain(N, lam, fill, i, j):
         assert np.max(np.abs(np.array(got[:2]) - 0.5)) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
 @PROPERTY
 @given(open_chains())
 def test_closed_form_open_chain_matches_full_size_oracle(case):
@@ -390,6 +392,7 @@ EDGE_CASES = [
 ]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("N, lam", EDGE_CASES)
 def test_closed_form_open_chain_edge_cases(N, lam):
     """The edge cases of the closed form against the full-size solve, and,
@@ -448,30 +451,28 @@ def test_last_root_converges_quadratically_at_the_threshold(N, monkeypatch):
         assert np.max(np.abs(levels - np.linalg.eigvalsh(A + A.T))) < 1e-13
 
 
-def test_bulk_newton_falls_back_where_a_step_leaves_its_bracket(monkeypatch):
-    """Plain Newton steps with a patched slope (a fifth of the true one) leave
-    the bracket and never settle; those roots take the bisection-safeguarded
-    loop's values, the others plain Newton's, each as if solved alone."""
-    roots = np.linspace(0.1, 0.9, 7)
-    patched = np.arange(7) % 2 == 1
-
-    def f(x, r=roots, p=patched):
-        return x ** 3 - r ** 3, np.where(p, 0.2, 1.0) * 3.0 * x ** 2
-
-    lo, hi = roots - 0.05, roots + 0.05
-    newton, calls = gaussian._newton, []
-    safe = newton(f, lo, hi, bracketed=True)[0]
-    monkeypatch.setattr(gaussian, "_newton",
-                        lambda *args, **kw: calls.append(kw) or newton(*args, **kw))
-    x, (value, slope) = gaussian._newton(f, lo, hi)
-    assert calls == [{}, {"bracketed": True}]
-    assert np.array_equal(x[patched], safe[patched])
-    assert np.max(np.abs(x - roots)) < 1e-15 and np.array_equal(value, x ** 3 - roots ** 3)
-    for b in range(7):
-        alone = gaussian._newton(lambda x: f(x, roots[b], patched[b]), lo[b], hi[b])[0]
-        assert alone == x[b]
+def test_bulk_newton_converges_inside_each_bracket():
+    """Plain Newton from j pi / N needs no safeguard: over every N from 2 to
+    300 and four sizes up to 20,000, at 241 lambda on [-3, 3] (25 above N =
+    300, to keep the arrays small) and 0, +-1, nextafter(1, 0) and the
+    edge-pair threshold with one ulp either side, each bulk root has
+    converged (its next step is within the solver's tolerance) inside its
+    bracket [j pi / (N + 1), j pi / N], widened by that tolerance (a zero bond
+    at lambda = +-1 puts the root on an end)."""
+    for N in (*range(2, 301), 1000, 4096, 9999, 20000):
+        thr = _threshold(N)
+        lams = np.concatenate([np.linspace(-3.0, 3.0, 241 if N <= 300 else 25), [
+            0.0, 1.0, -1.0, np.nextafter(1.0, 0.0),
+            thr, np.nextafter(thr, 0.0), np.nextafter(thr, 1.0)]])
+        k, slope, psi = gaussian._bulk_roots(N, np.abs(1.0 - lams)[:, None],
+                                             np.abs(1.0 + lams)[:, None])
+        jpi = np.arange(1, N) * np.pi
+        tol = 8e-16 * np.maximum(jpi / N, 1.0)
+        assert np.all(np.abs(k - (N * k + psi - jpi) / slope - k) <= tol), N
+        assert np.all((jpi / (N + 1) - tol <= k) & (k <= jpi / N + tol)), N
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("N", [2, 3, 8, 255])
 def test_closed_form_open_chain_batch_equals_each_chain(N):
     """One batched solve over chains of both last-root branches (the
