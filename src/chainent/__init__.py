@@ -35,7 +35,6 @@ from .analysis import (
 )
 from .entanglement import (
     EntangledGraph,
-    EtaValue,
     Phase,
     TwoSiteRDM,
     classify_phase,
@@ -43,7 +42,6 @@ from .entanglement import (
     concurrence_from_eta,
     entangled_graph,
     eta_analytic,
-    eta_thermodynamic,
     rdm_matrix_from_eta,
     rdm_pair,
 )

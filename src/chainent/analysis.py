@@ -17,11 +17,9 @@ from functools import partial
 import numpy as np
 
 from .entanglement import (
-    CRITICAL_POINT,
     _ground_state,
     concurrence_from_eta,
     eta_summand,
-    eta_thermodynamic,
     mode_index,
     x_concurrence,
 )
@@ -50,25 +48,31 @@ from .models import (
 )
 
 SQRT2_MINUS_1 = np.sqrt(2.0) - 1.0
+CRITICAL_POINT = "lambda = 0 is the critical point"
 
 
 # ---------------------------------------------------------------- eta values
 
 def eta1(lam: float, N: int | None = None) -> float:
     """eta1 = BZ average of normalized h_x; the elliptic closed form when N is None."""
-    return _eta(lam, N, "intra", d=0)
+    return _eta(lam, N, d=0)
 
 
 def eta2(lam: float, N: int | None = None) -> float:
-    return _eta(lam, N, "inter", d=-1)
+    return _eta(lam, N, d=-1)
 
 
-def _eta(lam, N, pair: str, d: int) -> float:
-    """eta_{a_n b_{n+d}} as eta_analytic's zone mean, with ModelSpec.ssh's errors."""
-    if N is None:
-        return eta_thermodynamic(lam, pair).value
-    if N >= 2 and not -1.0 <= lam <= 1.0:  # N < 2 raises first, in momentum_grid
+def _eta(lam, N, d: int) -> float:
+    """eta_{a_n b_{n+d}}, d = 0 (eta1) or -1 (eta2), as eta_analytic's zone
+    mean with ModelSpec.ssh's errors; when N is None, the closed form
+    :func:`models.ssh_eta1_limit` at lambda, or at -lambda for eta2, and a
+    GaplessError at the critical point."""
+    if (N is None or N >= 2) and not -1.0 <= lam <= 1.0:  # N < 2 raises first, in momentum_grid
         raise ValueError("lambda must lie in [-1, 1]")
+    if N is None:
+        if abs(lam) < GAP_TOL:
+            raise GaplessError(CRITICAL_POINT)
+        return float(ssh_eta1_limit(-lam if d else lam))
     return bz_mean(partial(eta_summand, d=d), partial(ssh_bloch, lam), N)
 
 

@@ -62,8 +62,8 @@ PATH = Type(str, "a path")
 _BOOLEAN_STATES = {"1": True, "yes": True, "true": True, "on": True,  # as configparser
                    "0": False, "no": False, "false": False, "off": False}
 BOOL = Type(lambda text: _BOOLEAN_STATES[text.lower()], "true or false")
-GRID = Type(serialize.grid_spec, "start:stop:points with finite "
-            "start < stop and at least 2 points")
+GRID = Type(serialize.grid_spec, "start:stop:points with start < stop, "
+            "a finite stop - start and at least 2 points")
 
 
 class Flag(NamedTuple):
@@ -253,7 +253,7 @@ def settings(argv) -> dict:
             raise ValueError(f"{what} needs about {need / 1e9:.3g} GB, more than "
                              f"the {memory / 1e9:.3g} GB of memory")
     if "grid" in values:
-        values["grid"] = serialize.grid_points(*values["grid"])
+        values["grid"] = np.linspace(*values["grid"])
     return values
 
 
@@ -426,7 +426,7 @@ def _verify_checks():
         spec = models.ModelSpec.ssh(8, 0.5)
         rdm = entanglement.rdm_pair(spec, (0, "a"), (0, "b"))
         eta = entanglement.eta_analytic(spec, (0, "a"), (0, "b"))
-        return max(np.max(np.abs(rdm.matrix - entanglement.rdm_matrix_from_eta(eta.value))),
+        return max(np.max(np.abs(rdm.matrix - entanglement.rdm_matrix_from_eta(eta))),
                    abs(np.trace(rdm.matrix) - 1.0))
 
     def polar_route():  # rdm_pair of an open Kitaev chain against its Majorana flattening

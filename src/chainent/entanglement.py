@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import GaplessError, InvalidStateError
+from .errors import InvalidStateError
 from .gaussian import (
     _check_pairs,
     _filled,
@@ -30,14 +30,12 @@ from .gaussian import (
 from .models import (
     Boundary,
     Family,
-    GAP_TOL,
     ModelSpec,
     bloch_vector,
     bz_mean,
     gapped_grid,
     particle_matrix,
     ssh_bloch,
-    ssh_eta1_limit,
 )
 from .serialize import _json, _json_array, _json_records
 
@@ -58,12 +56,6 @@ def mode_index(site: Site, family: Family = Family.SSH) -> int:
     return len(subs) * cell + subs.index(sub)
 
 
-@dataclass(frozen=True)
-class EtaValue:
-    value: float
-    pair: tuple
-
-
 def eta_summand(k, h, r, d: int):
     """Per-momentum term of eta_{a_n b_{n+d}}: cos(kd) u_x - sin(kd) u_y,
     u = h/r with r = |h|; that is cos(kd + phi(k)) with
@@ -72,7 +64,7 @@ def eta_summand(k, h, r, d: int):
     return (np.cos(k * d) * hx - np.sin(k * d) * hy) / r
 
 
-def eta_analytic(spec: ModelSpec, site1: Site, site2: Site) -> EtaValue:
+def eta_analytic(spec: ModelSpec, site1: Site, site2: Site) -> float:
     """Brillouin-zone-sum eta coefficient of a clean periodic SSH pair.
 
     eta_{a_n b_m} = (1/N) sum_k cos[k (m - n) + phi(k)]; same-sublattice
@@ -87,32 +79,11 @@ def eta_analytic(spec: ModelSpec, site1: Site, site2: Site) -> EtaValue:
         raise ValueError("analytic route requires a clean periodic chain")
     i, j = map(int, _check_pairs(mode_index(site1), mode_index(site2), spec.num_modes))
     if i % 2 == j % 2:
-        return EtaValue(0.0, (site1, site2))
+        return 0.0
     if i % 2:  # eta_{b_n a_m} = eta_{a_m b_n}
         i, j = j, i
-    value = bz_mean(partial(eta_summand, d=j // 2 - i // 2),
-                    partial(ssh_bloch, spec.lam), spec.N)
-    return EtaValue(value, (site1, site2))
-
-
-CRITICAL_POINT = "lambda = 0 is the critical point"
-
-
-def eta_thermodynamic(lam: float, pair: str = "intra") -> EtaValue:
-    """N -> infinity eta from the elliptic closed form
-    :func:`models.ssh_eta1_limit` of the Brillouin-zone integral.
-
-    ``pair`` is ``"intra"`` (a_n b_n, eta1) or ``"inter"`` (b_n a_{n+1},
-    eta2, which is eta1 at -lambda).
-    """
-    if not -1.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [-1, 1]")
-    if abs(lam) < GAP_TOL:
-        raise GaplessError(CRITICAL_POINT)
-    if pair not in ("intra", "inter"):
-        raise ValueError("pair must be 'intra' or 'inter'")
-    value = float(ssh_eta1_limit(lam if pair == "intra" else -lam))
-    return EtaValue(value, (pair, "thermodynamic"))
+    return bz_mean(partial(eta_summand, d=j // 2 - i // 2),
+                   partial(ssh_bloch, spec.lam), spec.N)
 
 
 BASIS_DOC = "occupation bitstrings, first listed site = least significant bit"

@@ -118,19 +118,9 @@ def emit_plot_data(result, outdir) -> list:
 # ------------------------------------------------------------------- grids
 
 def parse_grid(text: str) -> np.ndarray:
-    """Inclusive ``start:stop:points`` grid specification."""
-    return grid_points(*grid_spec(text))
-
-
-def grid_points(start: float, stop: float, num: int) -> np.ndarray:
-    """``np.linspace(start, stop, num)``, num >= 2, bit for bit by its own arithmetic."""
-    y, step = np.arange(num, dtype=float), (stop - start) / (num - 1)
-    if not step:  # subnormal: linspace's y / (num - 1) * span
-        y, step = y / (num - 1), stop - start
-    y *= step
-    y += start
-    y[-1] = stop
-    return y
+    """The inclusive grid ``np.linspace(start, stop, points)`` of a
+    ``start:stop:points`` text, checked by :func:`grid_spec`."""
+    return np.linspace(*grid_spec(text))
 
 
 def grid_spec(text: str) -> tuple:
@@ -140,8 +130,8 @@ def grid_spec(text: str) -> tuple:
         raise ValueError(f"grid must be start:stop:points, got {text!r}")
     start, stop = float(parts[0]), float(parts[1])
     points = int(parts[2])
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ValueError("grid bounds must be finite")
+    if not math.isfinite(stop - start):  # inf - inf is nan: non-finite ends too
+        raise ValueError("grid span stop - start must be finite")
     if points < 2:
         raise ValueError("grid needs at least 2 points")
     if stop <= start:

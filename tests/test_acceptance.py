@@ -149,11 +149,11 @@ def test_acceptance_7_structure():
             spec = ModelSpec.ssh(N, lam)
             for d in range(1, N):
                 # same sublattice: zero at every separation
-                ea = ent.eta_analytic(spec, (0, "a"), (d, "a")).value
+                ea = ent.eta_analytic(spec, (0, "a"), (d, "a"))
                 assert ent.concurrence_from_eta(ea) == 0.0
                 # cross sublattice beyond nearest cells: zero
                 if min(d, N - d) >= 2:
-                    eb = ent.eta_analytic(spec, (0, "a"), (d, "b")).value
+                    eb = ent.eta_analytic(spec, (0, "a"), (d, "b"))
                     assert ent.concurrence_from_eta(eb) == 0.0, (N, lam, d)
 
 

@@ -357,14 +357,17 @@ def test_obc_memory_stays_flat_at_large_n():
 
 
 def test_thermodynamic_checks_kept():
-    from chainent.entanglement import eta_thermodynamic
     for lam in (1.5, -1.01):
         with pytest.raises(ValueError, match=r"lambda must lie in \[-1, 1\]"):
-            eta_thermodynamic(lam)
+            analysis.eta1(lam)
+        with pytest.raises(ValueError, match=r"lambda must lie in \[-1, 1\]"):
+            analysis.eta2(lam)
         with pytest.raises(ValueError, match=r"lambda must lie in \[-1, 1\]"):
             analysis.deta1(lam)
     with pytest.raises(GaplessError, match="lambda = 0 is the critical point"):
-        eta_thermodynamic(1e-13, "inter")
+        analysis.eta2(1e-13)
+    with pytest.raises(GaplessError, match="lambda = 0 is the critical point"):
+        analysis.eta1(-1e-13)
     with pytest.raises(GaplessError, match="derivative undefined at lambda = 0"):
         analysis.deta1(0.0)
     assert (analysis.eta1(1.0), analysis.eta1(-1.0)) == (0.0, 1.0)

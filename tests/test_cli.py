@@ -27,7 +27,8 @@ def test_fmt_round_trips_floats():
 def test_parse_grid():
     g = serialize.parse_grid("-0.2:0.2:5")
     assert np.allclose(g, [-0.2, -0.1, 0.0, 0.1, 0.2])
-    for bad in ("0:1", "1:0:5", "0:1:1", "0:0:5"):
+    for bad in ("0:1", "1:0:5", "0:1:1", "0:0:5",
+                "-1e308:1e308:5", "-inf:inf:3", "nan:1:3", "0:inf:3"):
         with pytest.raises(ValueError):
             serialize.parse_grid(bad)
 
@@ -832,7 +833,10 @@ def test_cli_exit_code_contract(tmp_path, capsys, command, key):
      "--seed", str(2 ** 64)],
     # an explicit "--" value: a traceback while argparse stored [] for it
     ["sweep", "--N=--"], ["sweep", "--grid=--"], ["disorder", "--seed=--"],
+    # a span stop - start that overflows: numpy warnings, then nan and inf rows or exit 2
+    ["kitaev", "--grid", "-1e308:1e308:3"], ["sweep", "--grid", "-1e308:1e308:3"],
 ])
+@pytest.mark.filterwarnings("error")
 def test_cli_error_is_one_line(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -42,7 +42,7 @@ def ssh_pairs(draw):
 def test_eta_analytic_matches_realspace(case):
     spec, s1, s2 = case
     want = entanglement.rdm_pair(spec, s1, s2, fill=spec.N).eta
-    got = entanglement.eta_analytic(spec, s1, s2).value
+    got = entanglement.eta_analytic(spec, s1, s2)
     assert abs(got - want) < 1e-12
 
 

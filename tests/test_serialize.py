@@ -195,24 +195,3 @@ def test_plot_data_matches_per_line_format(tmp_path):
     # the derivative's NaN endpoints are skipped
     with open(written_paths[2]) as fh:
         assert len(fh.readlines()) == 8
-
-
-@settings(derandomize=True, max_examples=1000, deadline=None)
-@given(st.integers(2, 2000), st.floats(-1e3, 1e3), st.floats(-10.0, 3.0))
-def test_grid_points_match_linspace(num, start, log_span):
-    """The grid of --grid is np.linspace's, bit for bit: spans from 1e-10 to
-    1e3, negative starts, 2 to 2,000 points."""
-    stop = start + 10.0 ** log_span
-    assert np.array_equal(serialize.grid_points(start, stop, num),
-                          np.linspace(start, stop, num))
-
-
-@pytest.mark.parametrize("start, stop, num", [
-    (0.0, 5e-324, 3),  # a subnormal step
-    (-1e308, 1e308, 5),  # a span that overflows
-    (1.0, np.nextafter(1.0, 2.0), 9),
-])
-def test_grid_points_match_linspace_at_the_extremes(start, stop, num):
-    with np.errstate(all="ignore"):
-        assert np.array_equal(serialize.grid_points(start, stop, num),
-                              np.linspace(start, stop, num), equal_nan=True)
