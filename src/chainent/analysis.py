@@ -497,8 +497,8 @@ class ObcTable:
 def obc_center_derivative(N: int, lambda_grid, fill: str = "below") -> ObcTable:
     """dC2/dlambda of the central pair of an open chain, plus peak location.
 
-    The grid may be non-uniform (log-spaced grids resolve the peak near 0);
-    derivatives use np.gradient on the actual grid.  C2 comes from batched
+    The grid must increase strictly; log-spaced grids resolve the peak near 0.
+    dC2 is np.gradient's on the actual grid (:func:`_gradient`).  C2 comes from batched
     :func:`gaussian.open_ssh_ground_state` solves of _STACK_BYTES // (128 N)
     lambdas (16 length-N floats each) or fewer: one at a time above N = 32,768.
     """
@@ -506,14 +506,25 @@ def obc_center_derivative(N: int, lambda_grid, fill: str = "below") -> ObcTable:
     if len(lams) < 3:
         raise GridTooCoarseError("need at least 3 points")
     ModelSpec.ssh(N, np.max(np.abs(lams)), boundary=Boundary.OPEN)  # checks N, all lambda
+    if any(b <= a for a, b in zip(lams[:-1], lams[1:])):
+        raise ValueError("lambda grid must be strictly increasing")
     fills, pair = obc_fill_count(N, lams, fill), _central_pair(N)
     c2, step = np.empty(len(lams)), max(1, _STACK_BYTES // (128 * N))
     for s in range(0, len(lams), step):
         lam = lams[s:s + step]  # the solve is dropped before the next one starts
         wick = open_ssh_ground_state(N, 1.0 - lam, 1.0 + lam, fills[s:s + step])[1](*pair)
         c2[s:s + step] = x_concurrence(*wick)
-    dc2 = np.gradient(c2, lams)
-    ipk = int(np.nanargmax(dc2))
-    return ObcTable(lambdas=lams, c2=c2, dc2_dlambda=dc2,
+    dc2 = _gradient(list(c2), list(lams))
+    ipk = max((i for i, d in enumerate(dc2) if d == d), key=dc2.__getitem__)  # nanargmax
+    return ObcTable(lambdas=lams, c2=c2, dc2_dlambda=np.array(dc2),
                     peak_lambda=float(lams[ipk]), peak_height=float(dc2[ipk]),
                     N=N, fill=fill)
+
+
+def _gradient(f, x) -> list:
+    """``np.gradient(f, x)`` bit for bit in float64 scalars, cheaper on a few points."""
+    h = [b - a for a, b in zip(x, x[1:])]
+    mid = ([(c - a) / (2.0 * h[0]) for a, c in zip(f, f[2:])] if all(d == h[0] for d in h) else
+           [-q / (p * (p + q)) * a + (q - p) / (p * q) * b + p / (q * (p + q)) * c
+            for p, q, a, b, c in zip(h, h[1:], f, f[1:], f[2:])])
+    return [(f[1] - f[0]) / h[0], *mid, (f[-1] - f[-2]) / h[-1]]

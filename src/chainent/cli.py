@@ -254,6 +254,8 @@ def settings(argv) -> dict:
                              f"the {memory / 1e9:.3g} GB of memory")
     if "grid" in values:
         values["grid"] = np.linspace(*values["grid"])
+        if not (values["grid"][1:] > values["grid"][:-1]).all():  # more points than floats
+            raise ValueError(f"--grid of {values['points']} points repeats a point")
     return values
 
 

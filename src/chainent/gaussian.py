@@ -164,7 +164,7 @@ def particle_ground_state(A: np.ndarray, fill: int | None = None):
             > SKEW_TOL * max(1.0, np.max(np.abs(A)))):
         raise ValueError("matrix carries pairing terms; particle filling undefined")
     levels, V = np.linalg.eigh(A)
-    V *= _filled(levels, fill)[..., None, :]
+    V *= (np.arange(A.shape[-1]) < _filled(levels, fill)[..., None])[..., None, :]
     return levels, V
 
 
@@ -221,9 +221,9 @@ def pair_projector(onsite, bonds, p: int):
 def _pair_schur(o, t, p: int, z):
     """Schur complement ``(S_pp, S_qq, S_pq)`` of A - z on p, q = p + 1 (chains as
     in :func:`pair_projector`, a row per site) at shifts z (K, chains or 1), and for
-    real z the levels below z: its negative pivots, NaN if one vanished.  Sites
-    q + 1 .. L - 1, 0 .. p - 1 go in turn: pivot d, fill-in t^2 / d on the next
-    site, and b, q's coupling to the next site, adds b^2 / d to q, becomes -b t / d."""
+    real z the levels below z: its negative pivots (by :func:`_block_count` past a zero
+    one).  Sites q + 1 .. L - 1, 0 .. p - 1 go in turn: pivot d, fill-in t^2 / d on the
+    next site, and b, q's coupling to the next site, adds b^2 / d to q, becomes -b t / d."""
     L, q, real = len(o), p + 1, not np.iscomplexobj(z)
     o, t, z = (np.ascontiguousarray(x, z.dtype) for x in (o, t, z))  # C order, as the work arrays
     c, acc, neg, d, e, u = (np.zeros((len(z), o.shape[1]), z.dtype) for _ in range(6))
@@ -244,7 +244,26 @@ def _pair_schur(o, t, p: int, z):
             last = S[1] - S[2] ** 2 / S[0]
             neg += np.copysign(1.0, S[0]) + np.copysign(1.0, last)
             neg = np.where(np.isfinite(last), (L - neg) / 2.0, np.nan)
+            for k, c in zip(*np.nonzero(np.isnan(neg))):  # an exact zero pivot: in 2 x 2 blocks
+                neg[k, c] = _block_count(list(o[:, c]), list(t[:, c]), p, z[k, c % len(z[0])])
     return (*S, neg)
+
+
+def _block_count(o, t, p: int, z) -> float:
+    """Levels below z of one chain (lists) eliminated as in :func:`_pair_schur`, p and q
+    last, an exact zero pivot with the next site: [[0, t], [t, d]] has a level on each
+    side of z, fills nothing in, turns q's coupling v into -v t' / t.  NaN if singular."""
+    order, n, c, acc, v = iter([*range(p + 2, len(o)), *range(p + 1)]), 0, 0.0, 0.0, t[p + 1]
+    for s in order:
+        v, d = v + t[p] * (s == p), o[s] - z - c  # q couples to s, and by its bond to p
+        if d != 0.0:
+            n, c, acc, v = n + (d < 0), t[s] ** 2 / d, acc + v * v / d, -t[s] * v / d
+        elif (u := next(order, None)) is not None and t[s] != 0.0:
+            acc -= v * (v * (o[u] - z) - 2.0 * t[p] * (u == p) * t[s]) / t[s] ** 2
+            n, c, v = n + 1, 0.0, -v * t[u] / t[s]
+        else:
+            return math.nan
+    return n + (o[p + 1] - z - acc < 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -286,24 +305,24 @@ def _sncn(frac, kc):
     return pi / (2 * agm), sn, c * sn
 
 
-def _filled(levels: np.ndarray, fill) -> np.ndarray:
-    """Mask of the ``fill`` lowest of the ascending ``levels`` (last axis; one
-    fill, or one per stacked row), or of every negative one, with the errors
-    of :func:`particle_ground_state`."""
-    L = levels.shape[-1]
+def _filled(levels: np.ndarray, fill):
+    """How many of the ascending ``levels`` are filled (last axis; one fill, or one
+    per stacked row): ``fill``, checked at its boundary levels[F] - levels[F - 1]
+    alone, or every negative one, with the errors of :func:`particle_ground_state`."""
     if fill is None:
         scale = np.maximum(1.0, np.max(np.abs(levels), axis=-1))
         if np.any(np.min(np.abs(levels), axis=-1) <= ZERO_TOL * scale):
             raise GaplessError("Hamiltonian is gapless; flattening undefined")
-        return levels < 0
-    filled = np.arange(L) < np.asarray(fill)[..., None]
-    if ((np.asarray(fill) < 0) | (np.asarray(fill) > L)).any():
+        return np.count_nonzero(levels < 0, axis=-1)
+    L, F = levels.shape[-1], np.asarray(fill)
+    fills, flat = F.ravel().tolist() * (levels.size // L // F.size), levels.ravel()  # one a row
+    if min(fills, default=0) < 0 or max(fills, default=0) > L:
         raise ValueError("num_filled out of range")
-    if (levels.min(axis=-1, where=~filled, initial=np.inf)  # lowest empty
-            - levels.max(axis=-1, where=filled, initial=-np.inf) < DEGENERACY_TOL).any():
+    at = [b * L + f for b, f in enumerate(fills) if 0 < f < L]  # levels[F] of each row, flat
+    if (flat[at] - flat[[a - 1 for a in at]] < DEGENERACY_TOL).any():
         raise DegenerateFillError("filling boundary splits a degenerate level "
                                   "pair; choose a filling below or above it")
-    return filled
+    return F
 
 
 def _last_root(N: int, t1: float, t2: float):
@@ -372,63 +391,72 @@ def open_ssh_ground_state(N: int, t1, t2, fill=None):
     t2^2) sin k / |t2 + t1 e^{ik}|^4 keeps one sign on (0, pi): the steps fall
     onto the root, t1 > t2, or pass it once and climb back), then ``k = pi - q`` or, if
     ``t2 N > t1 (N+1)``, the edge pair ``k = pi + i kappa``
-    (:func:`_last_root`, one chain at a time in Python floats).  Only the
-    rows of the requested pairs are formed.  A negative bond is gauged away.
-    ``fill`` and the errors are those of :func:`particle_ground_state`.
+    (:func:`_last_root`, one chain at a time in Python floats).  ``fill`` and the
+    errors are those of :func:`particle_ground_state`, checked at the boundary alone.
+    The Wick data are two half-sums, the filled -eps and +eps levels, over the rows of
+    the requested modes: bulk columns plus the edge pair's.  A negative bond is gauged away.
     ``t1``, ``t2`` and ``fill`` may also be 1-D arrays over B chains, solved
     together and each as alone: levels (B, 2N), Wick data (B, pairs).  The
     solve holds about 16 length-N floats per chain."""
     if not np.isscalar(t1):  # a batch: (B, 1) columns against the roots
-        t1, t2 = np.reshape(t1, (-1, 1)) * 1.0, np.reshape(t2, (-1, 1)) * 1.0
-    sign1, sign2, t1, t2 = 1.0 - 2.0 * (t1 < 0), 1.0 - 2.0 * (t2 < 0), abs(t1), abs(t2)
-    j, y = np.arange(1, N), np.arange(1, N + 1)
+        t1, t2 = np.asarray(t1, float).reshape(-1, 1), np.asarray(t2, float).reshape(-1, 1)
+    neg1, neg2, t1, t2 = t1 < 0, t2 < 0, abs(t1), abs(t2)
+    root, y = np.arange(1, N), np.arange(1, N + 1)
     k, norm2, psi = _bulk_roots(N, t1, t2)
     roots = [_last_root(N, a, b) for a, b in zip(np.ravel(t1).tolist(), np.ravel(t2).tolist())]
-    kappa, q, level = np.transpose(roots).reshape(3, *np.shape(t1))
+    kappa, q, level = np.array(roots).T.reshape(3, *np.shape(t1)[:-1], -1)  # (B, 1) or (1,)
     # 2 e^{-N kappa} sinh(kappa y) of the edge pair, or sin(q y)
     last = np.exp(kappa * (y - N)) * (np.sin(q * y) - np.expm1(-2.0 * kappa * y))
     eps = np.concatenate([np.sqrt((t1 - t2) ** 2 + 4.0 * t1 * t2 * np.cos(k / 2.0) ** 2),
-                          np.reshape(level, np.shape(t1) or (1,))], axis=-1)  # descending
+                          level], axis=-1)  # descending
     levels = np.concatenate([-eps, eps[..., ::-1]], axis=-1)
-    filled = _filled(levels, fill)[..., None, :]
+    if fill is None:  # levels[N - 1] = -eps[-1] and eps[0]: the least and greatest |level|
+        _filled(levels[..., N - 1::N], None)
+    F = np.asarray(N if fill is None else _filled(levels, fill))[..., None, None]  # per chain
     last /= np.sqrt(2.0 * (last * last).sum(axis=-1, keepdims=True))
     norm = np.sqrt(norm2)[..., None, :]
+    # filled: at -eps columns c < F (the edge pair's from N), at +eps c >= 2N - F (from N + 1)
+    lo, hi = min(F.flat), max(F.flat)  # a mask only where some chain needs one
+    low = None if lo >= N - 1 else np.arange(N - 1) < F
+    high = np.arange(N - 1) >= 2 * N - F if hi > N + 1 else None
 
-    def rows(x):  # of mode x = 2(n - 1) + b of cell n, one stack per chain
-        a, m, n = x % 2 == 0, (x + 1) // 2, x // 2
-        s = np.empty(np.shape(t1)[:-1] + (len(x), N))
+    def gram(x):  # of the rows of modes x = 2(n - 1) + b of cell n, one per chain
+        n, b = np.divmod(x, 2)
+        m, flip = n + b, 2.0 * b - 1.0  # the level -eps flips every a_n
+        h = flip * (-1.0) ** (m * neg1 + n * neg2)  # times the gauge of negative bonds
         # a_n ~ sin(k(n-1) + psi), b_n ~ sin(kn), of norm^2 N + dpsi/dk, with
         # k m reduced mod 2 pi exactly: k = (j pi - psi) / N; a_n = +-b_{N+1-n}
-        s[..., :-1] = np.sin(np.pi / N * (np.outer(m, j) % (2 * N))
-                             + (a - m / N)[:, None] * psi[..., None, :]) / norm
-        s[..., -1] = (-1.0) ** n * last[..., np.where(a, N - 1 - n, n)]
-        g = (sign1 ** m * sign2 ** n)[..., None]
-        # the level -eps flips every a_n
-        return np.concatenate([s * np.where(a[:, None], -g, g) * filled[..., :N],
-                               s * g * filled[..., :N - 1:-1]], axis=-1)
+        R = np.sin(np.pi / N * (m[:, None] * root % (2 * N))
+                   + (1 - b - m / N)[:, None] * psi[..., None, :]) / norm * h[..., None]
+        e = (-1.0) ** n * h * last[..., np.where(b, n, N - 1 - n)]
+        E = e[..., :, None] * e[..., None, :]
+        H = (R if low is None else R * low) @ R.swapaxes(-1, -2) + (F >= N) * E
+        if hi > N:  # the +eps half, its a_n flipped back
+            H += flip[:, None] * flip * ((F > N) * E + (
+                0.0 if high is None else (R * high) @ R.swapaxes(-1, -2)))
+        return H
 
-    return levels, partial(_gram_wick, rows, 2 * N)
+    return levels, partial(_gram_wick, gram, 2 * N)
 
 
 def particle_correlations(V: np.ndarray, i, j):
     """Wick data ``(n_i, n_j, G_ij, 0)`` of mode pairs from the eigenvectors
     of :func:`particle_ground_state`: ``n_i = sum V_i^2``, ``G_ij = sum V_i
     V_j``; elementwise over index arrays and over a stack of states."""
-    return _gram_wick(lambda r: V[..., r, :], V.shape[-2], i, j)
+    return _gram_wick(lambda r: (R := V[..., r, :]) @ np.swapaxes(R, -1, -2), V.shape[-2], i, j)
 
 
-def _gram_wick(rows, num_modes: int, i, j):
-    """:func:`particle_correlations` from ``rows(r)``, the filled
-    eigenvector rows of the modes r: one Gram product over the distinct
-    modes the pairs touch, indexed for n and G."""
+def _gram_wick(gram, num_modes: int, i, j):
+    """:func:`particle_correlations` from ``gram(r)``, the Gram matrix of the
+    filled eigenvector rows of the modes r: one over the distinct modes the
+    pairs touch, indexed for n and G."""
     i, j = _check_pairs(i, j, num_modes)
     touched = np.zeros(num_modes, dtype=int)
     touched[i] = touched[j] = 1
-    R = rows(np.flatnonzero(touched))
-    gram = R @ np.swapaxes(R, -1, -2)
-    at = np.cumsum(touched) - 1  # mode -> its row of R
+    H = gram(touched.nonzero()[0])
+    at = touched.cumsum() - 1  # mode -> its row of the Gram matrix
     a, b = at[i], at[j]
-    return gram[..., a, a], gram[..., b, b], gram[..., a, b], 0.0
+    return H[..., a, a], H[..., b, b], H[..., a, b], 0.0
 
 
 def flatten_from_fill(M: np.ndarray, num_filled: int) -> np.ndarray:

@@ -309,6 +309,20 @@ def test_obc_grid_equals_per_point(N, fill, monkeypatch):
         monkeypatch.undo()
 
 
+def test_gradient_replica_is_numpys_bit_for_bit():
+    """obc's dC2/dlambda in float64 scalars equals np.gradient bit for bit on
+    10,000 grids of 3 to 8 points: exactly uniform (np.gradient's own branch),
+    linspace, geomspace and sorted uniform draws."""
+    rng = np.random.default_rng(26)
+    for trial in range(10000):
+        n = int(rng.integers(3, 9))
+        lo, hi = np.sort(rng.uniform(-1.0, 1.0, 2))
+        x = (0.125 * np.arange(n) - 0.5, np.linspace(lo, hi, n), np.geomspace(1e-4, 1.0, n),
+             np.sort(rng.uniform(lo, hi, n)))[trial % 4]
+        f = rng.uniform(0.0, 1.0, n)
+        assert np.array_equal(analysis._gradient(list(f), list(x)), np.gradient(f, x)), (x, f)
+
+
 def test_obc_grid_errors_match_per_point(monkeypatch, capsys, tmp_path):
     """A grid with one failing point fails as the per-point loop does: the
     same error class and message, and through the CLI the same exit code and
@@ -436,12 +450,14 @@ def test_kitaev_compressibility_centred_difference():
     (lambda: analysis.sweep([0.2, 0.1]), ValueError, "lambda grid must be strictly increasing"),
     (lambda: analysis.obc_center_derivative(8, [0.1, 0.2]), GridTooCoarseError,
      "need at least 3 points"),
+    (lambda: analysis.obc_center_derivative(8, [0.1, 0.2, 0.2]), ValueError,
+     "lambda grid must be strictly increasing"),
     (lambda: analysis.free_energy_check(16, 1e-5), GaplessError,
      "step straddles the critical point"),
     (lambda: analysis.kitaev_compressibility_logfit((1e-3, 1e-5)), WindowError,
      "fit window must not touch mu_c"),
-], ids=["eta1-lambda", "sweep-decreasing", "obc-two-points", "free-energy-step",
-        "kitaev-logfit-window"])
+], ids=["eta1-lambda", "sweep-decreasing", "obc-two-points", "obc-repeated",
+        "free-energy-step", "kitaev-logfit-window"])
 def test_public_errors(call, error, message):
     """Errors of the public analysis API: type and message."""
     with pytest.raises(error) as got:

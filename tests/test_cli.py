@@ -824,6 +824,12 @@ def test_cli_exit_code_contract(tmp_path, capsys, command, key):
                     (argv, err)
 
 
+# more grid points than floats between the ends
+REPEATED_GRID_POINT = [[command, *size, "--grid", "0.3:0.30000000000000004:9"] for command, size in
+                       (("kitaev", ()), ("obc", ("--N", "16")), ("disorder", ("--N", "12")),
+                        ("sweep", ()))]
+
+
 @pytest.mark.parametrize("argv", [
     [], ["sweep", "--grid"], ["sweep", "--grid", "--N", "8"],
     ["graph", "--boundary", "sideways"], ["obc", "--no-such-flag"],
@@ -835,12 +841,22 @@ def test_cli_exit_code_contract(tmp_path, capsys, command, key):
     ["sweep", "--N=--"], ["sweep", "--grid=--"], ["disorder", "--seed=--"],
     # a span stop - start that overflows: numpy warnings, then nan and inf rows or exit 2
     ["kitaev", "--grid", "-1e308:1e308:3"], ["sweep", "--grid", "-1e308:1e308:3"],
+    *REPEATED_GRID_POINT,
 ])
 @pytest.mark.filterwarnings("error")
 def test_cli_error_is_one_line(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", REPEATED_GRID_POINT)
+def test_cli_repeated_grid_point_names_the_grid(capsys, argv):
+    """Nine points between two adjacent floats repeat a point, which the
+    kitaev and disorder routes would write as repeated rows and obc would
+    divide by: every grid command refuses it with one line naming --grid."""
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --grid of 9 points repeats a point\n"
 
 
 def test_cli_config_syntax_error_is_one_line(tmp_path, capsys):

@@ -217,7 +217,8 @@ def test_particle_projector_gapless_and_pairing_errors():
 def test_pair_schur_inertia_counts_levels_below_each_shift(boundary):
     """The negative pivots of the central-pair elimination count the levels
     of A below each real shift, as eigvalsh does (Sylvester's law of
-    inertia); an exactly vanishing pivot gives NaN, never a wrong count."""
+    inertia); an exactly vanishing pivot is eliminated with the next site as
+    a 2 x 2 block, whose levels lie on either side of the shift."""
     rng = np.random.default_rng(5)
     for N in (2, 3, 8, 13):
         chains = [_chain(ModelSpec.ssh(N, lam, boundary=boundary,
@@ -238,7 +239,17 @@ def test_pair_schur_inertia_counts_levels_below_each_shift(boundary):
     o, t = _chain(spec)
     count = gaussian._pair_schur(o[:, None], t[:, None], 2, np.array([[0.5], [0.6]]))[3]
     levels = np.linalg.eigvalsh(models.particle_matrix(spec))
-    assert np.isnan(count[0, 0]) and count[1, 0] == np.sum(levels < 0.6)
+    assert np.array_equal(count[:, 0], [np.sum(levels < 0.5), np.sum(levels < 0.6)])
+    # integer bonds with an exact zero pivot at +-W/4, one of them on the last site
+    # before p, where the block takes in p itself
+    for bonds, p in (([3, -1, 3, -1, 3, 0], 1), ([1.5, 0.5, 1.5, 0.5, 1.5, 0], 1),
+                     ([-1, 3, -1, 3], 0)):
+        t = np.array(bonds, dtype=float)
+        A = np.diag(t[:-1], 1) + np.diag(t[:-1], -1)
+        A[0, -1] = A[-1, 0] = A[0, -1] + t[-1]
+        z = np.array([[1.0], [-1.0]]) * np.max(np.abs(t) + np.abs(np.roll(t, 1))) / 4.0
+        count = gaussian._pair_schur(0.0 * t[:, None], t[:, None], p, z)[3]
+        assert np.array_equal(count, np.sum(np.linalg.eigvalsh(A) < z, axis=1, keepdims=True))
 
 
 def test_sncn_matches_mpmath():

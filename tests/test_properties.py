@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chainent import analysis, entanglement, gaussian, models
-from chainent.errors import ChainentError, GaplessError
+from chainent.errors import ChainentError, DegenerateFillError, GaplessError
 from chainent.models import ModelSpec
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
@@ -267,6 +267,10 @@ def bond_chains(draw):
     return amplitude * rng.uniform(-1.0, 1.0, 2 * N), bonds, draw(st.integers(0, 2 * N - 2))
 
 
+# an exact zero pivot at +-W/4, taken as a 2 x 2 block: the count was NaN
+@example((np.zeros(6), np.array([3.0, -1.0, 3.0, -1.0, 3.0, 0.0]), 1))
+@example((np.zeros(6), np.array([1.5, 0.5, 1.5, 0.5, 1.5, 0.0]), 1))
+@example((np.zeros(4), np.array([-1.0, 3.0, -1.0, 3.0]), 0))
 # L = 4, where the Gershgorin terms of sites s + 2 and s - 2 fall on one site
 @example((np.array([0.05, -0.05, 0.02, 0.0]), np.array([0.3, 1.7, 0.3, 1.7]), 1))
 @example((np.array([0.05, -0.05, 0.02, 0.0]), np.array([0.3, -1.7, 0.3, 1.7]), 2))
@@ -390,6 +394,59 @@ EDGE_CASES = [
     (2, 0.9), (2, 0.1), (3, 0.5), (3, -0.4),
     (150, 0.99),                         # kappa N > 710
 ]
+
+
+def _filled_by_masks(levels, fill):
+    """The fill check over every level, as it was before it read the boundary
+    alone: the oracle of :func:`gaussian._filled`, returning the count."""
+    if fill is None:
+        scale = np.maximum(1.0, np.max(np.abs(levels), axis=-1))
+        if np.any(np.min(np.abs(levels), axis=-1) <= gaussian.ZERO_TOL * scale):
+            raise GaplessError("Hamiltonian is gapless; flattening undefined")
+        return np.count_nonzero(levels < 0, axis=-1)
+    filled = np.arange(levels.shape[-1]) < np.asarray(fill)[..., None]
+    if ((np.asarray(fill) < 0) | (np.asarray(fill) > levels.shape[-1])).any():
+        raise ValueError("num_filled out of range")
+    if (levels.min(axis=-1, where=~filled, initial=np.inf)  # lowest empty
+            - levels.max(axis=-1, where=filled, initial=-np.inf) < gaussian.DEGENERACY_TOL).any():
+        raise DegenerateFillError("filling boundary splits a degenerate level "
+                                  "pair; choose a filling below or above it")
+    return np.count_nonzero(filled, axis=-1)
+
+
+def _raised(route):
+    """The class and message of the package error the route raised, or None."""
+    try:
+        route()
+    except (ChainentError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def open_chain_levels(draw):
+    """N from 2 to 60 and lambda in [-3, 3] (both signs of t1 - t2; beyond +-1
+    a negative bond), with the zero bonds at +-1, 0 and the edge-pair threshold
+    and one ulp either side drawn explicitly."""
+    N = draw(st.integers(2, 60))
+    thr = _threshold(N)
+    return N, draw(st.sampled_from([0.0, 1.0, -1.0, thr, np.nextafter(thr, 0.0),
+                                    np.nextafter(thr, 1.0)]) | st.floats(-3.0, 3.0))
+
+
+@settings(PROPERTY, max_examples=100)  # each solves 2N + 4 chains
+@given(open_chain_levels())
+def test_boundary_fill_check_raises_what_every_level_raises(case):
+    """The closed form checks a fill F at its boundary alone, levels[F] -
+    levels[F - 1], and fill None at the least and greatest |level|: for every
+    F from -1 to 2N + 1 and None it raises what the check of every level
+    raises, class and message, or fills as many levels."""
+    N, lam = case
+    levels = gaussian.open_ssh_ground_state(N, 1.0 - lam, 1.0 + lam, 0)[0]
+    for fill in (None, *range(-1, 2 * N + 2)):
+        want = _raised(lambda: _filled_by_masks(levels, fill))
+        assert _raised(lambda: gaussian.open_ssh_ground_state(N, 1.0 - lam, 1.0 + lam, fill)) == want
+        if want is None:
+            assert gaussian._filled(levels, fill) == _filled_by_masks(levels, fill), fill
 
 
 @pytest.mark.filterwarnings("error")
