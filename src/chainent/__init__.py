@@ -4,7 +4,8 @@ The package computes Wootters concurrences of site pairs in ground states of
 the SSH and Kitaev chains, from closed-form momentum sums and from the
 real-space Wick data of each pair's X state: one FFT on clean rings, a closed
 form on clean open SSH chains, the particle matrix or its polar factor on
-other chains (Majorana flattening and dense RDMs remain only as checks).
+other chains.  Majorana flattening and dense RDMs remain only as checks, in
+:mod:`chainent.reference`.
 """
 
 from .analysis import (
@@ -36,14 +37,9 @@ from .analysis import (
 from .entanglement import (
     EntangledGraph,
     Phase,
-    TwoSiteRDM,
     classify_phase,
-    concurrence,
     concurrence_from_eta,
     entangled_graph,
-    eta_analytic,
-    rdm_matrix_from_eta,
-    rdm_pair,
 )
 from .errors import (
     ChainentError,
@@ -58,18 +54,6 @@ from .errors import (
     SizeError,
     WindowError,
 )
-from .gaussian import (
-    BlockDiagonalization,
-    ReducedDensityMatrix,
-    block_diagonalize,
-    canonical_blocks,
-    flatten_from_fill,
-    majorana_correlator,
-    pfaffian,
-    rdm_from_restriction,
-    restrict,
-    spectral_flatten,
-)
 from .models import (
     Boundary,
     DisorderSpec,
@@ -77,7 +61,23 @@ from .models import (
     ModelSpec,
     bloch_vector,
     momentum_grid,
+)
+from .reference import (
+    BlockDiagonalization,
+    ReducedDensityMatrix,
+    TwoSiteRDM,
+    block_diagonalize,
+    canonical_blocks,
+    concurrence,
+    eta_analytic,
+    majorana_correlator,
+    pfaffian,
+    rdm_from_restriction,
+    rdm_matrix_from_eta,
+    rdm_pair,
     realspace_hamiltonian,
+    restrict,
+    spectral_flatten,
 )
 
 __version__ = "0.1.0"

@@ -63,8 +63,8 @@ def eta2(lam: float, N: int | None = None) -> float:
 
 
 def _eta(lam, N, d: int) -> float:
-    """eta_{a_n b_{n+d}}, d = 0 (eta1) or -1 (eta2), as eta_analytic's zone
-    mean with ModelSpec.ssh's errors; when N is None, the closed form
+    """eta_{a_n b_{n+d}}, d = 0 (eta1) or -1 (eta2), as the zone mean of
+    reference.eta_analytic with ModelSpec.ssh's errors; when N is None, the closed form
     :func:`models.ssh_eta1_limit` at lambda, or at -lambda for eta2, and a
     GaplessError at the critical point."""
     if (N is None or N >= 2) and not -1.0 <= lam <= 1.0:  # N < 2 raises first, in momentum_grid

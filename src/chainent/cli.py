@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import analysis, entanglement, gaussian, models, serialize
+from . import analysis, entanglement, gaussian, models, reference, serialize
 from .errors import ChainentError, GaplessError
 
 EXIT_OK = 0
@@ -408,66 +408,9 @@ def cmd_obc(v) -> int:
 
 # ----------------------------------------------------------------- verify
 
-def _verify_checks():
-    """(name, residual, tolerance) triples: each check computes its residual
-    explicitly and passes when it is at most the tolerance (not NaN)."""
-    A = np.random.default_rng(7).normal(size=(8, 8))
-
-    def flat_involution():
-        M = models.realspace_hamiltonian(models.ModelSpec.ssh(12, 0.3))
-        Mbar = gaussian.spectral_flatten(M)
-        return max(np.max(np.abs(Mbar @ Mbar + np.eye(len(Mbar)))),
-                   np.max(np.abs(gaussian.spectral_flatten(Mbar) - Mbar)))
-
-    def block_roundtrip():
-        M = models.realspace_hamiltonian(models.ModelSpec.ssh(10, -0.4))
-        bd = gaussian.block_diagonalize(M)
-        return np.max(np.abs(bd.W.T @ gaussian.canonical_blocks(bd.epsilons) @ bd.W - M))
-
-    def rdm_consistency():  # the FFT route of a clean ring against eta_analytic's zone sum
-        spec = models.ModelSpec.ssh(8, 0.5)
-        rdm = entanglement.rdm_pair(spec, (0, "a"), (0, "b"))
-        eta = entanglement.eta_analytic(spec, (0, "a"), (0, "b"))
-        return max(np.max(np.abs(rdm.matrix - entanglement.rdm_matrix_from_eta(eta))),
-                   abs(np.trace(rdm.matrix) - 1.0))
-
-    def polar_route():  # rdm_pair of an open Kitaev chain against its Majorana flattening
-        spec = models.ModelSpec.kitaev(8, delta=0.7, mu=1.2, boundary="open")
-        Mbar = gaussian.spectral_flatten(models.realspace_hamiltonian(spec))
-        return max(np.max(np.abs(entanglement.rdm_pair(spec, (i, "s"), (j, "s")).matrix
-                                 - entanglement.x_state(*gaussian.pair_correlations(Mbar, i, j))))
-                   for i, j in zip(*np.triu_indices(spec.N, k=1)))
-
-    def closed_form_pairs():
-        worst = 0.0
-        for spec in (models.ModelSpec.ssh(6, 0.3, boundary="open"),
-                     models.ModelSpec.kitaev(7, delta=0.7, mu=1.2)):
-            Mbar = gaussian.spectral_flatten(models.realspace_hamiltonian(spec))
-            for i, j in zip(*np.triu_indices(spec.num_modes, k=1)):
-                dense = gaussian.rdm_from_restriction(gaussian.restrict(Mbar, [i, j]))
-                wick = gaussian.pair_correlations(Mbar, i, j)
-                worst = max(worst, abs(entanglement.concurrence(dense.matrix)
-                                       - entanglement.x_concurrence(*wick)))
-        return worst
-
-    return [("flattened matrix squares to -identity", flat_involution, 1e-12),
-            ("block diagonalization round trip", block_roundtrip, 1e-12),
-            ("pfaffian squared equals determinant",
-             lambda: abs(gaussian.pfaffian(A - A.T) ** 2 - np.linalg.det(A - A.T)), 1e-9),
-            ("two-site RDM matches analytic form", rdm_consistency, 1e-12),
-            ("open Kitaev pair RDM matches flattened Majorana matrix", polar_route, 1e-12),
-            ("closed-form pair concurrence equals dense RDM concurrence",
-             closed_form_pairs, 1e-12),
-            ("even-N jump equals 2/N", lambda: max(
-                abs(analysis.jump_at_zero(N) - 2.0 / N) for N in (8, 10, 50)), 1e-12),
-            ("|eta1(lambda_plus)| equals sqrt(2) - 1", lambda: max(  # where C1 dies
-                abs(abs(analysis.eta1(analysis.find_lambda_plus(N), N)) + 1.0 - np.sqrt(2.0))
-                for N in (None, 64)), 1e-11)]
-
-
 def cmd_verify(v) -> int:
     failures = 0
-    for name, check, tol in _verify_checks():
+    for name, check, tol in reference.verify_checks():
         try:
             residual = float(check())
         except Exception as exc:  # report and keep going

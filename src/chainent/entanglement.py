@@ -1,4 +1,4 @@
-"""Two-site reduced density matrices, concurrences and entangled graphs.
+"""Pairwise concurrences of two-site X states, and entangled graphs.
 
 A lattice site is addressed as ``(cell, 'a' | 'b')`` for SSH, ``(n, 's')``
 for Kitaev.  The two-site RDM of a pair of sites is treated as a two-qubit
@@ -7,7 +7,10 @@ literally; parity superselection and exchange strings for non-adjacent pairs
 are deliberately ignored (the pairwise concurrence is defined on the
 occupation-number density matrix as-is, an X state by Wick's theorem).
 Every ground state's Wick data come from :func:`_ground_state`, the one
-place its route is picked.
+place its route is picked, and :func:`x_concurrence` reads the concurrence
+off them in closed form.  The dense two-site RDM, Wootters' spin-flip
+concurrence and the zone sum ``eta_analytic`` that check it are in
+:mod:`chainent.reference`.
 """
 
 from __future__ import annotations
@@ -32,10 +35,8 @@ from .models import (
     Family,
     ModelSpec,
     bloch_vector,
-    bz_mean,
     gapped_grid,
     particle_matrix,
-    ssh_bloch,
 )
 from .serialize import _json, _json_array, _json_records
 
@@ -64,63 +65,15 @@ def eta_summand(k, h, r, d: int):
     return (np.cos(k * d) * hx - np.sin(k * d) * hy) / r
 
 
-def eta_analytic(spec: ModelSpec, site1: Site, site2: Site) -> float:
-    """Brillouin-zone-sum eta coefficient of a clean periodic SSH pair.
-
-    eta_{a_n b_m} = (1/N) sum_k cos[k (m - n) + phi(k)]; same-sublattice
-    pairs give exactly zero.  Sites are checked as on the real-space route:
-    ValueError for a sublattice other than 'a' or 'b', IndexError for a cell
-    outside 0..N-1 or a site paired with itself.  Raises GaplessError at the
-    band touching (lambda = 0 with even N).
-    """
-    if spec.family is not Family.SSH:
-        raise ValueError("eta_analytic applies to SSH specs")
-    if not spec.clean_periodic:
-        raise ValueError("analytic route requires a clean periodic chain")
-    i, j = map(int, _check_pairs(mode_index(site1), mode_index(site2), spec.num_modes))
-    if i % 2 == j % 2:
-        return 0.0
-    if i % 2:  # eta_{b_n a_m} = eta_{a_m b_n}
-        i, j = j, i
-    return bz_mean(partial(eta_summand, d=j // 2 - i // 2),
-                   partial(ssh_bloch, spec.lam), spec.N)
-
-
-BASIS_DOC = "occupation bitstrings, first listed site = least significant bit"
-
-
-@dataclass(frozen=True)
-class TwoSiteRDM:
-    """4x4 two-site reduced density matrix.
-
-    ``eta`` is set when the matrix has the one-parameter form
-    (1/4) [[1-eta^2,,,], [, 1+eta^2, -2 eta,], [, -2 eta, 1+eta^2,], [,,, 1-eta^2]].
-    """
-
-    matrix: np.ndarray
-    sites: tuple
-    eta: float | None = None
-    basis: str = BASIS_DOC
-
-
 def _populations(n_i, n_j, G, F):
     """(p00, p10, p01, p11) of the X state; p10 has site i occupied."""
     p11 = n_i * n_j - np.abs(G) ** 2 + np.abs(F) ** 2
     return 1.0 - n_i - n_j + p11, n_i - p11, n_j - p11, p11
 
 
-def x_state(n_i, n_j, G, F) -> np.ndarray:
-    """Two-site RDM from the Wick data of :func:`gaussian.pair_correlations`,
-    site i the least significant bit: diag(p00, p10, p01, p11) with
-    ``p11 = n_i n_j - |G|^2 + |F|^2``, ``rho[2, 1] = G``, ``rho[3, 0] = -F``."""
-    m = np.diag(np.array(_populations(n_i, n_j, G, F), dtype=complex))
-    m[2, 1], m[1, 2], m[3, 0], m[0, 3] = G, np.conj(G), -F, -np.conj(F)
-    return m
-
-
 def x_concurrence(n_i, n_j, G, F):
     """Concurrence ``2 max(0, |G| - sqrt(p00 p11), |F| - sqrt(p01 p10))`` of
-    the X state, elementwise; rejects non-states like :func:`concurrence`."""
+    the X state, elementwise; rejects non-states like ``reference.concurrence``."""
     p00, p10, p01, p11 = _populations(n_i, n_j, G, F)
     g, f = np.abs(G), np.abs(F)
     # twice the lowest eigenvalue of each 2x2 block of the X state
@@ -129,11 +82,6 @@ def x_concurrence(n_i, n_j, G, F):
         raise InvalidStateError("matrix is not positive semidefinite")
     r00, r01 = np.sqrt(np.clip([p00 * p11, p01 * p10], 0.0, None))
     return 2.0 * np.maximum(0.0, np.maximum(g - r00, f - r01))
-
-
-def rdm_matrix_from_eta(eta: float) -> np.ndarray:
-    """The X state at half filling without pairing: n = 1/2, G = -eta/2, F = 0."""
-    return x_state(0.5, 0.5, -0.5 * eta, 0.0)
 
 
 def _ground_state(spec: ModelSpec, fill: int | None):
@@ -153,48 +101,8 @@ def _ground_state(spec: ModelSpec, fill: int | None):
         _, V = particle_ground_state(particle_matrix(spec), fill)
         return partial(particle_correlations, V)
     U, S, Vt = np.linalg.svd(particle_matrix(spec))
-    _filled(S, None)  # the GaplessError of spectral_flatten
+    _filled(S, None)  # the GaplessError of reference.spectral_flatten
     return partial(_polar_wick, U @ Vt)
-
-
-def rdm_pair(spec: ModelSpec, site1: Site, site2: Site,
-             fill: int | None = None) -> TwoSiteRDM:
-    """Two-site reduced density matrix of the ground state
-    (:func:`_ground_state`), sites labelled as in :func:`mode_index`.
-    ``fill`` selects the number of occupied single-particle levels for
-    fillings other than "all negative levels" (open-boundary zero modes).
-    """
-    n1, n2, G, F = _ground_state(spec, fill)(mode_index(site1, spec.family),
-                                            mode_index(site2, spec.family))
-    eta = None
-    if abs(F) < 1e-12 and abs(n1 - n2) < 1e-12 and abs(1.0 - n1 - n2) < 1e-12:
-        eta = float(-2.0 * G.real)
-    return TwoSiteRDM(x_state(n1, n2, G, F), (site1, site2), eta=eta)
-
-
-_SY_SY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]])).real
-
-
-def concurrence(rdm) -> float:
-    """Two-qubit concurrence (spin-flip construction).
-
-    Accepts a :class:`TwoSiteRDM` or a bare 4x4 matrix.  Validates trace,
-    hermiticity and positivity before evaluating.
-    """
-    rho = rdm.matrix if isinstance(rdm, TwoSiteRDM) else np.asarray(rdm, dtype=complex)
-    if rho.shape != (4, 4):
-        raise InvalidStateError("two-site RDM must be 4x4")
-    if abs(np.trace(rho) - 1.0) > 1e-8:
-        raise InvalidStateError("trace differs from 1 beyond tolerance")
-    if np.max(np.abs(rho - rho.T.conj())) > 1e-8:
-        raise InvalidStateError("matrix is not Hermitian")
-    if np.min(np.linalg.eigvalsh(rho)) < -PSD_TOL:
-        raise InvalidStateError("matrix is not positive semidefinite")
-    rho_tilde = _SY_SY @ rho.conj() @ _SY_SY
-    mu = np.linalg.eigvals(rho @ rho_tilde)
-    roots = np.sqrt(np.clip(mu.real, 0.0, None))
-    roots.sort()
-    return float(max(0.0, roots[-1] - roots[-3] - roots[-2] - roots[0]))
 
 
 def concurrence_from_eta(eta):
@@ -260,7 +168,7 @@ class EntangledGraph:
 def _bloch_correlations(spec: ModelSpec):
     """Wick data ``corr(i, j)`` of a clean ring at the default fill from one
     inverse FFT of the unit Bloch vector, pairs checked as in
-    :func:`gaussian.pair_correlations`; same-sublattice SSH pairs have G = 0."""
+    ``reference.pair_correlations``; same-sublattice SSH pairs have G = 0."""
     N, L = spec.N, spec.num_modes
     _, (hx, hy, hz), r = gapped_grid(partial(bloch_vector, spec), N)
     if spec.family is Family.SSH:  # G[m - n] = -eta / 2 of (a_n, b_m): b's cell minus a's

@@ -1,6 +1,6 @@
 """Model definitions: SSH and Kitaev chains, momentum grids, Bloch vectors,
 and real-space single-particle Hamiltonians: the L x L matrix of hopping,
-onsite and pairing terms and its Majorana form.
+onsite and pairing terms (its Majorana form is in :mod:`chainent.reference`).
 
 Conventions
 -----------
@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -160,9 +161,23 @@ def bloch_vector(spec: ModelSpec, k):
 
 
 def bloch_norm(h):
-    """|h| of a component triple."""
+    """|h| of a component triple; where a square overflows, 2^e |h / 2^e| with 2^e
+    the largest component's power of two, which is exact: h/|h| is unchanged and
+    every norm that does not overflow keeps its bits.  One momentum (quad's
+    integrand) runs in Python floats, which overflow to inf without a warning."""
     hx, hy, hz = h
-    return np.sqrt(hx * hx + hy * hy + hz * hz)
+    if isinstance(hx, float) and isinstance(hy, float) and isinstance(hz, float):
+        x, y, z = float(hx), float(hy), float(hz)
+        if (r := math.sqrt(x * x + y * y + z * z)) < math.inf:
+            return r
+    else:
+        with np.errstate(over="ignore"):
+            r = np.sqrt(hx * hx + hy * hy + hz * hz)
+        if not np.isinf(r).any():
+            return r
+    e = np.frexp(np.maximum(np.maximum(np.abs(hx), np.abs(hy)), np.abs(hz)))[1]
+    x, y, z = (np.ldexp(c, -e) for c in (hx, hy, hz))
+    return np.where(np.isinf(r), np.ldexp(np.sqrt(x * x + y * y + z * z), e), r)[()]
 
 
 def unit_derivative(h, r, bloch, k):
@@ -263,21 +278,3 @@ def particle_matrix(spec: ModelSpec) -> np.ndarray:
     H[n, m] += hop + pair  # bonds are distinct, so += adds each once
     H[m, n] += hop - pair
     return H
-
-
-def majorana_matrix(H: np.ndarray) -> np.ndarray:
-    """Real skew-symmetric M with ``(i/4) c^T M c`` equal to the Hamiltonian
-    of the single-particle matrix ``H = A + B`` (see :func:`particle_matrix`)
-    up to a constant: ``M[0::2, 1::2] = H``, ``M[1::2, 0::2] = -H^T``."""
-    L = len(H)
-    M = np.zeros((2 * L, 2 * L))
-    M[0::2, 1::2] = H
-    M[1::2, 0::2] = -H.T
-    return M
-
-
-def realspace_hamiltonian(spec: ModelSpec) -> np.ndarray:
-    """Real skew-symmetric M with ``H = (i/4) c^T M c`` equal to the model
-    Hamiltonian (plus onsite disorder when present), for any boundary
-    condition and disorder realization."""
-    return majorana_matrix(particle_matrix(spec))

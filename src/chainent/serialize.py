@@ -21,14 +21,6 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, _FLOATS):
-        return "%.17g" % float(x)
-    return str(x)
-
-
 def sweep_rows(result) -> list:
     """Rows of the documented CSV schema for a SweepResult, gapless points left out."""
     n = "thermodynamic" if result.N is None else result.N
@@ -41,8 +33,8 @@ def sweep_rows(result) -> list:
 
 
 def write_csv(path, rows, header=CSV_HEADER) -> None:
-    """Header line, then the :func:`fmt` of each cell joined by commas per
-    row (the oracle of ``tests/test_serialize.py``)."""
+    """Header line, then the ``reference.fmt`` of each cell joined by commas
+    per row (the oracle of ``tests/test_serialize.py``)."""
     lines = [",".join(header)] + [",".join([
         "" if x is None else "%.17g" % x if isinstance(x, _FLOATS) else str(x)
         for x in row]) for row in rows]
@@ -83,20 +75,6 @@ def write_json_records(path, rows, header=CSV_HEADER) -> None:
         fh.write(_json_records(rows, header) + "\n")
 
 
-def _cell(text):
-    try:
-        return float(text) if text else None
-    except ValueError:
-        return text
-
-
-def read_csv(path):
-    """Read back a file written by write_csv; floats recover bit-exactly."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        return header, [list(map(_cell, line.rstrip("\n").split(","))) for line in fh]
-
-
 def emit_plot_data(result, outdir) -> list:
     """One file ``sweep_{c1,c2,dc2}.dat`` per curve present: ``lambda value`` lines in
     ``%.17g``, NaN skipped (the oracle of ``tests/test_serialize.py``). An empty sweep
@@ -116,12 +94,6 @@ def emit_plot_data(result, outdir) -> list:
 
 
 # ------------------------------------------------------------------- grids
-
-def parse_grid(text: str) -> np.ndarray:
-    """The inclusive grid ``np.linspace(start, stop, points)`` of a
-    ``start:stop:points`` text, checked by :func:`grid_spec`."""
-    return np.linspace(*grid_spec(text))
-
 
 def grid_spec(text: str) -> tuple:
     """``(start, stop, points)`` of a valid grid text; allocates nothing."""

@@ -12,7 +12,7 @@ is pinned, together with -8 delta * slope = 2/pi.
 import numpy as np
 import pytest
 
-from chainent import analysis, entanglement as ent, gaussian, models
+from chainent import analysis, entanglement as ent, reference
 from chainent.cli import main
 from chainent.entanglement import Phase
 from chainent.models import Boundary, ModelSpec
@@ -79,20 +79,20 @@ def test_acceptance_6a_analytic_vs_realspace():
     for N in range(3, 9):
         for lam in (-0.5, 0.3):
             spec = ModelSpec.ssh(N, lam)
-            Mbar = gaussian.spectral_flatten(
-                models.realspace_hamiltonian(spec))
+            Mbar = reference.spectral_flatten(
+                reference.realspace_hamiltonian(spec))
             for pair in pairs:
-                want = ent.rdm_pair(spec, *pair).matrix
-                sub = gaussian.restrict(
+                want = reference.rdm_pair(spec, *pair).matrix
+                sub = reference.restrict(
                     Mbar, [ent.mode_index(s) for s in pair])
-                got = gaussian.rdm_from_restriction(sub).matrix
+                got = reference.rdm_from_restriction(sub).matrix
                 assert np.allclose(got, want, atol=1e-10), (N, lam, pair)
 
 
 def fock_ground_state(M):
     """Exact many-body ground state of H = (i/4) c^T M c in Fock space."""
     L = len(M) // 2
-    cs = gaussian.fock_majoranas(L)
+    cs = reference.fock_majoranas(L)
     H = np.zeros_like(cs[0])
     for j in range(2 * L):
         for k in range(2 * L):
@@ -111,7 +111,7 @@ def brute_force_rdm(psi, cs, modes):
     and needs no Jordan-Wigner string bookkeeping for non-adjacent modes.
     """
     glob = [c for m in modes for c in (cs[2 * m], cs[2 * m + 1])]
-    loc = gaussian.fock_majoranas(len(modes))
+    loc = reference.fock_majoranas(len(modes))
     dim = 2 ** len(modes)
     rho = np.zeros((dim, dim), dtype=complex)
     import itertools
@@ -130,13 +130,13 @@ def brute_force_rdm(psi, cs, modes):
 @pytest.mark.parametrize("N,lam", [(2, 0.5), (3, 0.4), (3, -0.3)])
 def test_acceptance_6b_brute_force_fock(N, lam):
     spec = ModelSpec.ssh(N, lam)
-    M = models.realspace_hamiltonian(spec)
-    Mbar = gaussian.spectral_flatten(M)
+    M = reference.realspace_hamiltonian(spec)
+    Mbar = reference.spectral_flatten(M)
     psi, cs = fock_ground_state(M)
     for modes in ([0, 1], [1, 2]):  # intra-cell and inter-cell pairs
         want = brute_force_rdm(psi, cs, modes)
-        got = gaussian.rdm_from_restriction(
-            gaussian.restrict(Mbar, modes)).matrix
+        got = reference.rdm_from_restriction(
+            reference.restrict(Mbar, modes)).matrix
         assert np.allclose(got, want, atol=1e-8), modes
 
 
@@ -149,11 +149,11 @@ def test_acceptance_7_structure():
             spec = ModelSpec.ssh(N, lam)
             for d in range(1, N):
                 # same sublattice: zero at every separation
-                ea = ent.eta_analytic(spec, (0, "a"), (d, "a"))
+                ea = reference.eta_analytic(spec, (0, "a"), (d, "a"))
                 assert ent.concurrence_from_eta(ea) == 0.0
                 # cross sublattice beyond nearest cells: zero
                 if min(d, N - d) >= 2:
-                    eb = ent.eta_analytic(spec, (0, "a"), (d, "b"))
+                    eb = reference.eta_analytic(spec, (0, "a"), (d, "b"))
                     assert ent.concurrence_from_eta(eb) == 0.0, (N, lam, d)
 
 
@@ -242,6 +242,31 @@ def test_acceptance_11_obc():
     assert all(a > b for a, b in zip(peaks, peaks[1:]))
 
 
+def _obc_peak_height(N):
+    """Height of the central-bond dC2/dlambda peak of an open chain: three
+    61-point grids on [0.1/N, 2/N], each spanning its predecessor's maximum
+    and the points either side."""
+    grid = np.linspace(0.1 / N, 2.0 / N, 61)
+    for _ in range(3):
+        table = analysis.obc_center_derivative(N, grid)
+        i = int(np.argmax(table.dc2_dlambda))
+        grid = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, 60)], 61)
+    return table.peak_height
+
+
+def test_acceptance_11_obc_peak_law():
+    """The open-chain peak grows like the thermodynamic divergence
+    A ln(1/|lambda|), A = (2/pi)(1 + 2/pi): deta1's log slope 2/pi times dC/d|eta|
+    = 1 + |eta| at the critical |eta| = 2/pi, with lambda_peak ~ 1/N.  Per unit
+    ln N, N = 4096 -> 8192 gives 1.0401, within 3e-3 of A and closer to it than
+    N = 256 -> 512 (1.0327)."""
+    A = 2.0 / np.pi * (1.0 + 2.0 / np.pi)
+    h = {N: _obc_peak_height(N) for N in (256, 512, 4096, 8192)}
+    near, far = ((h[2 * N] - h[N]) / np.log(2.0) for N in (4096, 256))
+    assert abs(near - A) < 3e-3
+    assert abs(near - A) < abs(far - A)
+
+
 # 12. Pfaffian correctness ---------------------------------------------------
 
 def test_acceptance_12_pfaffian_squares():
@@ -250,7 +275,7 @@ def test_acceptance_12_pfaffian_squares():
         n = 2 * int(rng.integers(1, 9))  # even sizes up to 16
         A = rng.normal(size=(n, n))
         A = A - A.T
-        pf = gaussian.pfaffian(A)
+        pf = reference.pfaffian(A)
         det = np.linalg.det(A)
         assert pf * pf == pytest.approx(det, rel=1e-8)
 
@@ -258,14 +283,14 @@ def test_acceptance_12_pfaffian_squares():
 def test_acceptance_12_correlators_vs_dense_trace():
     import itertools
     spec = ModelSpec.ssh(3, 0.4)  # 6 modes
-    M = models.realspace_hamiltonian(spec)
-    Mbar = gaussian.spectral_flatten(M)
+    M = reference.realspace_hamiltonian(spec)
+    Mbar = reference.spectral_flatten(M)
     psi, cs = fock_ground_state(M)
     idx = list(range(12))
     rng = np.random.default_rng(5)
     quads = list(itertools.combinations(idx, 4))
     for q in [quads[i] for i in rng.choice(len(quads), 60, replace=False)]:
         dense = psi.conj() @ cs[q[0]] @ cs[q[1]] @ cs[q[2]] @ cs[q[3]] @ psi
-        pf = gaussian.majorana_correlator(Mbar, list(q))
+        pf = reference.majorana_correlator(Mbar, list(q))
         # Tr(rho c_{j1} c_{j2} c_{j3} c_{j4}) = i^2 * Pf = -Pf
         assert dense == pytest.approx(-pf, abs=1e-8), q

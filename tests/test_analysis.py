@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chainent import analysis, gaussian
+from chainent import analysis, gaussian, reference
 from chainent.errors import (GaplessError, GridTooCoarseError, NoRootError,
                              ParityError, WindowError)
 from chainent.models import Boundary, DisorderSpec, ModelSpec
@@ -270,7 +270,7 @@ def test_clean_open_chain_takes_the_half_size_route(monkeypatch):
     monkeypatch.setattr(entanglement, "particle_matrix", refuse)
     spec = ModelSpec.ssh(12, 0.3, boundary=Boundary.OPEN)
     entanglement.entangled_graph(spec)
-    entanglement.rdm_pair(spec, (0, "a"), (11, "b"), fill=11)
+    reference.rdm_pair(spec, (0, "a"), (11, "b"), fill=11)
     tracemalloc.start()
     try:
         analysis.central_pair_concurrence(

@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from test_golden import CASES as GOLDEN_CASES
 
 import chainent
-from chainent import analysis, entanglement, gaussian, models, serialize
+from chainent import analysis, entanglement, models, reference, serialize
 from chainent import cli
 from chainent.cli import main
 
@@ -21,16 +23,15 @@ from chainent.cli import main
 def test_fmt_round_trips_floats():
     rng = np.random.default_rng(3)
     for x in rng.normal(scale=10.0, size=50):
-        assert float(serialize.fmt(float(x))) == x
+        assert float(reference.fmt(float(x))) == x
 
 
-def test_parse_grid():
-    g = serialize.parse_grid("-0.2:0.2:5")
-    assert np.allclose(g, [-0.2, -0.1, 0.0, 0.1, 0.2])
+def test_grid_spec():
+    assert serialize.grid_spec("-0.2:0.2:5") == (-0.2, 0.2, 5)
     for bad in ("0:1", "1:0:5", "0:1:1", "0:0:5",
                 "-1e308:1e308:5", "-inf:inf:3", "nan:1:3", "0:inf:3"):
         with pytest.raises(ValueError):
-            serialize.parse_grid(bad)
+            serialize.grid_spec(bad)
 
 
 def test_csv_round_trip_exact(tmp_path):
@@ -38,7 +39,7 @@ def test_csv_round_trip_exact(tmp_path):
     rows = serialize.sweep_rows(res)
     path = tmp_path / "sweep.csv"
     serialize.write_csv(path, rows)
-    header, back = serialize.read_csv(path)
+    header, back = reference.read_csv(path)
     assert header == serialize.CSV_HEADER
     for want, got in zip(rows, back):
         for w, g in zip(want, got):
@@ -71,7 +72,7 @@ def test_cli_sweep(tmp_path):
     code = main(["sweep", "--N", "16", "--grid", "-0.2:0.2:10",
                  "--outdir", str(tmp_path)])
     assert code == 0
-    header, rows = serialize.read_csv(tmp_path / "sweep.csv")
+    header, rows = reference.read_csv(tmp_path / "sweep.csv")
     assert len(rows) == 10
 
 
@@ -90,7 +91,7 @@ def test_cli_sweep_skips_gapless_points(tmp_path, capsys):
     argv = ["sweep", "--grid", "-0.5:0.5:3", "--outdir"]
     assert main(argv + [str(tmp_path / "strict")]) == 3
     assert capsys.readouterr().err == "skipped lambda=0: lambda = 0 is the critical point\n"
-    _, rows = serialize.read_csv(tmp_path / "strict" / "sweep.csv")
+    _, rows = reference.read_csv(tmp_path / "strict" / "sweep.csv")
     assert [row[0] for row in rows] == [-0.5, 0.5]
     assert main(argv + [str(tmp_path / "skip"), "--skip-gapless"]) == 0
     assert capsys.readouterr().err == "skipped lambda=0: lambda = 0 is the critical point\n"
@@ -101,7 +102,7 @@ def test_cli_sweep_skips_gapless_points(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 3 and all(line.startswith("skipped lambda=")
                                  and line.endswith(": band touching") for line in err)
-    assert serialize.read_csv(tmp_path / "touch" / "sweep.csv")[1] == []
+    assert reference.read_csv(tmp_path / "touch" / "sweep.csv")[1] == []
 
 
 def test_cli_sweep_byte_identical(tmp_path):
@@ -132,13 +133,13 @@ def test_cli_graph_kitaev_matches_dense_oracle(tmp_path, flags):
     spec = models.ModelSpec.kitaev(
         12, mu=float(flags[1]),
         boundary=flags[3] if len(flags) > 2 else "periodic")
-    Mbar = gaussian.spectral_flatten(models.realspace_hamiltonian(spec))
+    Mbar = reference.spectral_flatten(reference.realspace_hamiltonian(spec))
     want = {}
     for i in range(12):
         for j in range(i + 1, 12):
             d = j - i if len(flags) > 2 else min(j - i, 12 - j + i)
-            rdm = gaussian.rdm_from_restriction(gaussian.restrict(Mbar, [i, j]))
-            c = entanglement.concurrence(rdm.matrix)
+            rdm = reference.rdm_from_restriction(reference.restrict(Mbar, [i, j]))
+            c = reference.concurrence(rdm.matrix)
             if d <= 6 and c > 1e-12:
                 want[(f"s{i}", f"s{j}")] = c
     got = {(e["site1"], e["site2"]): e["concurrence"] for e in doc["edges"]}
@@ -187,12 +188,12 @@ def test_cli_config_file_with_flag_override(tmp_path):
     cfg.write_text("[run]\nN = 15\ngrid = -0.3:0.3:4\n")
     assert main(["sweep", "--config", str(cfg),
                  "--outdir", str(tmp_path)]) == 0
-    _, rows = serialize.read_csv(tmp_path / "sweep.csv")
+    _, rows = reference.read_csv(tmp_path / "sweep.csv")
     assert len(rows) == 4 and rows[0][6] == 15
     # flag overrides the config grid
     assert main(["sweep", "--config", str(cfg), "--grid", "-0.3:0.3:6",
                  "--outdir", str(tmp_path)]) == 0
-    _, rows = serialize.read_csv(tmp_path / "sweep.csv")
+    _, rows = reference.read_csv(tmp_path / "sweep.csv")
     assert len(rows) == 6
 
 
@@ -251,8 +252,23 @@ def test_cli_disorder_huge_amplitude_under_warnings_as_errors(tmp_path):
          "--outdir", str(tmp_path)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    _, rows = serialize.read_csv(tmp_path / "disorder.csv")
+    _, rows = reference.read_csv(tmp_path / "disorder.csv")
     assert len(rows) == 2 and all(np.isfinite(row[1]) and np.isfinite(row[2]) for row in rows)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("N", [["--N", "16"], []])
+def test_cli_kitaev_huge_mu(tmp_path, N):
+    """At mu = -+8e307 the squares of h_z overflow; |h| is taken of h scaled by
+    a power of two, so the density is the exact 0 and 1 with no warning, at
+    finite N and in the thermodynamic limit, and a ring graph there has no
+    edge."""
+    assert main(["kitaev", "--grid", "-8e307:8e307:3", *N, "--outdir", str(tmp_path)]) == 0
+    _, rows = reference.read_csv(tmp_path / "kitaev_density.csv")
+    assert [row[1] for row in rows] == [0.0, 0.5, 1.0]
+    assert main(["graph", "--model", "kitaev", "--N", "8", "--mu", "8e307",
+                 "--outdir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "graph.json").read_text())["edges"] == []
 
 
 def test_cli_kitaev_json_format(tmp_path):
@@ -265,7 +281,7 @@ def test_cli_kitaev_json_format(tmp_path):
 def test_cli_disorder(tmp_path):
     assert main(["disorder", "--N", "8", "--grid", "-0.4:0.4:4",
                  "--realizations", "3", "--outdir", str(tmp_path)]) == 0
-    _, rows = serialize.read_csv(tmp_path / "disorder.csv")
+    _, rows = reference.read_csv(tmp_path / "disorder.csv")
     assert len(rows) == 4
 
 
@@ -273,7 +289,7 @@ def test_cli_disorder_amplitude_flag(tmp_path):
     assert main(["disorder", "--N", "8", "--grid", "0.4:0.6:2",
                  "--amplitude", "0.3", "--realizations", "5",
                  "--outdir", str(tmp_path)]) == 0
-    _, rows = serialize.read_csv(tmp_path / "disorder.csv")
+    _, rows = reference.read_csv(tmp_path / "disorder.csv")
     want = analysis.disorder_ensemble(8, [0.4, 0.6], amplitude=0.3,
                                       num_realizations=5)
     assert [r[1] for r in rows] == pytest.approx(want.mean_c2, abs=1e-12)
@@ -283,7 +299,7 @@ def test_cli_disorder_amplitude_flag(tmp_path):
 def test_cli_obc(tmp_path):
     assert main(["obc", "--N", "16", "--grid", "0.05:0.3:5",
                  "--outdir", str(tmp_path)]) == 0
-    _, rows = serialize.read_csv(tmp_path / "obc.csv")
+    _, rows = reference.read_csv(tmp_path / "obc.csv")
     assert len(rows) == 5
 
 
@@ -292,7 +308,7 @@ def test_cli_critical_report(tmp_path, capsys):
                  "--outdir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "lambda_plus" in out
-    _, rows = serialize.read_csv(tmp_path / "crit.csv")
+    _, rows = reference.read_csv(tmp_path / "crit.csv")
     vals = {r[0]: r[1] for r in rows}
     assert 0.136 <= vals["lambda_plus"] <= 0.140
 
@@ -502,6 +518,32 @@ def test_only_help_abbreviations_and_config_load_their_parsers(tmp_path):
     assert main(["sweep", "--N", "8", "--grid", "0.1:0.3:3",
                  "--outdir", str(tmp_path / "whole")]) == 0
     assert _outputs(tmp_path / "1") == _outputs(tmp_path / "whole")
+
+
+def _imports_reference(path) -> bool:
+    """Whether the module at ``path`` imports chainent.reference anywhere in it."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[-1] == "reference" for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            if module == "reference" or (module in ("", "chainent") and any(
+                    a.name == "reference" for a in node.names)):
+                return True
+    return False
+
+
+def test_run_time_modules_import_no_oracle():
+    """The oracles stay out of the run-time modules: none of them imports
+    chainent.reference, at the top or inside a function.  cli does, for
+    verify."""
+    src = os.path.dirname(chainent.__file__)
+    for name in ("models", "gaussian", "entanglement", "analysis", "serialize", "errors"):
+        assert not _imports_reference(os.path.join(src, f"{name}.py")), name
+    assert _imports_reference(os.path.join(src, "cli.py"))
 
 
 def test_obc_loads_scipy_linalg_only(tmp_path):
@@ -895,6 +937,58 @@ def test_readme_lists_every_flag():
         for command in row.defaults:
             assert f"`{row.at('flag', command)}`" in text
             assert row.key in text
+
+
+def _readme_flag_table():
+    """The rows of README's flag table: (flags, keys, subcommands) cells."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| flag | `[section] key` | subcommands (default) |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            return rows
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+
+
+def test_readme_flag_table_matches_flags():
+    """Each row of README's flag table states the flags, ``[section] key``,
+    subcommands and defaults of its cli.FLAGS rows: a subcommand's text in
+    parentheses (or that of the group of subcommands it ends) starts with the
+    default, or with "unset" or "required" where the default is unset;
+    "others" are the row's remaining subcommands.  Every FLAGS row is in the
+    table once."""
+    seen = []
+    for flags_cell, keys_cell, commands_cell in _readme_flag_table():
+        flags = re.findall(r"`(--[\w-]+)`", flags_cell)
+        rows = [row for row in cli.FLAGS
+                if any(row.at("flag", c) in flags for c in row.defaults)]
+        assert rows and {row.at("flag", c) for row in rows for c in row.defaults} == set(flags)
+        stated, group = {}, []
+        for name, text in re.findall(r"\s*([^,(]+?)\s*(?:\(([^)]*)\))?\s*(?:,|$)",
+                                     commands_cell):
+            if name == "all but verify":
+                group += [c for c in cli.COMMANDS if c != "verify"]
+            elif name == "others":
+                group += [c for c in rows[0].defaults if c not in stated]
+            else:
+                group.append(name)
+            if text or name == "all but verify":
+                value = text.split(";")[0].strip().strip("`")
+                stated.update(dict.fromkeys(group, None if value.startswith(
+                    ("unset", "required")) or not value else value))
+                group = []
+        for row in rows:
+            assert stated == row.defaults, (flags_cell, stated, row.defaults)
+            for command in row.defaults:
+                flag, section = row.at("flag", command), row.at("section", command)
+                if isinstance(row.flag, dict):
+                    assert f"`{flag}` ({command})" in flags_cell
+                assert (f"`[{section}] {row.key}`" in keys_cell
+                        or f"`{row.key}`" in keys_cell and f"[{section}]" in keys_cell), row
+        seen += rows
+    assert sorted(row.key for row in seen) == sorted(row.key for row in cli.FLAGS)
 
 
 @pytest.mark.parametrize("argv,message", [

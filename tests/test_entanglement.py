@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chainent import entanglement as ent
-from chainent import analysis, gaussian, models
+from chainent import analysis, gaussian, models, reference
 from chainent.cli import main
 from chainent.entanglement import Phase
 from chainent.errors import InvalidStateError
@@ -21,14 +21,14 @@ def test_mode_index():
 def test_same_sublattice_eta_vanishes():
     spec = ModelSpec.ssh(9, 0.4)
     for d in range(1, 5):
-        assert ent.eta_analytic(spec, (0, "a"), (d, "a")) == 0.0
-        assert ent.eta_analytic(spec, (0, "b"), (d, "b")) == 0.0
+        assert reference.eta_analytic(spec, (0, "a"), (d, "a")) == 0.0
+        assert reference.eta_analytic(spec, (0, "b"), (d, "b")) == 0.0
 
 
 def test_eta_site_order_symmetry():
     spec = ModelSpec.ssh(9, 0.4)
-    e1 = ent.eta_analytic(spec, (2, "a"), (3, "b"))
-    e2 = ent.eta_analytic(spec, (3, "b"), (2, "a"))
+    e1 = reference.eta_analytic(spec, (2, "a"), (3, "b"))
+    e2 = reference.eta_analytic(spec, (3, "b"), (2, "a"))
     assert e1 == pytest.approx(e2, abs=1e-14)
 
 
@@ -38,7 +38,7 @@ def test_eta_finite_converges_to_thermodynamic():
 
     def err(N):
         spec = ModelSpec.ssh(N, lam)
-        return abs(ent.eta_analytic(spec, (0, "a"), (0, "b")) - thermo)
+        return abs(reference.eta_analytic(spec, (0, "a"), (0, "b")) - thermo)
 
     # the error falls exponentially in N (2.2e-3, 2.8e-5, 6.0e-9), so the
     # strict decrease is checked while it is far above rounding level
@@ -51,11 +51,11 @@ def test_rdm_pair_routes_agree():
     """Analytic route and real-space pipeline give the same matrix."""
     spec = ModelSpec.ssh(8, 0.4)
     for pair in [((0, "a"), (0, "b")), ((0, "b"), (1, "a"))]:
-        analytic = ent.rdm_pair(spec, *pair).matrix
-        M = models.realspace_hamiltonian(spec)
-        Mbar = gaussian.spectral_flatten(M)
-        sub = gaussian.restrict(Mbar, [ent.mode_index(s) for s in pair])
-        pipeline = gaussian.rdm_from_restriction(sub).matrix
+        analytic = reference.rdm_pair(spec, *pair).matrix
+        M = reference.realspace_hamiltonian(spec)
+        Mbar = reference.spectral_flatten(M)
+        sub = reference.restrict(Mbar, [ent.mode_index(s) for s in pair])
+        pipeline = reference.rdm_from_restriction(sub).matrix
         assert np.allclose(analytic, pipeline, atol=1e-12)
 
 
@@ -64,22 +64,22 @@ def test_rdm_pair_kitaev_sites(boundary):
     """Kitaev sites are (n, 's'): rdm_pair reproduces the graph edge and the
     dense Fock-space RDM, and SSH labels are rejected."""
     spec = ModelSpec.kitaev(8, delta=0.7, mu=0.5, boundary=boundary)
-    rdm = ent.rdm_pair(spec, (1, "s"), (2, "s"))
-    Mbar = gaussian.spectral_flatten(models.realspace_hamiltonian(spec))
-    dense = gaussian.rdm_from_restriction(gaussian.restrict(Mbar, [1, 2]))
+    rdm = reference.rdm_pair(spec, (1, "s"), (2, "s"))
+    Mbar = reference.spectral_flatten(reference.realspace_hamiltonian(spec))
+    dense = reference.rdm_from_restriction(reference.restrict(Mbar, [1, 2]))
     assert np.max(np.abs(rdm.matrix - dense.matrix)) < 1e-12
     edges = {(s1, s2): c for s1, s2, c in ent.entangled_graph(spec).edges}
     c = edges[((1, "s"), (2, "s"))]
     assert c > 0.05
-    assert ent.concurrence(rdm) == pytest.approx(c, abs=1e-12)
+    assert reference.concurrence(rdm) == pytest.approx(c, abs=1e-12)
     for site in ((1, "a"), (1, "b")):
         with pytest.raises(ValueError):
-            ent.rdm_pair(spec, site, (2, "s"))
+            reference.rdm_pair(spec, site, (2, "s"))
 
 
 def test_rdm_matrix_form():
     eta = 0.6
-    rho = ent.rdm_matrix_from_eta(eta)
+    rho = reference.rdm_matrix_from_eta(eta)
     assert abs(np.trace(rho) - 1.0) < 1e-15
     assert rho[1, 2] == pytest.approx(-eta / 2.0)
     assert rho[0, 0] == pytest.approx((1 - eta * eta) / 4.0)
@@ -89,8 +89,8 @@ def test_rdm_matrix_form():
 
 def test_concurrence_closed_form_matches_wootters():
     for eta in np.linspace(-0.99, 0.99, 41):
-        rho = ent.rdm_matrix_from_eta(eta)
-        assert ent.concurrence(rho) == pytest.approx(
+        rho = reference.rdm_matrix_from_eta(eta)
+        assert reference.concurrence(rho) == pytest.approx(
             ent.concurrence_from_eta(eta), abs=1e-10)
 
 
@@ -104,7 +104,7 @@ def test_concurrence_threshold():
 
 def test_concurrence_rejects_nonstate():
     with pytest.raises(InvalidStateError):
-        ent.concurrence(np.eye(4))  # trace 4, not a state
+        reference.concurrence(np.eye(4))  # trace 4, not a state
 
 
 def test_x_concurrence_rejects_nonstate():
@@ -215,7 +215,7 @@ def test_entangled_graph_clean_ring_honours_fill():
     # fill = 7 empties the k = pi level of the 8-cell ring; the state stays
     # translation invariant, so every inter-cell bond carries rdm_pair's value
     spec = ModelSpec.ssh(8, 0.3)
-    want = ent.concurrence(ent.rdm_pair(spec, (0, "b"), (1, "a"), fill=7))
+    want = reference.concurrence(reference.rdm_pair(spec, (0, "b"), (1, "a"), fill=7))
     g = ent.entangled_graph(spec, fill=7)
     assert g.c2 == pytest.approx(want, abs=1e-12)
     assert abs(g.c2 - ent.entangled_graph(spec).c2) > 0.1
@@ -231,13 +231,13 @@ def test_rdm_pair_checks_sites_on_both_routes(boundary):
                           ("s", "s"))]:
         for pair in [((0, s), (9, t)), ((-8, s), (1, t))]:
             with pytest.raises(IndexError, match="mode index out of range"):
-                ent.rdm_pair(spec, *pair)
+                reference.rdm_pair(spec, *pair)
         with pytest.raises(IndexError, match="two distinct modes"):
-            ent.rdm_pair(spec, (3, t), (3, t))
+            reference.rdm_pair(spec, (3, t), (3, t))
         with pytest.raises(ValueError, match="sublattice"):
-            ent.rdm_pair(spec, (0, "x"), (1, t))
+            reference.rdm_pair(spec, (0, "x"), (1, t))
         # the wrap pair is valid; only the SSH state has the one-parameter form
-        assert (ent.rdm_pair(spec, (7, s), (0, t)).eta is None) == (s == "s")
+        assert (reference.rdm_pair(spec, (7, s), (0, t)).eta is None) == (s == "s")
 
 
 def test_default_fill_routes_call_no_dense_eigensolver(monkeypatch, tmp_path):
@@ -250,18 +250,18 @@ def test_default_fill_routes_call_no_dense_eigensolver(monkeypatch, tmp_path):
         raise AssertionError("dense solver called")
 
     ring, ssh = ModelSpec.kitaev(16, delta=0.6, mu=1.2), ModelSpec.ssh(8, -0.4)
-    want_ring = ent.x_state(*gaussian.pair_correlations(
-        gaussian.spectral_flatten(models.realspace_hamiltonian(ring)), 0, 1))
+    want_ring = reference.x_state(*reference.pair_correlations(
+        reference.spectral_flatten(reference.realspace_hamiltonian(ring)), 0, 1))
     want_ssh = ent.x_concurrence(*gaussian.particle_correlations(
         gaussian.particle_ground_state(models.particle_matrix(ssh))[1], 7, 8))
     monkeypatch.setattr(np.linalg, "eigh", dense)
-    monkeypatch.setattr(gaussian, "spectral_flatten", dense)
-    for module in (models, ent, gaussian):
+    monkeypatch.setattr(reference, "spectral_flatten", dense)
+    for module in (models, ent, gaussian, reference):
         monkeypatch.setattr(module, "majorana_matrix", dense, raising=False)
     for argv in (["--N", "12", "--delta", "0.7", "--mu", "2.9", "--boundary", "open"],
                  ["--N", "10", "--mu", "1.2", "--disorder-amplitude", "0.3"]):
         assert main(["graph", "--model", "kitaev", *argv, "--outdir", str(tmp_path)]) == 0
-    got = ent.rdm_pair(ring, (0, "s"), (1, "s")).matrix
+    got = reference.rdm_pair(ring, (0, "s"), (1, "s")).matrix
     assert np.max(np.abs(got - want_ring)) < 1e-12
     assert abs(analysis.central_pair_concurrence(ssh) - want_ssh) < 1e-12
 
@@ -270,22 +270,24 @@ _X = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
 
 
 @pytest.mark.parametrize("call,error,message", [
-    (lambda: ent.rdm_pair(ModelSpec.ssh(8, 0.3), (0, "a"), (0, "b"), fill=-1),
+    (lambda: reference.rdm_pair(ModelSpec.ssh(8, 0.3), (0, "a"), (0, "b"), fill=-1),
      ValueError, "num_filled out of range"),
-    (lambda: ent.rdm_pair(ModelSpec.ssh(8, 0.3), (0, "a"), (0, "b"), fill=17),
+    (lambda: reference.rdm_pair(ModelSpec.ssh(8, 0.3), (0, "a"), (0, "b"), fill=17),
      ValueError, "num_filled out of range"),
-    (lambda: ent.rdm_pair(ModelSpec.ssh(8, 0.3, boundary="open"), (0, "a"), (0, "b"), fill=-1),
+    (lambda: reference.rdm_pair(ModelSpec.ssh(8, 0.3, boundary="open"), (0, "a"), (0, "b"),
+                                fill=-1),
      ValueError, "num_filled out of range"),
-    (lambda: ent.rdm_pair(ModelSpec.ssh(8, 0.3, boundary="open"), (0, "a"), (0, "b"), fill=17),
+    (lambda: reference.rdm_pair(ModelSpec.ssh(8, 0.3, boundary="open"), (0, "a"), (0, "b"),
+                                fill=17),
      ValueError, "num_filled out of range"),
-    (lambda: ent.eta_analytic(ModelSpec.kitaev(8, mu=0.3), (0, "s"), (1, "s")),
+    (lambda: reference.eta_analytic(ModelSpec.kitaev(8, mu=0.3), (0, "s"), (1, "s")),
      ValueError, "eta_analytic applies to SSH specs"),
-    (lambda: ent.eta_analytic(ModelSpec.ssh(8, 0.3, boundary="open"), (0, "a"), (0, "b")),
+    (lambda: reference.eta_analytic(ModelSpec.ssh(8, 0.3, boundary="open"), (0, "a"), (0, "b")),
      ValueError, "analytic route requires a clean periodic chain"),
-    (lambda: ent.concurrence(np.eye(3) / 3.0), InvalidStateError, "two-site RDM must be 4x4"),
-    (lambda: ent.concurrence(_X + np.diag([0.1, 0.0, 0.0], 1)), InvalidStateError,
+    (lambda: reference.concurrence(np.eye(3) / 3.0), InvalidStateError, "two-site RDM must be 4x4"),
+    (lambda: reference.concurrence(_X + np.diag([0.1, 0.0, 0.0], 1)), InvalidStateError,
      "matrix is not Hermitian"),
-    (lambda: ent.concurrence(2.0 * _X - np.diag([0.0, 0.0, 0.0, 1.0])), InvalidStateError,
+    (lambda: reference.concurrence(2.0 * _X - np.diag([0.0, 0.0, 0.0, 1.0])), InvalidStateError,
      "matrix is not positive semidefinite"),
 ], ids=["fill-1-ring", "fill-2N+1-ring", "fill-1-open", "fill-2N+1-open", "eta-kitaev",
         "eta-open", "concurrence-3x3", "concurrence-non-hermitian", "concurrence-non-psd"])

@@ -3,22 +3,22 @@ import warnings
 import numpy as np
 import pytest
 
-from chainent import gaussian, models
+from chainent import gaussian, models, reference
 from chainent.errors import (DegenerateFillError, GaplessError,
                              InvalidStateError, OddDimensionError, SizeError)
 from chainent.models import ModelSpec
 
 
 def ssh_matrix(N, lam, **kw):
-    return models.realspace_hamiltonian(ModelSpec.ssh(N, lam, **kw))
+    return reference.realspace_hamiltonian(ModelSpec.ssh(N, lam, **kw))
 
 
 # --------------------------------------------------------- block structure
 
 def test_block_diagonalize_roundtrip():
     M = ssh_matrix(10, -0.4)
-    bd = gaussian.block_diagonalize(M)
-    B = gaussian.canonical_blocks(bd.epsilons)
+    bd = reference.block_diagonalize(M)
+    B = reference.canonical_blocks(bd.epsilons)
     assert np.allclose(bd.W @ bd.W.T, np.eye(len(M)), atol=1e-12)
     assert np.allclose(bd.W.T @ B @ bd.W, M, atol=1e-12)
     assert np.all(bd.epsilons >= 0)
@@ -27,23 +27,23 @@ def test_block_diagonalize_roundtrip():
 
 def test_block_diagonalize_deterministic():
     M = ssh_matrix(8, 0.3)
-    bd1 = gaussian.block_diagonalize(M)
-    bd2 = gaussian.block_diagonalize(M.copy())
+    bd1 = reference.block_diagonalize(M)
+    bd2 = reference.block_diagonalize(M.copy())
     assert np.array_equal(bd1.W, bd2.W)
     assert np.array_equal(bd1.epsilons, bd2.epsilons)
 
 
 def test_block_diagonalize_rejects_nonskew():
     with pytest.raises(ValueError):
-        gaussian.block_diagonalize(np.eye(4))
+        reference.block_diagonalize(np.eye(4))
 
 
 def test_block_diagonalize_with_zero_modes():
     """Gapless M (lambda=0, even N) still block-diagonalizes orthogonally."""
     M = ssh_matrix(8, 0.0)
-    bd = gaussian.block_diagonalize(M)
+    bd = reference.block_diagonalize(M)
     assert np.allclose(bd.W @ bd.W.T, np.eye(len(M)), atol=1e-12)
-    B = gaussian.canonical_blocks(bd.epsilons)
+    B = reference.canonical_blocks(bd.epsilons)
     assert np.allclose(bd.W.T @ B @ bd.W, M, atol=1e-12)
     assert np.min(bd.epsilons) < 1e-12
 
@@ -52,33 +52,34 @@ def test_block_diagonalize_with_zero_modes():
 
 def test_spectral_flatten_involution():
     M = ssh_matrix(12, 0.3)
-    Mbar = gaussian.spectral_flatten(M)
+    Mbar = reference.spectral_flatten(M)
     assert np.allclose(Mbar, -Mbar.T)
     assert np.allclose(Mbar @ Mbar, -np.eye(len(M)), atol=1e-12)
-    assert np.allclose(gaussian.spectral_flatten(Mbar), Mbar, atol=1e-12)
+    assert np.allclose(reference.spectral_flatten(Mbar), Mbar, atol=1e-12)
 
 
 def test_spectral_flatten_gapless_raises():
     with pytest.raises(GaplessError):
-        gaussian.spectral_flatten(ssh_matrix(8, 0.0))
+        reference.spectral_flatten(ssh_matrix(8, 0.0))
 
 
-def test_flatten_from_fill_matches_half_filling():
-    M = ssh_matrix(9, 0.4)
-    assert np.allclose(gaussian.flatten_from_fill(M, 9),
-                       gaussian.spectral_flatten(M), atol=1e-12)
+def test_particle_ground_state_half_filling_matches_spectral_flatten():
+    """An explicit half fill of a gapped ring is the default fill, and both
+    give the Wick data of the flattened Majorana matrix."""
+    spec = ModelSpec.ssh(9, 0.4)
+    i, j = np.triu_indices(spec.num_modes, k=1)
+    want = reference.pair_correlations(
+        reference.spectral_flatten(reference.realspace_hamiltonian(spec)), i, j)
+    for fill in (9, None):
+        V = gaussian.particle_ground_state(models.particle_matrix(spec), fill)[1]
+        for w, g in zip(want, gaussian.particle_correlations(V, i, j)):
+            assert np.max(np.abs(w - g)) < 1e-12
 
 
-def test_flatten_from_fill_degenerate_raises():
+def test_particle_ground_state_degenerate_fill_raises():
     # lambda=0 even N: levels at the Fermi point are degenerate
     with pytest.raises(DegenerateFillError):
-        gaussian.flatten_from_fill(ssh_matrix(8, 0.0), 8)
-
-
-def test_flatten_from_fill_rejects_pairing():
-    M = models.realspace_hamiltonian(ModelSpec.kitaev(6, delta=0.5, mu=0.3))
-    with pytest.raises(ValueError):
-        gaussian.flatten_from_fill(M, 3)
+        gaussian.particle_ground_state(models.particle_matrix(ModelSpec.ssh(8, 0.0)), 8)
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
@@ -289,26 +290,26 @@ def test_zolotarev_levels_reach_sign_to_1e14():
 
 def test_restrict_keeps_mode_order():
     M = ssh_matrix(6, 0.5)
-    Mbar = gaussian.spectral_flatten(M)
-    sub = gaussian.restrict(Mbar, [1, 4])
+    Mbar = reference.spectral_flatten(M)
+    sub = reference.restrict(Mbar, [1, 4])
     idx = [2, 3, 8, 9]
     assert np.array_equal(sub, Mbar[np.ix_(idx, idx)])
 
 
 def test_pair_correlations_validates_like_restrict():
-    Mbar = gaussian.spectral_flatten(ssh_matrix(3, 0.5))
+    Mbar = reference.spectral_flatten(ssh_matrix(3, 0.5))
     for i, j in ([1, 1], [0, 6], [-1, 2], [[0, 2], [3, 2]]):
         with pytest.raises(IndexError):
-            gaussian.pair_correlations(Mbar, i, j)
+            reference.pair_correlations(Mbar, i, j)
     with pytest.raises(ValueError):
-        gaussian.pair_correlations(Mbar + np.eye(len(Mbar)), 0, 1)
+        reference.pair_correlations(Mbar + np.eye(len(Mbar)), 0, 1)
 
 
 # ------------------------------------------------------------------- RDM
 
 def test_rdm_properties():
-    Mbar = gaussian.spectral_flatten(ssh_matrix(6, 0.5))
-    rdm = gaussian.rdm_from_restriction(gaussian.restrict(Mbar, [0, 1]))
+    Mbar = reference.spectral_flatten(ssh_matrix(6, 0.5))
+    rdm = reference.rdm_from_restriction(reference.restrict(Mbar, [0, 1]))
     rho = rdm.matrix
     assert rho.shape == (4, 4)
     assert abs(np.trace(rho) - 1.0) < 1e-12
@@ -324,8 +325,8 @@ def test_rdm_properties():
 
 def test_rdm_pure_state_limit():
     """Restricting to the full system gives a pure state (all eta = 1)."""
-    Mbar = gaussian.spectral_flatten(ssh_matrix(2, 0.5))
-    rdm = gaussian.rdm_from_restriction(Mbar)
+    Mbar = reference.spectral_flatten(ssh_matrix(2, 0.5))
+    rdm = reference.rdm_from_restriction(Mbar)
     assert np.allclose(rdm.etas, 1.0, atol=1e-12)
     evals = np.linalg.eigvalsh(rdm.matrix)
     assert abs(np.max(evals) - 1.0) < 1e-10
@@ -333,17 +334,17 @@ def test_rdm_pure_state_limit():
 
 def test_rdm_size_cap():
     with pytest.raises(SizeError):
-        gaussian.rdm_from_restriction(np.zeros((22, 22)))
+        reference.rdm_from_restriction(np.zeros((22, 22)))
 
 
 def test_rdm_invalid_state():
     bad = np.array([[0.0, 2.0], [-2.0, 0.0]])  # eta = 2 > 1
     with pytest.raises(InvalidStateError):
-        gaussian.rdm_from_restriction(bad)
+        reference.rdm_from_restriction(bad)
 
 
 def test_fock_majoranas_algebra():
-    cs = gaussian.fock_majoranas(3)
+    cs = reference.fock_majoranas(3)
     assert len(cs) == 6
     for i, ci in enumerate(cs):
         assert np.allclose(ci, ci.conj().T)
@@ -355,7 +356,7 @@ def test_fock_majoranas_algebra():
 def test_fock_majoranas_lsb_convention():
     """Mode 0 is the least significant bit: its number operator is
     diag(0,1,0,1,...)."""
-    cs = gaussian.fock_majoranas(2)
+    cs = reference.fock_majoranas(2)
     n0 = (np.eye(4) + 1j * cs[0] @ cs[1]) / 2.0
     assert np.allclose(np.diag(n0).real, [0, 1, 0, 1])
 
@@ -364,11 +365,11 @@ def test_fock_majoranas_lsb_convention():
 
 def test_pfaffian_small_cases():
     A = np.array([[0.0, 3.0], [-3.0, 0.0]])
-    assert gaussian.pfaffian(A) == pytest.approx(3.0)
+    assert reference.pfaffian(A) == pytest.approx(3.0)
     a, b, c, d, e, f = 1.0, -2.0, 0.5, 3.0, -1.5, 2.5
     A4 = np.array([[0, a, b, c], [-a, 0, d, e],
                    [-b, -d, 0, f], [-c, -e, -f, 0]])
-    assert gaussian.pfaffian(A4) == pytest.approx(a * f - b * e + c * d)
+    assert reference.pfaffian(A4) == pytest.approx(a * f - b * e + c * d)
 
 
 def test_pfaffian_squares_to_det():
@@ -376,39 +377,39 @@ def test_pfaffian_squares_to_det():
     for n in (2, 4, 8, 12, 16):
         A = rng.normal(size=(n, n))
         A = A - A.T
-        pf = gaussian.pfaffian(A)
+        pf = reference.pfaffian(A)
         det = np.linalg.det(A)
         assert pf * pf == pytest.approx(det, rel=1e-8)
 
 
 def test_pfaffian_odd_dimension():
     with pytest.raises(OddDimensionError):
-        gaussian.pfaffian(np.zeros((3, 3)))
+        reference.pfaffian(np.zeros((3, 3)))
 
 
 def test_majorana_correlator_two_point():
-    Mbar = gaussian.spectral_flatten(ssh_matrix(4, 0.5))
-    assert gaussian.majorana_correlator(Mbar, [1, 6]) == pytest.approx(
+    Mbar = reference.spectral_flatten(ssh_matrix(4, 0.5))
+    assert reference.majorana_correlator(Mbar, [1, 6]) == pytest.approx(
         Mbar[1, 6])
 
 
 def test_majorana_correlator_wick():
-    Mbar = gaussian.spectral_flatten(ssh_matrix(4, 0.5))
+    Mbar = reference.spectral_flatten(ssh_matrix(4, 0.5))
     i, j, k, l = 0, 1, 2, 5
     want = (Mbar[i, j] * Mbar[k, l] - Mbar[i, k] * Mbar[j, l]
             + Mbar[i, l] * Mbar[j, k])
-    assert gaussian.majorana_correlator(Mbar, [i, j, k, l]) == pytest.approx(
+    assert reference.majorana_correlator(Mbar, [i, j, k, l]) == pytest.approx(
         want, abs=1e-12)
 
 
 def test_majorana_correlator_rejects_bad_indices():
-    Mbar = gaussian.spectral_flatten(ssh_matrix(4, 0.5))
+    Mbar = reference.spectral_flatten(ssh_matrix(4, 0.5))
     with pytest.raises(OddDimensionError):
-        gaussian.majorana_correlator(Mbar, [0, 1, 2])
+        reference.majorana_correlator(Mbar, [0, 1, 2])
     with pytest.raises(IndexError):
-        gaussian.majorana_correlator(Mbar, [3, 1])  # not increasing
+        reference.majorana_correlator(Mbar, [3, 1])  # not increasing
     with pytest.raises(IndexError):
-        gaussian.majorana_correlator(Mbar, [0, 99])
+        reference.majorana_correlator(Mbar, [0, 99])
 
 
 @pytest.mark.parametrize("modes,message", [([0, 0], "duplicate modes in restriction"),
@@ -416,7 +417,7 @@ def test_majorana_correlator_rejects_bad_indices():
                          ids=["duplicate", "out-of-range"])
 def test_restrict_errors(modes, message):
     """restrict rejects a repeated mode and a mode outside the chain with IndexError."""
-    Mbar = gaussian.spectral_flatten(ssh_matrix(8, 0.3))
+    Mbar = reference.spectral_flatten(ssh_matrix(8, 0.3))
     with pytest.raises(IndexError) as got:
-        gaussian.restrict(Mbar, modes)
+        reference.restrict(Mbar, modes)
     assert type(got.value) is IndexError and str(got.value) == message

@@ -1,9 +1,10 @@
+import math
 from functools import partial
 
 import numpy as np
 import pytest
 
-from chainent import models
+from chainent import models, reference
 from chainent.errors import DisorderUnsupportedError, GaplessError
 from chainent.models import Boundary, DisorderSpec, Family, ModelSpec
 
@@ -45,7 +46,7 @@ def test_bloch_vector_gapless_at_zero():
 def test_ssh_realspace_spectrum_matches_bloch():
     """Eigenvalues of iM are +/-|h(k)| over the momentum grid, each doubled."""
     spec = ModelSpec.ssh(10, 0.3)
-    M = models.realspace_hamiltonian(spec)
+    M = reference.realspace_hamiltonian(spec)
     got = np.sort(np.linalg.eigvalsh(1j * M))
     bands = models.bloch_norm(
         models.bloch_vector(spec, models.momentum_grid(10)))
@@ -56,7 +57,7 @@ def test_ssh_realspace_spectrum_matches_bloch():
 def test_kitaev_realspace_spectrum_matches_bloch():
     """Kitaev iM eigenvalues are +/-2|h(k)| in this parametrization."""
     spec = ModelSpec.kitaev(9, t=1.0, delta=0.7, mu=0.4)
-    M = models.realspace_hamiltonian(spec)
+    M = reference.realspace_hamiltonian(spec)
     got = np.sort(np.linalg.eigvalsh(1j * M))
     bands = 2.0 * models.bloch_norm(
         models.bloch_vector(spec, models.momentum_grid(9)))
@@ -67,13 +68,13 @@ def test_kitaev_realspace_spectrum_matches_bloch():
 def test_realspace_is_skew():
     for spec in (ModelSpec.ssh(6, -0.4), ModelSpec.kitaev(6, mu=0.5),
                  ModelSpec.ssh(6, 0.4, boundary=Boundary.OPEN)):
-        M = models.realspace_hamiltonian(spec)
+        M = reference.realspace_hamiltonian(spec)
         assert np.allclose(M, -M.T)
 
 
 def test_open_chain_has_no_wrap_coupling():
     spec = ModelSpec.ssh(6, 0.4, boundary=Boundary.OPEN)
-    M = models.realspace_hamiltonian(spec)
+    M = reference.realspace_hamiltonian(spec)
     # Majoranas of cell 0 (indices 0..3) and cell 5 (indices 20..23)
     assert np.all(M[:4, 20:] == 0.0)
 
@@ -88,8 +89,8 @@ def test_disorder_deterministic():
 
 
 def test_disorder_shifts_onsite_terms():
-    clean = models.realspace_hamiltonian(ModelSpec.ssh(6, 0.4))
-    dirty = models.realspace_hamiltonian(
+    clean = reference.realspace_hamiltonian(ModelSpec.ssh(6, 0.4))
+    dirty = reference.realspace_hamiltonian(
         ModelSpec.ssh(6, 0.4, disorder=DisorderSpec(0.1, 7)))
     diff = dirty - clean
     # onsite energies only touch the (2j, 2j+1) Majorana pairs of each mode
@@ -170,3 +171,25 @@ def test_bloch_vector_rejects_specs_without_momentum(spec, message):
     with pytest.raises(DisorderUnsupportedError) as got:
         models.bloch_vector(spec, 0.3)
     assert type(got.value) is DisorderUnsupportedError and str(got.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+def test_bloch_norm_scales_what_would_overflow():
+    """A triple whose squares overflow takes |h| of h scaled by a power of two,
+    on arrays and on one momentum, to an ulp of math.hypot; other triples keep
+    the bits of sqrt(hx^2 + hy^2 + hz^2)."""
+    k = models.momentum_grid(16)
+    for h in (models.kitaev_bloch(-8e307, k), models.kitaev_bloch(8e307, k, 1e300, 1e307),
+              (1e200, -3e200, np.array([2e200, 0.0, 1e-300]))):
+        r = models.bloch_norm(h)
+        want = [math.hypot(*c) for c in zip(*np.broadcast_arrays(*h))]
+        assert np.all(np.abs(r - want) <= 2.3e-16 * np.array(want))
+        for j in range(len(want)):
+            assert abs(models.bloch_norm([c[j] for c in np.broadcast_arrays(*h)])
+                       - want[j]) <= 2.3e-16 * want[j]
+    for h in (models.ssh_bloch(0.3, k), models.kitaev_bloch(1.2, k, 0.7, 1.3)):
+        hx, hy, hz = h
+        want = np.sqrt(hx * hx + hy * hy + hz * hz)
+        assert np.array_equal(models.bloch_norm(h), want)
+        assert [models.bloch_norm([c[j] for c in np.broadcast_arrays(*h)])
+                for j in range(16)] == want.tolist()

@@ -1,6 +1,6 @@
 """The one-pass writers of ``serialize`` and ``EntangledGraph.to_json``
 against their oracles: ``json.dumps(..., indent=2)`` for JSON and a
-comma join of :func:`serialize.fmt` per cell for CSV.
+comma join of :func:`reference.fmt` per cell for CSV.
 
 Hypothesis draws tables with ``derandomize=True``, so every run checks the
 same examples.
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainent import analysis, entanglement, serialize
+from chainent import analysis, entanglement, reference, serialize
 from chainent.cli import main
 from chainent.models import DisorderSpec, ModelSpec
 
@@ -57,7 +57,7 @@ def json_oracle(rows, header) -> str:
 
 def csv_oracle(rows, header) -> str:
     lines = [",".join(header) + "\n"]
-    lines += [",".join(serialize.fmt(x) for x in row) + "\n" for row in rows]
+    lines += [",".join(reference.fmt(x) for x in row) + "\n" for row in rows]
     return "".join(lines)
 
 
@@ -187,7 +187,7 @@ def test_plot_data_matches_per_line_format(tmp_path):
                                                             "dc2.dat"]
     for path, col in zip(written_paths,
                          (result.c1, result.c2, result.dc2_dlambda)):
-        want = "".join(f"{serialize.fmt(float(lam))} {serialize.fmt(float(v))}\n"
+        want = "".join(f"{reference.fmt(float(lam))} {reference.fmt(float(v))}\n"
                        for lam, v in zip(result.lambdas, col)
                        if not np.isnan(v))
         with open(path) as fh:
