@@ -48,6 +48,8 @@ from .models import (
 )
 
 SQRT2_MINUS_1 = np.sqrt(2.0) - 1.0
+LAMBDA_PLUS_LIMIT = 0.13829001106285124  # N = infinity root of eta1 = sqrt(2) - 1 (40-digit mpmath)
+FIT_WINDOW = (1e-5, 1e-3)
 CRITICAL_POINT = "lambda = 0 is the critical point"
 
 
@@ -90,8 +92,11 @@ def _deta1(lams, N):
     """deta1 on a grid of lambda in [-1, 1], none gapless (|h| >= 2|lambda|)."""
     if N is None:
         return ssh_deta1_limit(lams)
-    return _grid_means(lams, N, ssh_bloch,
-                       lambda k, h, r: unit_derivative(h, r, ssh_bloch, k)[0])[0][0]
+    return _grid_means(lams, N, ssh_bloch, _deta1_term)[0][0]
+
+
+def _deta1_term(k, h, r):
+    return unit_derivative(h, r, ssh_bloch, k)[0]
 
 
 _STACK_BYTES = 8 << 20  # cap on one (parameter, k) array or one matrix stack
@@ -192,17 +197,38 @@ def _centred_difference(values, grid) -> np.ndarray:
 # --------------------------------------------------------- critical analysis
 
 def find_lambda_plus(N: int | None = None) -> float:
-    """Root of eta1(lambda) = sqrt(2) - 1 on (0, 1), by Brent's method: where C1 dies.
+    """Root of eta1(lambda) = sqrt(2) - 1 on (0, 1): where C1 dies.
 
     Finite chains with N in {2, 4} have no root (eta1(0+) already sits below
     the threshold) and raise NoRootError.
     """
-    from scipy.optimize import brentq  # 0.65 s to load; only `critical` needs it
-    def f(lam):
-        return eta1(lam, N) - SQRT2_MINUS_1
-    if f(1e-6) * f(0.9) > 0:
+    return _lambda_plus(N)[0]
+
+
+def _lambda_plus(N, fit_lams=()):
+    """(lambda_plus, deta1 at the last iterate, deta1 at ``fit_lams``): Newton from
+    the N = infinity root (0.757^N / sqrt(N) off), one (eta1, deta1) zone pass per
+    step, the first one also at the bracket ends and ``fit_lams``; a step out of
+    the sign-change bracket bisects it.  It stops at a step under 1.5e-13, where
+    deta1 at the last iterate is within 1e-12 of deta1 at the root too."""
+    def zone_pass(lams):
+        if N is None:
+            return ssh_eta1_limit(lams) - SQRT2_MINUS_1, ssh_deta1_limit(lams)
+        (eta, slope), _ = _grid_means(lams, N, ssh_bloch, partial(eta_summand, d=0),
+                                      _deta1_term)
+        return eta - SQRT2_MINUS_1, slope
+    lo, hi = 1e-6, 0.9
+    f, df = zone_pass(np.array([LAMBDA_PLUS_LIMIT, lo, hi, *fit_lams]))
+    if f[1] * f[2] > 0:
         raise NoRootError("eta1 - (sqrt(2)-1) does not change sign on (1e-06, 0.9)")
-    return float(brentq(f, 1e-6, 0.9, xtol=1e-12))
+    x, fx, dfx = LAMBDA_PLUS_LIMIT, f[0], df[0]
+    while True:
+        lo, hi = (x, hi) if (fx > 0) == (f[1] > 0) else (lo, x)
+        step = min(max(-fx / dfx, lo - x), hi - x)
+        if abs(step) <= 1.5e-13:
+            return float(x + step), dfx, df[3:]
+        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+        (fx,), (dfx,) = zone_pass(np.array([x]))
 
 
 def find_lambda_minus(N: int | None = None) -> float:
@@ -237,7 +263,7 @@ class LogFitResult:
     asymptotic: bool
 
 
-def logfit(window=(1e-5, 1e-3), N: int | None = None) -> LogFitResult:
+def logfit(window=FIT_WINDOW, N: int | None = None) -> LogFitResult:
     """Least-squares fit of d(eta1)/d(lambda) against ln(lambda) at 9
     geometrically spaced points of the window.
 
@@ -245,13 +271,17 @@ def logfit(window=(1e-5, 1e-3), N: int | None = None) -> LogFitResult:
     (2/pi) ln(e/2)^2; the fit is meaningful only for |lambda| << 1, so a
     window outside the asymptotic regime is flagged (``asymptotic=False``).
     """
+    lams = _fit_lambdas(window)
+    return _fit_log(np.log(lams), _deta1(lams, N))
+
+
+def _fit_lambdas(window):
     lo, hi = window
     if lo <= 0 or hi <= 0:
         raise WindowError("fit window must not touch lambda = 0")
     if lo >= hi:
         raise WindowError("empty fit window")
-    lams = np.geomspace(lo, hi, 9)
-    return _fit_log(np.log(lams), _deta1(lams, N))
+    return np.geomspace(lo, hi, 9)
 
 
 def _fit_log(x, y) -> LogFitResult:
@@ -286,11 +316,13 @@ class CriticalReport:
 
 
 def critical_report(N: int | None = None) -> CriticalReport:
-    lp = find_lambda_plus(N)  # lambda_minus = -lambda_plus, see find_lambda_minus
-    fit = logfit(N=N)
+    """lambda_plus, its C1 slope and the log fit from the zone passes of one root solve."""
+    fit_lams = _fit_lambdas(FIT_WINDOW)
+    lp, deta, fit_deta = _lambda_plus(N, fit_lams)  # lambda_minus = -lambda_plus
+    fit = _fit_log(np.log(fit_lams), fit_deta)
     jump = jump_at_zero(N) if (N is not None and N % 2 == 0) else None
     return CriticalReport(lambda_plus=lp, lambda_minus=-lp,
-                          slope_at_plus=slope_c1_at_lambda_plus(N, lp),
+                          slope_at_plus=float(np.sqrt(2.0) * deta),
                           logfit_slope=fit.slope, logfit_intercept=fit.intercept,
                           logfit_asymptotic=fit.asymptotic,
                           jump_delta=jump, N=N)
@@ -352,11 +384,14 @@ def kitaev_density(mu_grid, t: float = 1.0, delta: float = 1.0,
     mus = np.asarray(mu_grid, dtype=float)
     if t == 0 and delta == 0 and np.any(mus == 0):
         raise GaplessError("t = delta = mu = 0: the Hamiltonian is zero")
+    # where -mu/2 - t cos k could overflow, halve mu, t and delta: exact, and h/|h|
+    # is unchanged, so every grid that cannot overflow keeps its bits
+    s = 0.5 if float(np.abs(mus).max(initial=0.0)) / 2 + abs(float(t)) == np.inf else 1.0
     if N is None:
-        eta_z, errors = np.array([kitaev_eta_z(mu, t, delta) for mu in mus]), []
+        eta_z, errors = np.array([kitaev_eta_z(s * mu, s * t, s * delta) for mu in mus]), []
     else:
         (eta_z,), errors = _grid_means(
-            mus, N, partial(kitaev_bloch, t=t, delta=delta), _unit_z)
+            s * mus, N, partial(kitaev_bloch, t=s * t, delta=s * delta), _unit_z)
     density = 0.5 * (1.0 - eta_z)
     return KitaevDensityTable(mus=mus, eta_z=eta_z, density=density,
                               compressibility=_centred_difference(density, mus),
@@ -505,7 +540,10 @@ def obc_center_derivative(N: int, lambda_grid, fill: str = "below") -> ObcTable:
     lams = np.asarray(lambda_grid, dtype=float)
     if len(lams) < 3:
         raise GridTooCoarseError("need at least 3 points")
-    ModelSpec.ssh(N, np.max(np.abs(lams)), boundary=Boundary.OPEN)  # checks N, all lambda
+    if N < 2:
+        raise ValueError("N must be at least 2")
+    if not np.max(np.abs(lams)) <= 1.0:  # NaN too
+        raise ValueError("lambda must lie in [-1, 1]")
     if any(b <= a for a, b in zip(lams[:-1], lams[1:])):
         raise ValueError("lambda grid must be strictly increasing")
     fills, pair = obc_fill_count(N, lams, fill), _central_pair(N)

@@ -59,9 +59,45 @@ def test_lambda_plus_monotone_in_N():
 
 def test_no_root_for_tiny_chains():
     for N in (2, 4):
-        for find in (analysis.find_lambda_plus, analysis.find_lambda_minus):
-            with pytest.raises(NoRootError):
+        for find in (analysis.find_lambda_plus, analysis.find_lambda_minus,
+                     analysis.critical_report):
+            with pytest.raises(NoRootError, match=r"^eta1 - \(sqrt\(2\)-1\) does not "
+                               r"change sign on \(1e-06, 0\.9\)$"):
                 find(N)
+
+
+def _brentq_root(N):
+    """The oracle: Brent's method at xtol 1e-15, as benchmark/reference.py uses it."""
+    from scipy.optimize import brentq
+    return brentq(lambda lam: analysis.eta1(lam, N) - analysis.SQRT2_MINUS_1,
+                  1e-6, 0.9, xtol=1e-15)
+
+
+def test_lambda_plus_matches_brentq_oracle():
+    """Newton from the N = infinity root lands within 1e-13 of Brent's root
+    and reads the C1 slope at its last iterate within 1e-12 of the slope at
+    that root, on both parities of N = 3-200, three larger N and N = infinity."""
+    for N in [3, *range(5, 201), 226, 599, 4096, None]:
+        root, report = _brentq_root(N), analysis.critical_report(N)
+        assert abs(report.lambda_plus - root) <= 1e-13, N
+        assert report.lambda_minus == -report.lambda_plus == -analysis.find_lambda_plus(N)
+        assert abs(report.slope_at_plus
+                   - analysis.slope_c1_at_lambda_plus(N, root)) <= 1e-12, N
+
+
+def test_critical_report_zone_passes(monkeypatch):
+    """critical_report makes one zone pass per Newton step and no other: the
+    bracket ends and the log fit ride on the first.  At most 5 passes for
+    N >= 3, 2 from N = 45 and 1 from N = 128 (brentq took 13).  A pass is a
+    _grid_means call, or a bz_mean call (the one-point route of eta1)."""
+    passes = []
+    for name in ("_grid_means", "bz_mean"):
+        monkeypatch.setattr(analysis, name, lambda *args, f=getattr(analysis, name), **kw:
+                            passes.append(args) or f(*args, **kw))
+    for N in [3, *range(5, 301), 599, 4096]:
+        passes.clear()
+        analysis.critical_report(N)
+        assert len(passes) <= (5 if N < 45 else 2 if N < 128 else 1), N
 
 
 def test_logfit_asymptotic_flagging():
@@ -445,6 +481,20 @@ def test_kitaev_compressibility_centred_difference():
         assert np.isnan(analysis.kitaev_density(few).compressibility).all()
 
 
+@pytest.mark.filterwarnings("error")
+def test_kitaev_density_halves_overflowing_parameters():
+    """At t = 1.7e308, -mu/2 - t cos k overflows for mu < 0; halving mu, t and
+    delta first is exact and keeps h/|h|, so the densities are those of
+    h_z ~ -mu/(2t) - cos k: arccos(-mu/(2t))/pi, or the grid's share of it."""
+    mus = np.linspace(-1.7e308, 0.0, 3)
+    ring = analysis.kitaev_density(mus, t=1.7e308, N=8)
+    assert ring.density.tolist() == [0.375, 0.375, 0.5]
+    halved = analysis.kitaev_density(mus / 2, t=0.85e308, delta=0.5, N=8)
+    assert np.array_equal(halved.eta_z, ring.eta_z)
+    limit = analysis.kitaev_density(mus, t=1.7e308).density
+    assert np.allclose(limit, np.arccos([0.5, 0.25, 0.0]) / np.pi, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("call,error,message", [
     (lambda: analysis.eta1(1.5, 16), ValueError, "lambda must lie in [-1, 1]"),
     (lambda: analysis.sweep([0.2, 0.1]), ValueError, "lambda grid must be strictly increasing"),
@@ -452,11 +502,18 @@ def test_kitaev_compressibility_centred_difference():
      "need at least 3 points"),
     (lambda: analysis.obc_center_derivative(8, [0.1, 0.2, 0.2]), ValueError,
      "lambda grid must be strictly increasing"),
+    (lambda: analysis.obc_center_derivative(1, [0.1, 0.2, 0.3]), ValueError,
+     "N must be at least 2"),
+    (lambda: analysis.obc_center_derivative(8, [-1.5, 0.2, 0.3]), ValueError,
+     "lambda must lie in [-1, 1]"),
+    (lambda: analysis.obc_center_derivative(8, [0.1, np.nan, 0.3]), ValueError,
+     "lambda must lie in [-1, 1]"),
     (lambda: analysis.free_energy_check(16, 1e-5), GaplessError,
      "step straddles the critical point"),
     (lambda: analysis.kitaev_compressibility_logfit((1e-3, 1e-5)), WindowError,
      "fit window must not touch mu_c"),
 ], ids=["eta1-lambda", "sweep-decreasing", "obc-two-points", "obc-repeated",
+        "obc-N", "obc-lambda", "obc-nan",
         "free-energy-step", "kitaev-logfit-window"])
 def test_public_errors(call, error, message):
     """Errors of the public analysis API: type and message."""

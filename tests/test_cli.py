@@ -488,9 +488,9 @@ def _loaded(tmp_path, runs):
 
 
 def test_import_and_momentum_commands_load_no_scipy(tmp_path):
-    """``import chainent`` and every command but critical, thermodynamic
-    sweep and thermodynamic kitaev (not run here) load no scipy module; obc
-    is checked on its own below.  The disorder runs build their Zolotarev
+    """``import chainent`` and every command but thermodynamic critical,
+    sweep and kitaev (not run here) load no scipy module; obc is checked on
+    its own below.  The disorder runs build their Zolotarev
     tables on first use, none at import.  Every argv here is plain, so
     neither argparse nor configparser is loaded either."""
     runs = [["sweep", "--N", "8", "--grid", "0.1:0.5:3"], ["kitaev", "--N", "8"],
@@ -500,8 +500,23 @@ def test_import_and_momentum_commands_load_no_scipy(tmp_path):
             ["graph", "--N", "8", "--lambda", "0.3", "--boundary", "open"],
             ["disorder", "--N", "8", "--grid", "0.2:0.6:3", "--realizations", "4"],
             ["disorder", "--N", "8", "--grid", "0.2:0.6:3", "--realizations", "4",
-             "--boundary", "open"]]
-    assert _loaded(tmp_path, runs) == [[]] * 8
+             "--boundary", "open"],
+            ["critical", "--N", "16"]]
+    assert _loaded(tmp_path, runs) == [[]] * 9
+
+
+def test_thermodynamic_critical_loads_scipy_special_only(tmp_path):
+    """critical --thermodynamic reaches scipy only through the elliptic
+    integrals of the SSH N = infinity closed forms: it loads the watched
+    modules of a bare ``import scipy.special`` (argparse among them, which
+    scipy imports itself) and no other."""
+    special = subprocess.run(
+        [sys.executable, "-c", "import json, sys, scipy.special; print(json.dumps(sorted("
+         "m for m in sys.modules if m.startswith('scipy') or m in ('argparse', "
+         "'configparser'))))"],
+        capture_output=True, text=True, check=True)
+    assert _loaded(tmp_path, [["critical", "--thermodynamic"]]) == [
+        [], json.loads(special.stdout)]
 
 
 def test_only_help_abbreviations_and_config_load_their_parsers(tmp_path):
