@@ -363,13 +363,8 @@ def cmd_critical(v) -> int:
 def cmd_graph(v) -> int:
     graph = entanglement.entangled_graph(model_spec(v))
     path = os.path.join(_outdir(v), f"graph.{v['format']}")
-    if v["format"] == "json":
-        with open(path, "w") as fh:
-            fh.write(graph.to_json())
-    else:
-        rows = [[entanglement.site_label(s1), entanglement.site_label(s2), c]
-                for s1, s2, c in graph.edges]
-        serialize.write_csv(path, rows, header=["site1", "site2", "concurrence"])
+    with open(path, "w") as fh:
+        fh.write(graph.to_json() if v["format"] == "json" else graph.to_csv())
     if graph.phase is not None:
         print(f"phase: {graph.phase.value}")
     print(f"wrote {path}")

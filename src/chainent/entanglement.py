@@ -15,7 +15,7 @@ concurrence and the zone sum ``eta_analytic`` that check it are in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 
@@ -38,7 +38,7 @@ from .models import (
     gapped_grid,
     particle_matrix,
 )
-from .serialize import _json, _json_array, _json_records
+from .serialize import _json, _json_array
 
 CONCURRENCE_ZERO = 1e-12
 PSD_TOL = 1e-8
@@ -92,6 +92,11 @@ def _ground_state(spec: ModelSpec, fill: int | None):
     matrix (ValueError on pairing); other Kitaev chains the polar factor Q = U V^T
     of H = U S V^T, read by :func:`gaussian._polar_wick`: M = ``majorana_matrix(H)``
     has levels +-S and flattens to M (-M^2)^(-1/2) = ``majorana_matrix(Q)``."""
+    if spec.family is Family.KITAEV and abs(float(spec.mu)) / 2 + abs(float(spec.t)) == np.inf:
+        # -mu/2 - t cos k could overflow: halve every energy, which is exact and
+        # changes neither h/|h| nor an eigenvector (as analysis.kitaev_density does)
+        half = spec.disorder and replace(spec.disorder, amplitude=spec.disorder.amplitude / 2)
+        spec = replace(spec, t=spec.t / 2, delta=spec.delta / 2, mu=spec.mu / 2, disorder=half)
     if spec.clean_periodic and fill is None:
         return _bloch_correlations(spec)
     if spec.family is Family.SSH and spec.disorder is None \
@@ -140,29 +145,55 @@ def site_label(site: Site) -> str:
     return f"{site[1]}{site[0]}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntangledGraph:
-    """Weighted graph of all pairwise concurrences above the zero threshold.
+    """Weighted graph of all pairwise concurrences above the zero threshold:
+    edge ``k`` joins modes ``i[k]`` and ``j[k]`` with concurrence ``c[k]``.
     Kitaev graphs have no phase, c1 or c2 (those need SSH cell bonds)."""
 
     num_cells: int
-    edges: list
+    i: np.ndarray
+    j: np.ndarray
+    c: np.ndarray
     phase: Phase | None
     c1: float | None = None
     c2: float | None = None
     sublattices: tuple = ("a", "b")
 
+    @property
+    def edges(self) -> list:
+        """``((cell, sub), (cell, sub), c)`` per edge, built on each access."""
+        w, subs = len(self.sublattices), self.sublattices
+        return [((a // w, subs[a % w]), (b // w, subs[b % w]), x) for a, b, x in
+                zip(self.i.tolist(), self.j.tolist(), self.c.tolist())]
+
+    def _lines(self, template: str, labels: list) -> list:
+        """``template % (label of i, label of j, c)`` per edge, c a float."""
+        return [template % (labels[a], labels[b], x) for a, b, x in
+                zip(self.i.tolist(), self.j.tolist(), self.c.tolist())]
+
+    def _labels(self) -> list:
+        """The site label of each mode, in mode order."""
+        return [site_label((n, s)) for n in range(self.num_cells) for s in self.sublattices]
+
     def to_json(self) -> str:
         """``json.dumps(doc, indent=2)``, the oracle in ``tests/test_serialize.py``, of
-        {num_cells, phase, c1, c2, vertices, edges: [{site1, site2, concurrence}]}."""
-        vertices = [_json(site_label((n, s))) for n in range(self.num_cells)
-                    for s in self.sublattices]
-        edges = [(site_label(s1), site_label(s2), c) for s1, s2, c in self.edges]
+        {num_cells, phase, c1, c2, vertices, edges: [{site1, site2, concurrence}]};
+        every c is finite, so ``repr`` writes it as ``json`` does."""
+        vertices = [_json(label) for label in self._labels()]
+        edges = self._lines('{\n      "site1": %s,\n      "site2": %s,'
+                            '\n      "concurrence": %r\n    }', vertices)
         return ('{\n  "num_cells": %s,\n  "phase": %s,\n  "c1": %s,\n  "c2": %s,'
                 '\n  "vertices": %s,\n  "edges": %s\n}') % (
             *map(_json, (self.num_cells, self.phase and self.phase.value,
                          self.c1, self.c2)), _json_array(vertices, 1),
-            _json_records(edges, ("site1", "site2", "concurrence"), 1))
+            _json_array(edges, 1))
+
+    def to_csv(self) -> str:
+        """The edge list ``site1,site2,concurrence`` as ``serialize.write_csv``
+        writes it: a header line, then one ``%.17g`` row per edge."""
+        return "".join(["site1,site2,concurrence\n",
+                        *self._lines("%s,%s,%.17g\n", self._labels())])
 
 
 def _bloch_correlations(spec: ModelSpec):
@@ -191,15 +222,14 @@ def entangled_graph(spec: ModelSpec, fill: int | None = None) -> EntangledGraph:
 
     Phase labels (SSH only): c1 > 0 = c2 -> P0; c1 > c2 > 0 -> Q0;
     c2 > c1 > 0 -> Q1; c2 > 0 = c1 -> P1; ties within 1e-10 -> Critical.
-    The label is the majority over cells; c1/c2 are median bond values.
+    The label is the majority over cells; c1/c2 are median bond values.  An
+    open chain votes over its N - 1 cells with both bonds, c1 on (a_n, b_n)
+    and c2 on (b_n, a_{n+1}); a clean ring at the default fill has one value
+    per bond type, so its one label is :func:`classify_phase` of c1 and c2.
     """
     N, L, subs = spec.N, spec.num_modes, SUBLATTICES[spec.family]
     w, periodic = len(subs), spec.boundary is Boundary.PERIODIC
     corr = _ground_state(spec, fill)
-    # the SSH cell bonds, c1 on (a_n, b_n) and c2 on (b_n, a_{n+1}); Kitaev has none
-    cells = np.arange(N if w == 2 else 0)
-    bonds = cells if periodic else cells[:-1]
-    bi, bj = np.r_[2 * cells, (2 * bonds + 2) % L], np.r_[2 * cells + 1, 2 * bonds + 1]
     if spec.clean_periodic and fill is None:  # Wick data depend only on the cell offset
         d = np.arange(2 - w, N)  # pairs (a_0, b_d) from d = 0, (s_0, s_d) from 1
         by_offset = np.zeros(N)
@@ -211,23 +241,27 @@ def entangled_graph(spec: ModelSpec, fill: int | None = None) -> EntangledGraph:
         n, d = np.repeat(np.arange(N), len(edge_d)), np.tile(edge_d, N)
         if spec.family is not Family.SSH:
             n, d = n[n + d < N], d[n + d < N]
-        i, j = w * n, w * ((n + d) % N) + w - 1
-        c, c_bonds = by_offset[d], x_concurrence(*corr(bi, bj))
-    else:
-        i, j = np.triu_indices(L, k=1)
-        dist = np.abs(i // w - j // w)
-        dist = np.minimum(dist, N - dist) if periodic else dist
-        i, j = i[dist <= N // 2], j[dist <= N // 2]
-        c = x_concurrence(*corr(np.r_[i, bi], np.r_[j, bj]))  # the bonds ride along
-        c, c_bonds = c[:len(i)], c[len(i):]
-        keep = c > CONCURRENCE_ZERO
-        i, j, c = i[keep], j[keep], c[keep]
-    edges = [((a // w, subs[a % w]), (b // w, subs[b % w]), x) for a, b, x in
-             zip(i.tolist(), j.tolist(), c.tolist())]
+            return EntangledGraph(N, n, n + d, by_offset[d], None, sublattices=subs)
+        # c1 on (a_n, b_n) at offset 0, c2 on (a_{n+1}, b_n) at offset -1
+        c1, c2 = by_offset[[0, N - 1]].tolist()
+        return EntangledGraph(N, 2 * n, 2 * ((n + d) % N) + 1, by_offset[d],
+                              classify_phase(c1, c2), c1, c2)
+    # the SSH cell bonds, c1 on (a_n, b_n) and c2 on (b_n, a_{n+1}); Kitaev has none
+    cells = np.arange(N if w == 2 else 0)
+    bonds = cells if periodic else cells[:-1]
+    bi, bj = np.r_[2 * cells, (2 * bonds + 2) % L], np.r_[2 * cells + 1, 2 * bonds + 1]
+    i, j = np.triu_indices(L, k=1)
+    dist = np.abs(i // w - j // w)
+    dist = np.minimum(dist, N - dist) if periodic else dist
+    i, j = i[dist <= N // 2], j[dist <= N // 2]
+    c = x_concurrence(*corr(np.r_[i, bi], np.r_[j, bj]))  # the bonds ride along
+    c, c_bonds = c[:len(i)], c[len(i):]
+    keep = c > CONCURRENCE_ZERO
+    i, j, c = i[keep], j[keep], c[keep]
     if spec.family is not Family.SSH:
-        return EntangledGraph(N, edges, None, sublattices=subs)
+        return EntangledGraph(N, i, j, c, None, sublattices=subs)
     c1s, c2s = c_bonds[:N].tolist(), c_bonds[N:].tolist()
     votes = [classify_phase(a, b) for a, b in zip(c1s, c2s)]
     phase = max(set(votes), key=lambda p: (votes.count(p), p.value))
-    return EntangledGraph(N, edges, phase, float(np.median(c1s)),
+    return EntangledGraph(N, i, j, c, phase, float(np.median(c1s)),
                           float(np.median(c2s)))

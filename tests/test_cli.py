@@ -271,6 +271,30 @@ def test_cli_kitaev_huge_mu(tmp_path, N):
     assert json.loads((tmp_path / "graph.json").read_text())["edges"] == []
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_graph_kitaev_halves_overflowing_couplings(tmp_path, capsys):
+    """At t = 1.7e308, mu = -1.7e308, -mu/2 - t cos k overflows; the graph's
+    ground state is that of (t, delta, mu) halved, which is exact: the ring
+    writes the bytes of the halved argv, with edges and no nan, and the open
+    chain gives the halved argv's exit code and stderr line."""
+    huge = ["graph", "--model", "kitaev", "--N", "8", "--t", "1.7e308", "--mu", "-1.7e308"]
+    halved = ["graph", "--model", "kitaev", "--N", "8", "--t", "8.5e307",
+              "--delta", "0.5", "--mu", "-8.5e307"]
+    for fmt in ("json", "csv"):
+        texts = []
+        for argv in (huge, halved):
+            assert main([*argv, "--format", fmt, "--outdir", str(tmp_path)]) == 0
+            texts.append((tmp_path / f"graph.{fmt}").read_text())
+        assert texts[0] == texts[1] and "nan" not in texts[0].lower()
+    assert json.loads((tmp_path / "graph.json").read_text())["edges"]
+    capsys.readouterr()
+    outcomes = []
+    for argv in (huge, halved):
+        code = main([*argv, "--boundary", "open", "--outdir", str(tmp_path)])
+        outcomes.append((code, capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1] and outcomes[0][1].count("\n") == 1
+
+
 def test_cli_kitaev_json_format(tmp_path):
     assert main(["kitaev", "--grid", "0:1:5", "--format", "json",
                  "--outdir", str(tmp_path)]) == 0

@@ -151,11 +151,17 @@ def test_entangled_graph_disordered_matches_clean_at_zero_amplitude():
     """A clean ring (inverse-FFT route, pairs built per offset) and the same
     ring at disorder amplitude 0 (real-space route, every pair) give the
     same phase, c1, c2 and unordered edges with their concurrences: SSH
-    and Kitaev, even and odd N, and with edges at one offset or several."""
+    and Kitaev, even and odd N, and with edges at one offset or several.
+    The SSH rings read c1, c2 and the phase off the offset table, the
+    all-pairs route votes over cells: N = 2, 3, 31, 64 at lambda = +-1e-3
+    (Q1, Q0) and +-1 (P1, P0), and the Critical tie at lambda = 0, odd N."""
     several = (ModelSpec.ssh(8, 0.05), ModelSpec.ssh(9, -0.05),
                ModelSpec.kitaev(8, delta=0.3, mu=1.9),
                ModelSpec.kitaev(9, delta=0.1, mu=1.5))
-    for spec_clean in (ModelSpec.ssh(8, 0.3), *several):
+    rings = [ModelSpec.ssh(N, lam) for N in (2, 3, 31, 64)
+             for lam in (1e-3, -1e-3, 1.0, -1.0, 0.0) if lam or N % 2]
+    assert {ent.entangled_graph(spec).phase for spec in rings} == set(Phase)
+    for spec_clean in (ModelSpec.ssh(8, 0.3), *several, *rings):
         spec_dis = dataclasses.replace(spec_clean, disorder=DisorderSpec(0.0, 5))
         g1 = ent.entangled_graph(spec_clean)
         g2 = ent.entangled_graph(spec_dis)
@@ -169,6 +175,31 @@ def test_entangled_graph_disordered_matches_clean_at_zero_amplitude():
             assert len(e1) > spec_clean.N
         assert e1.keys() == e2.keys()
         assert max(abs(e1[k] - e2[k]) for k in e1) < 1e-12
+
+
+def test_clean_ring_graph_reads_bonds_off_the_offset_table(monkeypatch, tmp_path):
+    """A clean SSH ring evaluates its concurrences in one x_concurrence call
+    (one per cell offset, c1 and c2 among them) and labels its phase with one
+    classify_phase call, at every N; cmd_graph writes every route's graph in
+    both formats without building the ``.edges`` tuples."""
+    calls = []
+    for name in ("x_concurrence", "classify_phase"):
+        monkeypatch.setattr(ent, name, lambda *a, f=getattr(ent, name), name=name:
+                            calls.append(name) or f(*a))
+    monkeypatch.setattr(ent.EntangledGraph, "edges",
+                        property(lambda graph: pytest.fail("cmd_graph read .edges")))
+    rings = [["--N", str(N), "--lambda", lam] for N in (2, 3, 4, 9, 64, 159)
+             for lam in ("0.3", "-1e-3")]
+    others = [["--N", "6", "--lambda", "0.3", "--boundary", "open"],
+              ["--N", "6", "--lambda", "0.3", "--disorder-amplitude", "0.2"],
+              ["--model", "kitaev", "--N", "7", "--mu", "1.5"],
+              ["--model", "kitaev", "--N", "7", "--mu", "2.5", "--boundary", "open"]]
+    for argv in rings + others:
+        for fmt in ("json", "csv"):
+            calls.clear()
+            assert main(["graph", *argv, "--format", fmt, "--outdir", str(tmp_path)]) == 0
+            if argv in rings:
+                assert calls == ["x_concurrence", "classify_phase"], argv
 
 
 def test_open_chain_graph():

@@ -74,6 +74,14 @@ def graph_oracle(graph) -> str:
     return json.dumps(doc, indent=2)
 
 
+def graph_csv_oracle(graph) -> str:
+    """``EntangledGraph.to_csv`` as ``write_csv`` of the edge rows: the
+    :func:`reference.fmt` of each cell over ``.edges``."""
+    label = entanglement.site_label
+    return csv_oracle([[label(s1), label(s2), c] for s1, s2, c in graph.edges],
+                      ["site1", "site2", "concurrence"])
+
+
 def written(tmp_path, writer, rows, header) -> str:
     path = tmp_path / "table"
     writer(path, rows, header)
@@ -141,6 +149,7 @@ def test_graph_json_matches_json_dumps(name):
     graph = entanglement.entangled_graph(GRAPHS[name])
     assert graph.edges
     assert graph.to_json() == graph_oracle(graph)
+    assert graph.to_csv() == graph_csv_oracle(graph)
     if name == "kitaev":
         doc = json.loads(graph.to_json())
         assert doc["phase"] is doc["c1"] is doc["c2"] is None
@@ -149,9 +158,11 @@ def test_graph_json_matches_json_dumps(name):
 
 def test_graph_json_without_edges():
     graph = entanglement.entangled_graph(GRAPHS["ssh_ring"])
-    for bare in (dataclasses.replace(graph, edges=[]),
-                 dataclasses.replace(graph, num_cells=0, edges=[])):
+    empty = dict(i=graph.i[:0], j=graph.j[:0], c=graph.c[:0])
+    for bare in (dataclasses.replace(graph, **empty),
+                 dataclasses.replace(graph, num_cells=0, **empty)):
         assert bare.to_json() == graph_oracle(bare)
+        assert bare.to_csv() == graph_csv_oracle(bare) == "site1,site2,concurrence\n"
     assert '"edges": []' in bare.to_json() and '"vertices": []' in bare.to_json()
 
 
