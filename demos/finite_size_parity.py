@@ -28,8 +28,8 @@ for N in (5, 15, 51, 199):
 # chains have no transition at all because the jump overshoots it).
 print("\nlambda_+(N) marching toward the thermodynamic value")
 for N in (8, 16, 32, 64, 128):
-    print(f"N = {N:4d}: lambda_+ = {analysis.find_lambda_plus(N):.6f}")
-print(f"N = inf : lambda_+ = {analysis.find_lambda_plus():.6f}")
+    print(f"N = {N:4d}: lambda_+ = {analysis.critical_report(N).lambda_plus:.6f}")
+print(f"N = inf : lambda_+ = {analysis.critical_report().lambda_plus:.6f}")
 
 # A direct consequence for observables: sweeping across 0 at N = 16 shows
 # C2 switching on discontinuously, while N = 15 interpolates.

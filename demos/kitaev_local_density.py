@@ -15,20 +15,21 @@ from chainent import analysis
 
 print("density jump across mu = 2t (even N); N * jump = 1")
 for N in (4, 10, 40, 100):
-    jump = analysis.kitaev_density_jump(N)
-    print(f"N = {N:4d}: jump = {jump:.12f}, N * jump = {N * jump:.9f}")
+    below, above = analysis.kitaev_density([2.0 - 1e-9, 2.0 + 1e-9], N=N).density
+    jump = above - below
+    print(f"N = {N:4d}: n(2 + 1e-9) - n(2 - 1e-9) = {jump:.9f}, N * jump = {N * jump:.6f}")
 
 eps = 1e-6
 print("\nodd N: continuous")
 for N in (5, 21, 99):
-    below = analysis.kitaev_local_density(2.0 - eps, N=N)
-    above = analysis.kitaev_local_density(2.0 + eps, N=N)
+    below, above = analysis.kitaev_density([2.0 - eps, 2.0 + eps], N=N).density
     print(f"N = {N:3d}: |n(2+) - n(2-)| = {abs(above - below):.2e}")
 
 # Thermodynamic density profile across the touching.
+table = analysis.kitaev_density(np.linspace(0.0, 4.0, 9))
 print(f"\n{'mu':>7} {'n(mu)':>10}")
-for mu in np.linspace(0.0, 4.0, 9):
-    print(f"{mu:7.2f} {analysis.kitaev_local_density(float(mu)):10.6f}")
+for mu, n in zip(table.mus, table.density):
+    print(f"{mu:7.2f} {n:10.6f}")
 
 # The compressibility grows logarithmically as mu -> 2t.  Note the measured
 # prefactor: in this parametrization the exact asymptotic slope against

@@ -27,9 +27,10 @@ for i, lam in enumerate(result.lambdas):
     print(f"{lam:8.3f} {result.eta1[i]:8.4f} {result.eta2[i]:8.4f} "
           f"{result.c1[i]:8.4f} {result.c2[i]:8.4f}")
 
-# The transition points, located by bisection on the closed forms.
-lp = analysis.find_lambda_plus()
-lm = analysis.find_lambda_minus()
+# The transition points: Newton's method on the closed forms, started at the
+# tabulated N = infinity root; lambda_- = -lambda_+ by sublattice symmetry.
+report = analysis.critical_report()
+lp, lm = report.lambda_plus, report.lambda_minus
 print(f"\nentanglement sudden death at lambda_- = {lm:.6f}, "
       f"lambda_+ = {lp:.6f}")
 

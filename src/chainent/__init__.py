@@ -21,17 +21,12 @@ from .analysis import (
     disorder_ensemble,
     eta1,
     eta2,
-    find_lambda_minus,
-    find_lambda_plus,
     free_energy_check,
     jump_at_zero,
     kitaev_density,
-    kitaev_density_jump,
-    kitaev_local_density,
     logfit,
     obc_center_derivative,
     obc_fill_count,
-    slope_c1_at_lambda_plus,
     sweep,
 )
 from .entanglement import (

@@ -40,6 +40,7 @@ from .models import (
     bloch_norm,
     bz_mean,
     kitaev_bloch,
+    kitaev_scale,
     momentum_grid,
     ssh_bloch,
     ssh_deta1_limit,
@@ -196,16 +197,7 @@ def _centred_difference(values, grid) -> np.ndarray:
 
 # --------------------------------------------------------- critical analysis
 
-def find_lambda_plus(N: int | None = None) -> float:
-    """Root of eta1(lambda) = sqrt(2) - 1 on (0, 1): where C1 dies.
-
-    Finite chains with N in {2, 4} have no root (eta1(0+) already sits below
-    the threshold) and raise NoRootError.
-    """
-    return _lambda_plus(N)[0]
-
-
-def _lambda_plus(N, fit_lams=()):
+def _lambda_plus(N, fit_lams):
     """(lambda_plus, deta1 at the last iterate, deta1 at ``fit_lams``): Newton from
     the N = infinity root (0.757^N / sqrt(N) off), one (eta1, deta1) zone pass per
     step, the first one also at the bracket ends and ``fit_lams``; a step out of
@@ -229,13 +221,6 @@ def _lambda_plus(N, fit_lams=()):
             return float(x + step), dfx, df[3:]
         x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
         (fx,), (dfx,) = zone_pass(np.array([x]))
-
-
-def find_lambda_minus(N: int | None = None) -> float:
-    """Root of eta2(lambda) = sqrt(2) - 1 on (-1, 0): where C2 dies.  Swapping
-    the sublattices of a ring swaps t1 and t2, so eta2(lambda) = eta1(-lambda)
-    and this is -lambda_plus."""
-    return -find_lambda_plus(N)
 
 
 def jump_at_zero(N: int) -> float:
@@ -296,13 +281,6 @@ def _fit_log(x, y) -> LogFitResult:
                         asymptotic=bool(resid < 0.01 * scale))
 
 
-def slope_c1_at_lambda_plus(N: int | None = None,
-                            lambda_plus: float | None = None) -> float:
-    """dC1/dlambda approached from below lambda_plus: sqrt(2) * eta1'(lambda_plus)."""
-    lp = find_lambda_plus(N) if lambda_plus is None else lambda_plus
-    return float(np.sqrt(2.0) * deta1(lp, N))
-
-
 @dataclass(frozen=True)
 class CriticalReport:
     lambda_plus: float
@@ -316,7 +294,10 @@ class CriticalReport:
 
 
 def critical_report(N: int | None = None) -> CriticalReport:
-    """lambda_plus, its C1 slope and the log fit from the zone passes of one root solve."""
+    """lambda_plus (the root of eta1 = sqrt(2) - 1 on (0, 1), where C1 dies), its C1
+    slope sqrt(2) deta1 from below and the log fit, from the zone passes of one root
+    solve.  C2 dies at lambda_minus = -lambda_plus: swapping a ring's sublattices swaps
+    t1 and t2, so eta2(lambda) = eta1(-lambda).  N in {2, 4} has no root: NoRootError."""
     fit_lams = _fit_lambdas(FIT_WINDOW)
     lp, deta, fit_deta = _lambda_plus(N, fit_lams)  # lambda_minus = -lambda_plus
     fit = _fit_log(np.log(fit_lams), fit_deta)
@@ -330,20 +311,14 @@ def critical_report(N: int | None = None) -> CriticalReport:
 
 # -------------------------------------------------------- free-energy check
 
-def ground_state_energy(N: int, lam: float) -> float:
-    """E(lambda) = -sum_k |h(k)|, the T -> 0 free energy."""
-    return -float(np.sum(bloch_norm(ssh_bloch(lam, momentum_grid(N)))))
-
-
 def free_energy_check(N: int, lam: float):
-    """Compare dE/dlambda (centered difference) with N (eta1 - eta2).
-
-    Returns (lhs, rhs, |difference|)."""
+    """Compare dE/dlambda (centered difference) of the T -> 0 free energy
+    E(lambda) = -sum_k |h(k)| with N (eta1 - eta2).  Returns (lhs, rhs, |difference|)."""
     h = 1e-5
     if abs(lam) < 10 * h:
         raise GaplessError("step straddles the critical point")
-    lhs = (ground_state_energy(N, lam + h)
-           - ground_state_energy(N, lam - h)) / (2.0 * h)
+    minus_e = [np.sum(bloch_norm(ssh_bloch(x, momentum_grid(N)))) for x in (lam - h, lam + h)]
+    lhs = float(minus_e[0] - minus_e[1]) / (2.0 * h)
     rhs = N * (eta1(lam, N) - eta2(lam, N))
     return lhs, rhs, abs(lhs - rhs)
 
@@ -360,12 +335,6 @@ def kitaev_eta_z(mu: float, t: float = 1.0, delta: float = 1.0,
     return bz_mean(_unit_z, partial(kitaev_bloch, mu, t=t, delta=delta), N)
 
 
-def kitaev_local_density(mu: float, t: float = 1.0, delta: float = 1.0,
-                         N: int | None = None) -> float:
-    """Local electron density n = (1 - eta_z) / 2 of the single-site RDM."""
-    return 0.5 * (1.0 - kitaev_eta_z(mu, t, delta, N))
-
-
 @dataclass
 class KitaevDensityTable:
     mus: np.ndarray
@@ -378,15 +347,14 @@ class KitaevDensityTable:
 
 def kitaev_density(mu_grid, t: float = 1.0, delta: float = 1.0,
                    N: int | None = None) -> KitaevDensityTable:
-    """Local density and compressibility over a chemical-potential sweep.
-    GaplessError when t = delta = 0 and the grid holds mu = 0, where the
-    Hamiltonian vanishes."""
+    """Local density n = (1 - eta_z) / 2 and compressibility over a mu sweep, on energies
+    scaled by :func:`models.kitaev_scale`; GaplessError at t = delta = mu = 0.  For even N,
+    n jumps by 0.5 * jump_at_zero(N) = 1/N across mu = 2t: the k = pi term of eta_z flips
+    sign, as for the SSH eta1, and every other grid term is continuous; odd N has no jump."""
     mus = np.asarray(mu_grid, dtype=float)
     if t == 0 and delta == 0 and np.any(mus == 0):
         raise GaplessError("t = delta = mu = 0: the Hamiltonian is zero")
-    # where -mu/2 - t cos k could overflow, halve mu, t and delta: exact, and h/|h|
-    # is unchanged, so every grid that cannot overflow keeps its bits
-    s = 0.5 if float(np.abs(mus).max(initial=0.0)) / 2 + abs(float(t)) == np.inf else 1.0
+    s = kitaev_scale(mus, t, delta)
     if N is None:
         eta_z, errors = np.array([kitaev_eta_z(s * mu, s * t, s * delta) for mu in mus]), []
     else:
@@ -396,18 +364,6 @@ def kitaev_density(mu_grid, t: float = 1.0, delta: float = 1.0,
     return KitaevDensityTable(mus=mus, eta_z=eta_z, density=density,
                               compressibility=_centred_difference(density, mus),
                               N=N, errors=errors)
-
-
-def kitaev_density_jump(N: int) -> float:
-    """Density discontinuity across mu = 2t for even N; equals 1/N.
-
-    One-sided limits: the k = pi term of eta_z flips sign while all other
-    grid terms are continuous, exactly as for the SSH eta1 jump.  Odd N
-    raises ParityError."""
-    if N % 2:
-        raise ParityError("density is continuous in mu for odd N")
-    # n = (1 - eta_z) / 2
-    return 0.5 * jump_at_zero(N)
 
 
 def kitaev_compressibility_logfit(window=(1e-5, 1e-3), t: float = 1.0,
@@ -482,19 +438,18 @@ def disorder_ensemble(N: int, lambda_grid, amplitude: float = 0.1,
     if num_realizations < 1:
         raise ValueError("need at least one disorder realization")
     lams = np.asarray(lambda_grid, dtype=float)
-    good = lams[np.cumprod(np.abs(lams) <= 1.0) > 0]  # those before a lambda out of [-1, 1]
     seeds = base_seed + np.arange(num_realizations)
     energies = np.stack([DisorderSpec(amplitude=amplitude, seed=int(seed))
                          .onsite_energies(2 * N) for seed in seeds])
-    bonds = np.tile(np.stack([1.0 - good, 1.0 + good], axis=1), N)  # t1, t2 (ModelSpec.ssh)
+    if not np.all(np.abs(lams) <= 1.0):  # NaN too
+        raise ValueError("lambda must lie in [-1, 1]")
+    bonds = np.tile(np.stack([1.0 - lams, 1.0 + lams], axis=1), N)  # t1, t2 (ModelSpec.ssh)
     bonds[:, -1] *= Boundary(boundary) is Boundary.PERIODIC  # bond n joins n, n + 1 mod 2N
-    per_seed, p = np.empty((len(good), num_realizations)), _central_pair(N)[0]
+    per_seed, p = np.empty((len(lams), num_realizations)), _central_pair(N)[0]
     step = _disorder_batch(N)
     for s in range(0, per_seed.size, step):
         j, i = np.divmod(np.arange(s, min(s + step, per_seed.size)), num_realizations)
         per_seed[j, i] = x_concurrence(*pair_projector(energies[i], bonds[j], p))
-    for lam in lams[len(good):len(good) + 1]:  # its ValueError, after the lambdas before it
-        ModelSpec.ssh(N, lam, boundary=boundary)
     per_seed = per_seed.T
     # std of each column scaled by a power of two, which is exact: squared deviations of
     # C2 below ~1e-154 (amplitudes above ~1e154) would underflow to a std of 0

@@ -36,6 +36,7 @@ from .models import (
     ModelSpec,
     bloch_vector,
     gapped_grid,
+    kitaev_scale,
     particle_matrix,
 )
 from .serialize import _json, _json_array
@@ -92,11 +93,10 @@ def _ground_state(spec: ModelSpec, fill: int | None):
     matrix (ValueError on pairing); other Kitaev chains the polar factor Q = U V^T
     of H = U S V^T, read by :func:`gaussian._polar_wick`: M = ``majorana_matrix(H)``
     has levels +-S and flattens to M (-M^2)^(-1/2) = ``majorana_matrix(Q)``."""
-    if spec.family is Family.KITAEV and abs(float(spec.mu)) / 2 + abs(float(spec.t)) == np.inf:
-        # -mu/2 - t cos k could overflow: halve every energy, which is exact and
-        # changes neither h/|h| nor an eigenvector (as analysis.kitaev_density does)
-        half = spec.disorder and replace(spec.disorder, amplitude=spec.disorder.amplitude / 2)
-        spec = replace(spec, t=spec.t / 2, delta=spec.delta / 2, mu=spec.mu / 2, disorder=half)
+    a = spec.disorder.amplitude if spec.disorder else 0.0  # Kitaev energies times kitaev_scale
+    if spec.family is Family.KITAEV and (s := kitaev_scale(spec.mu, spec.t, spec.delta, a)) != 1:
+        disorder = spec.disorder and replace(spec.disorder, amplitude=s * a)
+        spec = replace(spec, t=s * spec.t, delta=s * spec.delta, mu=s * spec.mu, disorder=disorder)
     if spec.clean_periodic and fill is None:
         return _bloch_correlations(spec)
     if spec.family is Family.SSH and spec.disorder is None \

@@ -149,6 +149,16 @@ def kitaev_bloch(mu, k, t=1.0, delta=1.0):
     return 0.0, delta * np.sin(k), -mu / 2.0 - t * np.cos(k)
 
 
+def kitaev_scale(mu, t, delta, amplitude=0.0) -> float:
+    """1/8 where |mu| + 2(|t| + |delta| + amplitude), a bound on |h(k)| and on the
+    real-space levels, overflows at the largest |mu| of ``mu``, else 1: the bound is
+    at most 7 times the largest float, and a power of two is exact (h/|h| and the
+    eigenvectors do not change), so every input that cannot overflow keeps its bits."""
+    t, delta, amplitude = (abs(float(x)) for x in (t, delta, amplitude))  # Python floats:
+    bound = float(np.max(np.abs(mu), initial=0.0)) + 2.0 * (t + delta + amplitude)  # inf, unwarned
+    return 0.125 if bound == math.inf else 1.0
+
+
 def bloch_vector(spec: ModelSpec, k):
     """Components (hx, hy, hz) of h(k) of a clean periodic chain."""
     if spec.disorder is not None:

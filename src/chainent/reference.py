@@ -452,5 +452,5 @@ def verify_checks():
             ("even-N jump equals 2/N", lambda: max(
                 abs(analysis.jump_at_zero(N) - 2.0 / N) for N in (8, 10, 50)), 1e-12),
             ("|eta1(lambda_plus)| equals sqrt(2) - 1", lambda: max(  # where C1 dies
-                abs(abs(analysis.eta1(analysis.find_lambda_plus(N), N)) + 1.0 - np.sqrt(2.0))
-                for N in (None, 64)), 1e-11)]
+                abs(abs(analysis.eta1(analysis.critical_report(N).lambda_plus, N))
+                    + 1.0 - np.sqrt(2.0)) for N in (None, 64)), 1e-11)]

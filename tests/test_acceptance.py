@@ -21,8 +21,8 @@ from chainent.models import Boundary, ModelSpec
 # 1. critical point location and symmetry ----------------------------------
 
 def test_acceptance_1_lambda_plus(capsys):
-    lp = analysis.find_lambda_plus()
-    lm = analysis.find_lambda_minus()
+    report = analysis.critical_report()
+    lp, lm = report.lambda_plus, report.lambda_minus
     assert 0.136 <= lp <= 0.140
     assert abs(lm + lp) < 1e-9
     assert main(["critical", "--thermodynamic"]) == 0
@@ -32,7 +32,7 @@ def test_acceptance_1_lambda_plus(capsys):
 # 2. linear slope of C1 just below lambda_plus -----------------------------
 
 def test_acceptance_2_slope():
-    slope = analysis.slope_c1_at_lambda_plus()
+    slope = analysis.critical_report().slope_at_plus
     assert slope == pytest.approx(-1.476, rel=0.02)
 
 
@@ -170,13 +170,12 @@ def test_acceptance_8_phase_labels():
 # 9. Kitaev analog -----------------------------------------------------------
 
 def test_acceptance_9a_kitaev_density_jump():
-    for N in range(4, 101, 2):
-        assert analysis.kitaev_density_jump(N) == pytest.approx(
-            1.0 / N, abs=1e-9)
+    for N in range(4, 101, 2):  # even N: the density jumps by 1/N across mu = 2t
+        below, above = analysis.kitaev_density([2.0 - 1e-9, 2.0 + 1e-9], N=N).density
+        assert above - below == pytest.approx(1.0 / N, abs=1e-6)
     eps = 1e-6
     for N in range(5, 100, 2):  # odd N: continuous across mu = 2t
-        below = analysis.kitaev_local_density(2.0 - eps, N=N)
-        above = analysis.kitaev_local_density(2.0 + eps, N=N)
+        below, above = analysis.kitaev_density([2.0 - eps, 2.0 + eps], N=N).density
         assert abs(above - below) < 0.1 / N
 
 

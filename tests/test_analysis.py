@@ -36,34 +36,36 @@ def test_jump_at_zero():
 
 
 def test_lambda_plus_thermodynamic():
-    lp = analysis.find_lambda_plus()
-    assert 0.136 <= lp <= 0.140
-    assert analysis.find_lambda_minus() == pytest.approx(-lp, abs=1e-9)
+    report = analysis.critical_report()
+    assert 0.136 <= report.lambda_plus <= 0.140
+    assert report.lambda_minus == -report.lambda_plus
 
 
 def test_sublattice_swap_symmetry():
     """Relabelling a ring's cells (a'_n = b_n, b'_n = a_{n+1}) swaps t1 and t2:
-    eta2(lambda) = eta1(-lambda) for every N, which find_lambda_minus uses."""
+    eta2(lambda) = eta1(-lambda) for every N, which critical_report's
+    lambda_minus = -lambda_plus uses."""
     for N in [*range(2, 80), None]:
         for lam in np.linspace(-0.94, 0.96, 39):  # not 0: gapless at even N
             assert abs(analysis.eta2(lam, N) - analysis.eta1(-lam, N)) <= 1e-15
     for N in (3, 8, 59, 599, None):
-        assert analysis.find_lambda_minus(N) == -analysis.find_lambda_plus(N)
+        report = analysis.critical_report(N)
+        assert report.lambda_minus == -report.lambda_plus
+        assert abs(analysis.eta2(report.lambda_minus, N)
+                   - analysis.eta1(report.lambda_plus, N)) <= 1e-15
 
 
 def test_lambda_plus_monotone_in_N():
-    values = [analysis.find_lambda_plus(N) for N in (8, 16, 32, 64)]
+    values = [analysis.critical_report(N).lambda_plus for N in (8, 16, 32, 64)]
     assert all(a < b for a, b in zip(values, values[1:]))
-    assert values[-1] < analysis.find_lambda_plus()
+    assert values[-1] < analysis.critical_report().lambda_plus
 
 
 def test_no_root_for_tiny_chains():
     for N in (2, 4):
-        for find in (analysis.find_lambda_plus, analysis.find_lambda_minus,
-                     analysis.critical_report):
-            with pytest.raises(NoRootError, match=r"^eta1 - \(sqrt\(2\)-1\) does not "
-                               r"change sign on \(1e-06, 0\.9\)$"):
-                find(N)
+        with pytest.raises(NoRootError, match=r"^eta1 - \(sqrt\(2\)-1\) does not "
+                           r"change sign on \(1e-06, 0\.9\)$"):
+            analysis.critical_report(N)
 
 
 def _brentq_root(N):
@@ -80,9 +82,8 @@ def test_lambda_plus_matches_brentq_oracle():
     for N in [3, *range(5, 201), 226, 599, 4096, None]:
         root, report = _brentq_root(N), analysis.critical_report(N)
         assert abs(report.lambda_plus - root) <= 1e-13, N
-        assert report.lambda_minus == -report.lambda_plus == -analysis.find_lambda_plus(N)
-        assert abs(report.slope_at_plus
-                   - analysis.slope_c1_at_lambda_plus(N, root)) <= 1e-12, N
+        assert report.lambda_minus == -report.lambda_plus
+        assert abs(report.slope_at_plus - np.sqrt(2.0) * analysis.deta1(root, N)) <= 1e-12, N
 
 
 def test_critical_report_zone_passes(monkeypatch):
@@ -159,16 +160,20 @@ def test_free_energy_identity():
 
 def test_kitaev_density_limits():
     # -mu n term: deep positive mu fills the site, deep negative empties it
-    assert analysis.kitaev_local_density(10.0) == pytest.approx(1.0, abs=1e-2)
-    assert analysis.kitaev_local_density(-10.0) == pytest.approx(0.0, abs=1e-2)
+    full, empty = analysis.kitaev_density([10.0, -10.0]).density
+    assert full == pytest.approx(1.0, abs=1e-2)
+    assert empty == pytest.approx(0.0, abs=1e-2)
 
 
 def test_kitaev_density_jump():
+    """The even-N density jump across mu = 2t is half the SSH jump, 1/N, as
+    the kitaev_density docstring states; odd N has none (ParityError)."""
     for N in (4, 10, 100):
-        assert analysis.kitaev_density_jump(N) == pytest.approx(
-            1.0 / N, abs=1e-12)
+        assert 0.5 * analysis.jump_at_zero(N) == pytest.approx(1.0 / N, abs=1e-12)
+        below, above = analysis.kitaev_density([2.0 - 1e-9, 2.0 + 1e-9], N=N).density
+        assert above - below == pytest.approx(1.0 / N, abs=1e-6)
     with pytest.raises(ParityError):
-        analysis.kitaev_density_jump(9)
+        analysis.jump_at_zero(9)
 
 
 def test_disorder_zero_amplitude_reproduces_clean():
@@ -223,17 +228,22 @@ def test_disorder_ensemble_gapless_raises():
         analysis.disorder_ensemble(8, [0.3, 0.0], amplitude=0.0, num_realizations=4)
 
 
-def test_disorder_ensemble_reports_the_first_failing_lambda():
-    """The grid is solved in one batch, yet the error is the one a lambda by
-    lambda solve meets first: a gapless lambda before one outside [-1, 1]
-    raises GaplessError, the other order the ValueError."""
+def test_disorder_ensemble_checks_every_lambda_before_it_solves(monkeypatch):
+    """A lambda outside [-1, 1] (or NaN) anywhere in the grid raises its
+    ValueError before any chain is solved, also after a gapless lambda; a
+    gapless lambda alone raises GaplessError."""
     kw = dict(amplitude=0.0, num_realizations=2, boundary="open")
     with pytest.raises(GaplessError):  # lambda = 0.6: edge levels split by ~1e-30
-        analysis.disorder_ensemble(40, [0.0, 0.6, 1.2], **kw)
+        analysis.disorder_ensemble(40, [0.0, 0.6], **kw)
+    for grid in ([0.0, 0.6, 1.2], [0.0, 1.2, 0.6], [np.nan]):
+        with pytest.raises(ValueError, match=r"^lambda must lie in \[-1, 1\]$"):
+            analysis.disorder_ensemble(40, grid, **kw)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("pair_projector called")
+    monkeypatch.setattr(analysis, "pair_projector", no_solve)
     with pytest.raises(ValueError, match=r"^lambda must lie in \[-1, 1\]$"):
-        analysis.disorder_ensemble(40, [0.0, 1.2, 0.6], **kw)
-    with pytest.raises(ValueError, match="lambda must lie"):
-        analysis.disorder_ensemble(40, [np.nan], **kw)
+        analysis.disorder_ensemble(12, [0.5, 1.5])
 
 
 def test_disorder_ensemble_needs_no_eigh_on_deck_cases(monkeypatch):
@@ -483,8 +493,9 @@ def test_kitaev_compressibility_centred_difference():
 
 @pytest.mark.filterwarnings("error")
 def test_kitaev_density_halves_overflowing_parameters():
-    """At t = 1.7e308, -mu/2 - t cos k overflows for mu < 0; halving mu, t and
-    delta first is exact and keeps h/|h|, so the densities are those of
+    """At t = 1.7e308, -mu/2 - t cos k overflows for mu < 0; scaling mu, t and
+    delta first (by models.kitaev_scale) is exact and keeps h/|h|, so the
+    halved chain has the same eta_z and the densities are those of
     h_z ~ -mu/(2t) - cos k: arccos(-mu/(2t))/pi, or the grid's share of it."""
     mus = np.linspace(-1.7e308, 0.0, 3)
     ring = analysis.kitaev_density(mus, t=1.7e308, N=8)

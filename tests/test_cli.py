@@ -274,9 +274,10 @@ def test_cli_kitaev_huge_mu(tmp_path, N):
 @pytest.mark.filterwarnings("error")
 def test_cli_graph_kitaev_halves_overflowing_couplings(tmp_path, capsys):
     """At t = 1.7e308, mu = -1.7e308, -mu/2 - t cos k overflows; the graph's
-    ground state is that of (t, delta, mu) halved, which is exact: the ring
-    writes the bytes of the halved argv, with edges and no nan, and the open
-    chain gives the halved argv's exit code and stderr line."""
+    ground state is that of (t, delta, mu) scaled by a power of two
+    (models.kitaev_scale), which is exact: the ring writes the bytes of the
+    halved argv, with edges and no nan, and the open chain gives the halved
+    argv's exit code and stderr line."""
     huge = ["graph", "--model", "kitaev", "--N", "8", "--t", "1.7e308", "--mu", "-1.7e308"]
     halved = ["graph", "--model", "kitaev", "--N", "8", "--t", "8.5e307",
               "--delta", "0.5", "--mu", "-8.5e307"]
@@ -293,6 +294,30 @@ def test_cli_graph_kitaev_halves_overflowing_couplings(tmp_path, capsys):
         code = main([*argv, "--boundary", "open", "--outdir", str(tmp_path)])
         outcomes.append((code, capsys.readouterr().err))
     assert outcomes[0] == outcomes[1] and outcomes[0][1].count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_kitaev_scales_overflowing_levels(tmp_path):
+    """Where |mu| + 2(|t| + |delta| + amplitude) overflows, the real-space levels
+    would, though -mu/2 - t cos k does not; every energy is scaled by 1/8 first.
+    The open chain writes the bytes of its quarter-scale twin, a disordered ring
+    writes its graph, and the density of a grid the old halving scaled keeps its
+    bytes."""
+    texts = []
+    for couplings in (["--t", "8e307", "--delta", "5e307", "--mu", "1.79e308"],
+                      ["--t", "2e307", "--delta", "1.25e307", "--mu", "4.475e307"]):
+        assert main(["graph", "--model", "kitaev", "--N", "8", *couplings,
+                     "--boundary", "open", "--outdir", str(tmp_path)]) == 0
+        texts.append((tmp_path / "graph.json").read_text())
+    assert texts[0] == texts[1] and json.loads(texts[0])["edges"]
+    assert main(["graph", "--model", "kitaev", "--N", "8", "--t", "8.5e307", "--delta",
+                 "5e307", "--mu", "-8.5e307", "--disorder-amplitude", "5e306",
+                 "--outdir", str(tmp_path)]) == 0
+    assert "nan" not in (tmp_path / "graph.json").read_text().lower()
+    assert main(["kitaev", "--t", "1.7e308", "--grid", "-1.7e308:0:3", "--N", "8",
+                 "--outdir", str(tmp_path)]) == 0
+    assert (tmp_path / "kitaev_density.csv").read_text() == (
+        "mu,density\n-1.6999999999999999e+308,0.375\n-8.4999999999999997e+307,0.375\n0,0.5\n")
 
 
 def test_cli_kitaev_json_format(tmp_path):
@@ -348,16 +373,17 @@ def test_cli_verify(capsys):
 _SABOTAGED_VERIFY = """
 import sys
 sys.path.insert(0, sys.argv[1])
+from types import SimpleNamespace
 from chainent import analysis, cli
 analysis.jump_at_zero = lambda N: 99.0
-analysis.find_lambda_plus = lambda N=None, *args, **kwargs: 0.2
+analysis.critical_report = lambda N=None: SimpleNamespace(lambda_plus=0.2)
 sys.exit(cli.main(["verify"]))
 """
 
 
 @pytest.mark.parametrize("optimize", [[], ["-O"]])
 def test_cli_verify_fails_on_sabotaged_invariants(optimize):
-    """With jump_at_zero returning 99 and find_lambda_plus a constant, verify
+    """With jump_at_zero returning 99 and critical_report's lambda_plus a constant, verify
     fails both checks with their residual and tolerance and exits 3, also
     under python -O, which strips assert statements."""
     src = os.path.dirname(os.path.dirname(chainent.__file__))

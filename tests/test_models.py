@@ -174,6 +174,19 @@ def test_bloch_vector_rejects_specs_without_momentum(spec, message):
 
 
 @pytest.mark.filterwarnings("error")
+def test_kitaev_scale_is_an_eighth_where_the_level_bound_overflows():
+    """1/8 exactly where |mu| + 2(|t| + |delta| + amplitude) overflows, at the
+    largest |mu| of an array, with no warning on numpy scalars; 1 elsewhere."""
+    big = np.float64(1.7e308)
+    assert models.kitaev_scale(-big, 1.0, 1.0) == 1.0
+    assert models.kitaev_scale(np.array([0.0, -big]), big / 2, 1.0) == 0.125
+    assert models.kitaev_scale(np.array([]), 2.5e307, 2.5e307, 2.5e307) == 1.0
+    assert models.kitaev_scale(0.0, 2.5e307, 2.5e307, 4e307) == 0.125
+    assert models.kitaev_scale(1.79e308, 2e307, 0.0) == 0.125
+    assert models.kitaev_scale(1.79e308, 0.0, np.float64(1e292)) == 1.0
+
+
+@pytest.mark.filterwarnings("error")
 def test_bloch_norm_scales_what_would_overflow():
     """A triple whose squares overflow takes |h| of h scaled by a power of two,
     on arrays and on one momentum, to an ulp of math.hypot; other triples keep
