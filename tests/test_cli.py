@@ -10,7 +10,7 @@ import hypothesis
 import numpy as np
 import pytest
 from hypothesis import strategies as st
-from test_golden import CASES as GOLDEN_CASES
+import contract
 
 import chainent
 from chainent import analysis, entanglement, models, reference, serialize
@@ -242,84 +242,6 @@ def test_cli_kitaev_zero_hamiltonian_is_gapless(tmp_path, capsys, N):
                  *N, "--outdir", str(tmp_path)]) == 0
 
 
-def test_cli_disorder_huge_amplitude_under_warnings_as_errors(tmp_path):
-    """The resolvent runs on A / W, so an onsite amplitude of 1e155 (whose
-    squares overflow) gives finite rows and exit 0 under python -W error."""
-    src = os.path.dirname(os.path.dirname(chainent.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "chainent.cli", "disorder", "--N", "6",
-         "--grid", "0.3:0.6:2", "--amplitude", "1e155", "--realizations", "3",
-         "--outdir", str(tmp_path)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    _, rows = reference.read_csv(tmp_path / "disorder.csv")
-    assert len(rows) == 2 and all(np.isfinite(row[1]) and np.isfinite(row[2]) for row in rows)
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("N", [["--N", "16"], []])
-def test_cli_kitaev_huge_mu(tmp_path, N):
-    """At mu = -+8e307 the squares of h_z overflow; |h| is taken of h scaled by
-    a power of two, so the density is the exact 0 and 1 with no warning, at
-    finite N and in the thermodynamic limit, and a ring graph there has no
-    edge."""
-    assert main(["kitaev", "--grid", "-8e307:8e307:3", *N, "--outdir", str(tmp_path)]) == 0
-    _, rows = reference.read_csv(tmp_path / "kitaev_density.csv")
-    assert [row[1] for row in rows] == [0.0, 0.5, 1.0]
-    assert main(["graph", "--model", "kitaev", "--N", "8", "--mu", "8e307",
-                 "--outdir", str(tmp_path)]) == 0
-    assert json.loads((tmp_path / "graph.json").read_text())["edges"] == []
-
-
-@pytest.mark.filterwarnings("error")
-def test_cli_graph_kitaev_halves_overflowing_couplings(tmp_path, capsys):
-    """At t = 1.7e308, mu = -1.7e308, -mu/2 - t cos k overflows; the graph's
-    ground state is that of (t, delta, mu) scaled by a power of two
-    (models.kitaev_scale), which is exact: the ring writes the bytes of the
-    halved argv, with edges and no nan, and the open chain gives the halved
-    argv's exit code and stderr line."""
-    huge = ["graph", "--model", "kitaev", "--N", "8", "--t", "1.7e308", "--mu", "-1.7e308"]
-    halved = ["graph", "--model", "kitaev", "--N", "8", "--t", "8.5e307",
-              "--delta", "0.5", "--mu", "-8.5e307"]
-    for fmt in ("json", "csv"):
-        texts = []
-        for argv in (huge, halved):
-            assert main([*argv, "--format", fmt, "--outdir", str(tmp_path)]) == 0
-            texts.append((tmp_path / f"graph.{fmt}").read_text())
-        assert texts[0] == texts[1] and "nan" not in texts[0].lower()
-    assert json.loads((tmp_path / "graph.json").read_text())["edges"]
-    capsys.readouterr()
-    outcomes = []
-    for argv in (huge, halved):
-        code = main([*argv, "--boundary", "open", "--outdir", str(tmp_path)])
-        outcomes.append((code, capsys.readouterr().err))
-    assert outcomes[0] == outcomes[1] and outcomes[0][1].count("\n") == 1
-
-
-@pytest.mark.filterwarnings("error")
-def test_cli_kitaev_scales_overflowing_levels(tmp_path):
-    """Where |mu| + 2(|t| + |delta| + amplitude) overflows, the real-space levels
-    would, though -mu/2 - t cos k does not; every energy is scaled by 1/8 first.
-    The open chain writes the bytes of its quarter-scale twin, a disordered ring
-    writes its graph, and the density of a grid the old halving scaled keeps its
-    bytes."""
-    texts = []
-    for couplings in (["--t", "8e307", "--delta", "5e307", "--mu", "1.79e308"],
-                      ["--t", "2e307", "--delta", "1.25e307", "--mu", "4.475e307"]):
-        assert main(["graph", "--model", "kitaev", "--N", "8", *couplings,
-                     "--boundary", "open", "--outdir", str(tmp_path)]) == 0
-        texts.append((tmp_path / "graph.json").read_text())
-    assert texts[0] == texts[1] and json.loads(texts[0])["edges"]
-    assert main(["graph", "--model", "kitaev", "--N", "8", "--t", "8.5e307", "--delta",
-                 "5e307", "--mu", "-8.5e307", "--disorder-amplitude", "5e306",
-                 "--outdir", str(tmp_path)]) == 0
-    assert "nan" not in (tmp_path / "graph.json").read_text().lower()
-    assert main(["kitaev", "--t", "1.7e308", "--grid", "-1.7e308:0:3", "--N", "8",
-                 "--outdir", str(tmp_path)]) == 0
-    assert (tmp_path / "kitaev_density.csv").read_text() == (
-        "mu,density\n-1.6999999999999999e+308,0.375\n-8.4999999999999997e+307,0.375\n0,0.5\n")
-
-
 def test_cli_kitaev_json_format(tmp_path):
     assert main(["kitaev", "--grid", "0:1:5", "--format", "json",
                  "--outdir", str(tmp_path)]) == 0
@@ -509,50 +431,20 @@ def test_disorder_eigh_fallback_checks_memory_first(tmp_path, monkeypatch, capsy
     assert main(argv + ["0.3:0.6:2"]) == 0  # certified chains need no eigh
 
 
-_LOADED = """
-import json, sys
-sys.path.insert(0, sys.argv[1])
-import chainent
-from chainent import cli
-if chainent.gaussian._zolotarev.cache_info().currsize:
-    sys.exit("Zolotarev tables built at import")
-def watched():
-    return sorted(m for m in sys.modules
-                  if m.startswith("scipy") or m in ("argparse", "configparser"))
-loaded = [watched()]
-for argv in json.loads(sys.argv[3]):
-    assert cli.main(argv + ["--outdir", sys.argv[2]]) == 0, argv
-    loaded.append(watched())
-print(json.dumps(loaded))
-"""
+def _loaded(tmp_path, argv):
+    """scipy modules, argparse and configparser that a fresh interpreter
+    holds after ``argv``, run through the runner of tests/contract.py."""
+    (run, loaded), = contract.in_children([(argv, str(tmp_path), contract.QUIET)])
+    assert run.code == 0, run.err
+    return loaded
 
 
-def _loaded(tmp_path, runs):
-    """scipy modules, argparse and configparser of a fresh interpreter after
-    ``import chainent`` and after each CLI run."""
-    src = os.path.dirname(os.path.dirname(chainent.__file__))
-    proc = subprocess.run([sys.executable, "-c", _LOADED, src,
-                           str(tmp_path), json.dumps(runs)],
+def test_import_builds_no_zolotarev_table():
+    """disorder builds its Zolotarev tables on first use, none at import."""
+    proc = subprocess.run([sys.executable, "-c", "import chainent; "
+                           "print(chainent.gaussian._zolotarev.cache_info().currsize)"],
                           capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def test_import_and_momentum_commands_load_no_scipy(tmp_path):
-    """``import chainent`` and every command but thermodynamic critical,
-    sweep and kitaev (not run here) load no scipy module; obc is checked on
-    its own below.  The disorder runs build their Zolotarev
-    tables on first use, none at import.  Every argv here is plain, so
-    neither argparse nor configparser is loaded either."""
-    runs = [["sweep", "--N", "8", "--grid", "0.1:0.5:3"], ["kitaev", "--N", "8"],
-            ["graph", "--N", "8", "--lambda", "0.3"],
-            ["graph", "--N", "8", "--lambda", "0.3", "--boundary", "open",
-             "--disorder-amplitude", "0.2"],
-            ["graph", "--N", "8", "--lambda", "0.3", "--boundary", "open"],
-            ["disorder", "--N", "8", "--grid", "0.2:0.6:3", "--realizations", "4"],
-            ["disorder", "--N", "8", "--grid", "0.2:0.6:3", "--realizations", "4",
-             "--boundary", "open"],
-            ["critical", "--N", "16"]]
-    assert _loaded(tmp_path, runs) == [[]] * 9
+    assert proc.stdout == "0\n"
 
 
 def test_thermodynamic_critical_loads_scipy_special_only(tmp_path):
@@ -565,24 +457,15 @@ def test_thermodynamic_critical_loads_scipy_special_only(tmp_path):
          "m for m in sys.modules if m.startswith('scipy') or m in ('argparse', "
          "'configparser'))))"],
         capture_output=True, text=True, check=True)
-    assert _loaded(tmp_path, [["critical", "--thermodynamic"]]) == [
-        [], json.loads(special.stdout)]
+    assert _loaded(tmp_path, ["critical", "--thermodynamic"]) == json.loads(special.stdout)
 
 
 def test_only_help_abbreviations_and_config_load_their_parsers(tmp_path):
-    """Help and an abbreviated flag load no argparse, as the CLI reads every
-    argv itself, and only ``--config`` loads configparser; the abbreviated
-    run writes the bytes of the same run with whole flags."""
+    """Only ``--config`` loads configparser; help and abbreviated flags,
+    which load no parser, are rows of tests/contract.py."""
     config = tmp_path / "run.ini"
     config.write_text("[run]\nN = 8\ngrid = 0.1:0.3:3\n")
-    for n, (argv, loads) in enumerate([
-            (["graph", "--help"], []),
-            (["sweep", "--N", "8", "--gri", "0.1:0.3:3"], []),
-            (["sweep", "--config", str(config)], ["configparser"])]):
-        assert _loaded(tmp_path / str(n), [argv]) == [[], loads], argv
-    assert main(["sweep", "--N", "8", "--grid", "0.1:0.3:3",
-                 "--outdir", str(tmp_path / "whole")]) == 0
-    assert _outputs(tmp_path / "1") == _outputs(tmp_path / "whole")
+    assert _loaded(tmp_path, ["sweep", "--config", str(config)]) == ["configparser"]
 
 
 def _imports_reference(path) -> bool:
@@ -615,7 +498,7 @@ def test_obc_loads_scipy_linalg_only(tmp_path):
     """obc once loaded scipy.linalg for its eigensolver and nothing else of
     scipy; the closed-form open chain needs no eigensolver, so it now loads
     no scipy module at all."""
-    assert _loaded(tmp_path, [["obc", "--N", "8", "--grid", "0.1:0.3:3"]]) == [[], []]
+    assert _loaded(tmp_path, ["obc", "--N", "8", "--grid", "0.1:0.3:3"]) == []
 
 
 # ----------------------------------------------- flags and config files
