@@ -41,6 +41,7 @@ from .models import (
     bz_mean,
     kitaev_bloch,
     kitaev_scale,
+    linspace,
     momentum_grid,
     ssh_bloch,
     ssh_deta1_limit,
@@ -110,21 +111,20 @@ def _grid_means(params, N: int, bloch, *terms):
     array.  Gapless points are NaN and listed as ``(p, message)``, the
     message of :func:`models.gapped_grid`."""
     k = momentum_grid(N)
-    means = np.full((len(terms), len(params)), np.nan)
+    means = np.empty((len(terms), len(params)))  # every slice of every row is set
     errors = []
     step = max(1, _STACK_BYTES // (8 * N))
     for s in range(0, len(params), step):
         p = params[s:s + step]
         h = bloch(p[:, None], k)
         r = bloch_norm(h)
-        i, rmin = np.argmin(r, axis=1), np.min(r, axis=1)
+        i, rmin = r.argmin(axis=1), r.min(axis=1)
         gapless = rmin < GAP_TOL
         errors += [(float(p[j]), band_touching(rmin[j], k[i[j]]))
-                   for j in np.flatnonzero(gapless)]
+                   for j in gapless.nonzero()[0]]
         with np.errstate(all="ignore"):
             for row, term in zip(means, terms):
-                row[s:s + step] = np.where(gapless, np.nan,
-                                           np.mean(term(k, h, r), axis=1))
+                row[s:s + step] = np.where(gapless, np.nan, term(k, h, r).mean(axis=1))
     return means, errors
 
 
@@ -153,13 +153,13 @@ def sweep(lambda_grid, N: int | None = None,
     """eta1/eta2/C1/C2 over a lambda grid for a clean periodic SSH chain,
     the whole grid at once."""
     lams = np.asarray(lambda_grid, dtype=float)
-    if np.any(np.diff(lams) <= 0):
+    if (lams[1:] - lams[:-1] <= 0).any():
         raise ValueError("lambda grid must be strictly increasing")
-    if not np.all(np.abs(lams) <= 1.0):
+    if not (np.abs(lams) <= 1.0).all():
         raise ValueError("lambda must lie in [-1, 1]")
     if N is None:
         gapped = np.abs(lams) >= GAP_TOL
-        etas = np.full((2, len(lams)), np.nan)
+        etas = np.zeros((2, len(lams))) + np.nan
         etas[:, gapped] = ssh_eta1_limit(lams[gapped]), ssh_eta1_limit(-lams[gapped])
         errors = [(float(lam), CRITICAL_POINT) for lam in lams[~gapped]]
     else:
@@ -181,8 +181,8 @@ def derivative(values, grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 3:
         raise GridTooCoarseError("need at least 3 points")
-    steps = np.diff(grid)
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * max(abs(steps[0]), 1e-300):
+    steps = grid[1:] - grid[:-1]
+    if np.abs(steps - steps[0]).max() > 1e-9 * max(abs(steps[0]), 1e-300):
         raise ValueError("derivative requires a uniform grid")
     return _centred_difference(values, grid)
 
@@ -190,7 +190,7 @@ def derivative(values, grid) -> np.ndarray:
 def _centred_difference(values, grid) -> np.ndarray:
     """(values[i+1] - values[i-1]) / (grid[i+1] - grid[i-1]); NaN at the
     endpoints, so all NaN below 3 points."""
-    out = np.full(values.shape, np.nan)
+    out = values + np.nan
     out[1:-1] = (values[2:] - values[:-2]) / (grid[2:] - grid[:-2])
     return out
 
@@ -234,7 +234,7 @@ def jump_at_zero(N: int) -> float:
         raise ParityError("eta1 is continuous for odd N")
     ks = momentum_grid(N)
     h = ssh_bloch(0.0, ks[np.abs(ks - np.pi) > 1e-12])
-    smooth = float(np.sum(h[0] / bloch_norm(h)))
+    smooth = float((h[0] / bloch_norm(h)).sum())
     eta_plus = (smooth - 1.0) / N
     eta_minus = (smooth + 1.0) / N
     return abs(eta_plus - eta_minus)
@@ -266,19 +266,26 @@ def _fit_lambdas(window):
         raise WindowError("fit window must not touch lambda = 0")
     if lo >= hi:
         raise WindowError("empty fit window")
-    return np.geomspace(lo, hi, 9)
+    return _fit_points(lo, hi)
+
+
+def _fit_points(lo, hi):
+    """The 9 fit points ``np.geomspace(lo, hi, 9)``, bit for bit, 0 < lo < hi."""
+    out = 10.0 ** linspace(np.log10(lo), np.log10(hi), 9)
+    out[0], out[-1] = lo, hi
+    return out
 
 
 def _fit_log(x, y) -> LogFitResult:
-    """Least-squares y = slope * x + intercept, flagged asymptotic when the
-    worst residual stays under 1% of max |y|."""
-    design = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = np.max(np.abs(design @ np.array([slope, intercept]) - y))
-    scale = max(np.max(np.abs(y)), 1e-300)
-    return LogFitResult(slope=float(slope), intercept=float(intercept),
-                        max_residual=float(resid),
-                        asymptotic=bool(resid < 0.01 * scale))
+    """Least-squares y = slope * x + intercept about the means, in Python floats,
+    flagged asymptotic when the worst residual stays under 1% of max |y|."""
+    x, y = x.tolist(), y.tolist()
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    slope = sum((a - mx) * (b - my) for a, b in zip(x, y)) / sum((a - mx) ** 2 for a in x)
+    intercept = my - slope * mx
+    resid = max(abs(slope * a + intercept - b) for a, b in zip(x, y))
+    return LogFitResult(slope=slope, intercept=intercept, max_residual=resid,
+                        asymptotic=resid < 0.01 * max(*map(abs, y), 1e-300))
 
 
 @dataclass(frozen=True)
@@ -317,7 +324,7 @@ def free_energy_check(N: int, lam: float):
     h = 1e-5
     if abs(lam) < 10 * h:
         raise GaplessError("step straddles the critical point")
-    minus_e = [np.sum(bloch_norm(ssh_bloch(x, momentum_grid(N)))) for x in (lam - h, lam + h)]
+    minus_e = [bloch_norm(ssh_bloch(x, momentum_grid(N))).sum() for x in (lam - h, lam + h)]
     lhs = float(minus_e[0] - minus_e[1]) / (2.0 * h)
     rhs = N * (eta1(lam, N) - eta2(lam, N))
     return lhs, rhs, abs(lhs - rhs)
@@ -352,7 +359,7 @@ def kitaev_density(mu_grid, t: float = 1.0, delta: float = 1.0,
     n jumps by 0.5 * jump_at_zero(N) = 1/N across mu = 2t: the k = pi term of eta_z flips
     sign, as for the SSH eta1, and every other grid term is continuous; odd N has no jump."""
     mus = np.asarray(mu_grid, dtype=float)
-    if t == 0 and delta == 0 and np.any(mus == 0):
+    if t == 0 and delta == 0 and (mus == 0).any():
         raise GaplessError("t = delta = mu = 0: the Hamiltonian is zero")
     s = kitaev_scale(mus, t, delta)
     if N is None:
@@ -385,7 +392,7 @@ def kitaev_compressibility_logfit(window=(1e-5, 1e-3), t: float = 1.0,
     lo, hi = window
     if lo <= 0 or hi <= 0 or lo >= hi:
         raise WindowError("fit window must not touch mu_c")
-    mus = 2.0 * t - np.geomspace(lo, hi, 9)
+    mus = 2.0 * t - _fit_points(lo, hi)
     bloch = partial(kitaev_bloch, t=t, delta=delta)
 
     def dn_dmu(mu):
@@ -439,11 +446,11 @@ def disorder_ensemble(N: int, lambda_grid, amplitude: float = 0.1,
         raise ValueError("need at least one disorder realization")
     lams = np.asarray(lambda_grid, dtype=float)
     seeds = base_seed + np.arange(num_realizations)
-    energies = np.stack([DisorderSpec(amplitude=amplitude, seed=int(seed))
+    energies = np.array([DisorderSpec(amplitude=amplitude, seed=int(seed))
                          .onsite_energies(2 * N) for seed in seeds])
-    if not np.all(np.abs(lams) <= 1.0):  # NaN too
+    if not (np.abs(lams) <= 1.0).all():  # NaN too
         raise ValueError("lambda must lie in [-1, 1]")
-    bonds = np.tile(np.stack([1.0 - lams, 1.0 + lams], axis=1), N)  # t1, t2 (ModelSpec.ssh)
+    bonds = 1.0 + lams[:, None] * (np.arange(2 * N) % 2 * 2.0 - 1.0)  # t1, t2, ... (ModelSpec.ssh)
     bonds[:, -1] *= Boundary(boundary) is Boundary.PERIODIC  # bond n joins n, n + 1 mod 2N
     per_seed, p = np.empty((len(lams), num_realizations)), _central_pair(N)[0]
     step = _disorder_batch(N)
@@ -497,7 +504,7 @@ def obc_center_derivative(N: int, lambda_grid, fill: str = "below") -> ObcTable:
         raise GridTooCoarseError("need at least 3 points")
     if N < 2:
         raise ValueError("N must be at least 2")
-    if not np.max(np.abs(lams)) <= 1.0:  # NaN too
+    if not np.abs(lams).max() <= 1.0:  # NaN too
         raise ValueError("lambda must lie in [-1, 1]")
     if any(b <= a for a, b in zip(lams[:-1], lams[1:])):
         raise ValueError("lambda grid must be strictly increasing")

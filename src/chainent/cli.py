@@ -253,7 +253,7 @@ def settings(argv) -> dict:
             raise ValueError(f"{what} needs about {need / 1e9:.3g} GB, more than "
                              f"the {memory / 1e9:.3g} GB of memory")
     if "grid" in values:
-        values["grid"] = np.linspace(*values["grid"])
+        values["grid"] = models.linspace(*values["grid"])
         if not (values["grid"][1:] > values["grid"][:-1]).all():  # more points than floats
             raise ValueError(f"--grid of {values['points']} points repeats a point")
     return values
@@ -280,7 +280,7 @@ def _needs(v) -> list:
     """(flag, bytes) of what each size flag makes at its peak: a few length-N
     rows (zone sums, the closed-form open chain), (2N)^2 floats for clean
     ``graph`` rings, 96 L^2 bytes for the all-pairs Wick arrays of other
-    graphs (L modes; 52-84 L^2 traced), 19 floats per site and 2 kB of poles
+    graphs (L modes; 56-88 L^2 traced), 19 floats per site and 2 kB of poles
     per chain of a ``disorder`` batch (its peak, traced, 0.55-0.97 of it), a few
     columns of grid points, the realizations x max(2N, points) tables of ``disorder``."""
     N = max(v.get("N") or 0, 0)  # N < 2 is rejected where it is used
@@ -298,7 +298,8 @@ def _needs(v) -> list:
 
 def _outdir(v) -> str:
     out = v["outdir"] or os.environ.get("CHAINENT_OUTDIR") or "."
-    os.makedirs(out, exist_ok=True)
+    if not os.path.isdir(out):  # makedirs raises and catches FileExistsError on a directory
+        os.makedirs(out, exist_ok=True)
     return out
 
 
@@ -323,7 +324,7 @@ def cmd_help(v) -> int:
 
 def cmd_sweep(v) -> int:
     N, grid = v["N"], v["grid"]
-    if N is not None and N % 2 == 0 and np.any(np.abs(grid) < 1e-15):
+    if N is not None and N % 2 == 0 and (np.abs(grid) < 1e-15).any():
         print("error: lambda grid contains 0, which is gapless for even N; "
               "use an even point count around 0", file=sys.stderr)
         return EXIT_VALIDATION

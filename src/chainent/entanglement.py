@@ -15,6 +15,7 @@ concurrence and the zone sum ``eta_analytic`` that check it are in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -78,10 +79,10 @@ def x_concurrence(n_i, n_j, G, F):
     p00, p10, p01, p11 = _populations(n_i, n_j, G, F)
     g, f = np.abs(G), np.abs(F)
     # twice the lowest eigenvalue of each 2x2 block of the X state
-    if np.any(np.minimum(p00 + p11 - np.hypot(p00 - p11, 2.0 * f),
-                         p10 + p01 - np.hypot(p10 - p01, 2.0 * g)) < -2.0 * PSD_TOL):
+    if (np.minimum(p00 + p11 - np.hypot(p00 - p11, 2.0 * f),
+                   p10 + p01 - np.hypot(p10 - p01, 2.0 * g)) < -2.0 * PSD_TOL).any():
         raise InvalidStateError("matrix is not positive semidefinite")
-    r00, r01 = np.sqrt(np.clip([p00 * p11, p01 * p10], 0.0, None))
+    r00, r01 = np.sqrt(np.maximum([p00 * p11, p01 * p10], 0.0))
     return 2.0 * np.maximum(0.0, np.maximum(g - r00, f - r01))
 
 
@@ -234,11 +235,11 @@ def entangled_graph(spec: ModelSpec, fill: int | None = None) -> EntangledGraph:
         d = np.arange(2 - w, N)  # pairs (a_0, b_d) from d = 0, (s_0, s_d) from 1
         by_offset = np.zeros(N)
         by_offset[d] = x_concurrence(*corr(0 * d, w * d + w - 1))
-        edge_d = np.flatnonzero(by_offset > CONCURRENCE_ZERO)
+        edge_d = (by_offset > CONCURRENCE_ZERO).nonzero()[0]
         # only offsets with an edge get pairs: (a_n, b_{n+d}), n-major (the
         # same-sublattice pairs of the SSH ring are uncorrelated), or each
         # Kitaev pair (s_n, s_{n+d}) once, in mode order
-        n, d = np.repeat(np.arange(N), len(edge_d)), np.tile(edge_d, N)
+        n, d = np.arange(N).repeat(len(edge_d)), edge_d[None].repeat(N, axis=0).ravel()
         if spec.family is not Family.SSH:
             n, d = n[n + d < N], d[n + d < N]
             return EntangledGraph(N, n, n + d, by_offset[d], None, sublattices=subs)
@@ -249,12 +250,13 @@ def entangled_graph(spec: ModelSpec, fill: int | None = None) -> EntangledGraph:
     # the SSH cell bonds, c1 on (a_n, b_n) and c2 on (b_n, a_{n+1}); Kitaev has none
     cells = np.arange(N if w == 2 else 0)
     bonds = cells if periodic else cells[:-1]
-    bi, bj = np.r_[2 * cells, (2 * bonds + 2) % L], np.r_[2 * cells + 1, 2 * bonds + 1]
-    i, j = np.triu_indices(L, k=1)
-    dist = np.abs(i // w - j // w)
+    bi = np.concatenate([2 * cells, (2 * bonds + 2) % L])
+    bj = np.concatenate([2 * cells + 1, 2 * bonds + 1])
+    modes = np.arange(L)
+    dist = np.abs(modes[:, None] // w - modes // w)  # the cell distance of each mode pair
     dist = np.minimum(dist, N - dist) if periodic else dist
-    i, j = i[dist <= N // 2], j[dist <= N // 2]
-    c = x_concurrence(*corr(np.r_[i, bi], np.r_[j, bj]))  # the bonds ride along
+    i, j = ((modes[:, None] < modes) & (dist <= N // 2)).nonzero()  # i < j, row-major
+    c = x_concurrence(*corr(np.concatenate([i, bi]), np.concatenate([j, bj])))  # bonds ride along
     c, c_bonds = c[:len(i)], c[len(i):]
     keep = c > CONCURRENCE_ZERO
     i, j, c = i[keep], j[keep], c[keep]
@@ -263,5 +265,12 @@ def entangled_graph(spec: ModelSpec, fill: int | None = None) -> EntangledGraph:
     c1s, c2s = c_bonds[:N].tolist(), c_bonds[N:].tolist()
     votes = [classify_phase(a, b) for a, b in zip(c1s, c2s)]
     phase = max(set(votes), key=lambda p: (votes.count(p), p.value))
-    return EntangledGraph(N, i, j, c, phase, float(np.median(c1s)),
-                          float(np.median(c2s)))
+    return EntangledGraph(N, i, j, c, phase, _median(c1s), _median(c2s))
+
+
+def _median(xs: list) -> float:
+    """``np.median`` of Python floats bit for bit: NaN if one is, and 0.0 for -0.0."""
+    if any(x != x for x in xs):
+        return math.nan
+    s, m = sorted(xs), len(xs) // 2
+    return (s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2.0) + 0.0

@@ -45,8 +45,8 @@ def particle_ground_state(A: np.ndarray, fill: int | None = None):
     degenerate pair.  Clean open SSH chains take the closed form,
     :func:`open_ssh_ground_state`; this full-size solve is its test oracle."""
     A = np.asarray(A, dtype=float)
-    if (np.max(np.abs(A - np.swapaxes(A, -1, -2)), initial=0.0)
-            > SKEW_TOL * max(1.0, np.max(np.abs(A)))):
+    if (np.abs(A - A.swapaxes(-1, -2)).max(initial=0.0)
+            > SKEW_TOL * max(1.0, np.abs(A).max())):
         raise ValueError("matrix carries pairing terms; particle filling undefined")
     levels, V = np.linalg.eigh(A)
     V *= (np.arange(A.shape[-1]) < _filled(levels, fill)[..., None])[..., None, :]
@@ -71,33 +71,36 @@ def pair_projector(onsite, bonds, p: int):
     Sylvester's inertia (:func:`_pair_schur`).  Other chains go unscaled to
     :func:`particle_ground_state`.  A chain's value is the same alone or in any batch."""
     onsite, bonds = (np.asarray(a, dtype=float).T for a in (onsite, bonds))  # a row per site
-    prev = np.roll(bonds, 1, axis=0)  # bond s - 1
-    W = np.max(np.abs(onsite) + np.abs(bonds) + np.abs(prev), axis=0)
+    prev = np.concatenate([bonds[-1:], bonds[:-1]])  # bond s - 1
+    W = (np.abs(onsite) + np.abs(bonds) + np.abs(prev)).max(axis=0)
     scale = np.where(W > 0.0, W, 1.0)  # a zero chain stays 0
     o, t, prev = onsite / scale, bonds / scale, prev / scale  # A / W
     gap, out = 4.0 ** -np.arange(1, 6)[:, None], np.empty((3, len(W)))
     certified = W * gap > 2.0 * ZERO_TOL * np.maximum(1.0, W)
-    gersh = prev * prev + t * t - np.abs(prev * np.roll(t, 2, 0)) - np.abs(t * np.roll(t, -1, 0))
-    bound = np.sqrt(np.maximum(np.min(gersh, axis=0), 0.0)) - np.max(np.abs(o), axis=0)
+    gersh = (prev * prev + t * t - np.abs(prev * np.concatenate([prev[-1:], prev[:-1]]))
+             - np.abs(t * np.concatenate([t[1:], t[:1]])))  # bonds s - 2 and s + 1
+    bound = np.sqrt(np.maximum(gersh.min(axis=0), 0.0)) - np.abs(o).max(axis=0)
     if (rest := ~(certified[0] & (bound >= (1.0 + 1e-9) * gap[0]))).any():  # unproven
         below = _pair_schur(o[:, rest], t[:, rest], p, np.concatenate([gap, -gap]))[3]
         certified[:, rest] &= below[:5] == below[5:]
-    level = np.where(certified.any(axis=0), np.argmax(certified, axis=0) + 1, 0)  # widest gap
+    level = np.where(certified.any(axis=0), certified.argmax(axis=0) + 1, 0)  # widest gap
     if (level == 0).any() and 32 * len(o) ** 2 > (memory := physical_memory()):
         raise SizeError(f"a {len(o)}-site chain the resolvent cannot certify needs an eigh of "
                         f"{32 * len(o) ** 2 / 1e9:.3g} GB, more than the {memory / 1e9:.3g} GB "
                         "of memory")  # eigh's traced 24 L^2 bytes and the matrix
-    for b in np.flatnonzero(level == 0):
-        A = np.roll(np.diag(bonds[:, b]), 1, axis=1)  # bond s joins s and s + 1
-        A = A + A.T + np.diag(onsite[:, b])
+    for b in (level == 0).nonzero()[0]:
+        A, s = np.zeros((len(o), len(o))), np.arange(len(o))
+        A[s, (s + 1) % len(o)] = bonds[:, b]  # bond s joins s and s + 1
+        A = A + A.T
+        A.flat[::len(o) + 1] += onsite[:, b]
         out[:, b] = particle_correlations(particle_ground_state(A)[1], p, p + 1)[:3]
-    for k in np.unique(level[level > 0]):  # one resolvent pass per level
+    for k in sorted(set(level[level > 0].tolist())):  # one resolvent pass per level
         M, omega, w = _zolotarev(k)
         at = level == k
         z = 1j * omega[:, None].astype(np.longdouble if k >= 4 else float)  # rounding ~ eps 4^k
         S = _pair_schur(o[:, at], t[:, at], p, z)[:3]
-        R = (np.stack([S[1], S[0], -S[2]]) / (S[0] * S[1] - S[2] * S[2])).real  # (A / W - z)^-1
-        sign = M * np.stack([o[p, at], o[p + 1, at], t[p, at]])
+        R = (np.array([S[1], S[0], -S[2]]) / (S[0] * S[1] - S[2] * S[2])).real  # (A / W - z)^-1
+        sign = M * np.array([o[p, at], o[p + 1, at], t[p, at]])
         for j in range(len(w)):  # pole by pole: each chain sums as alone
             sign += w[j] * R[:, j]
         out[:, at] = (np.array([[1.0], [1.0], [0.0]]) - sign) / 2.0
@@ -110,7 +113,7 @@ def _pair_schur(o, t, p: int, z):
     real z the levels below z: its negative pivots (by :func:`_block_count` past a zero
     one).  Sites q + 1 .. L - 1, 0 .. p - 1 go in turn: pivot d, fill-in t^2 / d on the
     next site, and b, q's coupling to the next site, adds b^2 / d to q, becomes -b t / d."""
-    L, q, real = len(o), p + 1, not np.iscomplexobj(z)
+    L, q, real = len(o), p + 1, z.dtype.kind != "c"
     o, t, z = (np.ascontiguousarray(x, z.dtype) for x in (o, t, z))  # C order, as the work arrays
     c, acc, neg, d, e, u = (np.zeros((len(z), o.shape[1]), z.dtype) for _ in range(6))
     b, t2, mt = t[q] + c, t * t, -t
@@ -130,7 +133,7 @@ def _pair_schur(o, t, p: int, z):
             last = S[1] - S[2] ** 2 / S[0]
             neg += np.copysign(1.0, S[0]) + np.copysign(1.0, last)
             neg = np.where(np.isfinite(last), (L - neg) / 2.0, np.nan)
-            for k, c in zip(*np.nonzero(np.isnan(neg))):  # an exact zero pivot: in 2 x 2 blocks
+            for k, c in zip(*np.isnan(neg).nonzero()):  # an exact zero pivot: in 2 x 2 blocks
                 neg[k, c] = _block_count(list(o[:, c]), list(t[:, c]), p, z[k, c % len(z[0])])
     return (*S, neg)
 
@@ -165,12 +168,13 @@ def _zolotarev(k: int):
         _, sn, cn = _sncn(np.arange(1, r + 1, dtype=np.longdouble) / (2 * r + 1), ell)
         c = np.concatenate([(ell * sn / cn) ** 2, (cn / sn)[::-1] ** 2])
         odd, even = c[0::2], c[1::2]
-        R = [x * np.prod((x * x + even) / (x * x + odd)) for x in (ell, 1)]  # its extremes
+        R = [x * ((x * x + even) / (x * x + odd)).prod() for x in (ell, 1)]  # its extremes
         if R[1] - R[0] < 2e-15 * (R[1] + R[0]):
             break
-    ratios = (odd[:, None] - even) / np.where(np.eye(r, dtype=bool), 1, odd[:, None] - odd)
+    diagonal = np.arange(r)[:, None] == np.arange(r)
+    ratios = (odd[:, None] - even) / np.where(diagonal, 1, odd[:, None] - odd)
     M = 2 / (R[0] + R[1])
-    return float(M), np.sqrt(odd).astype(float), (-M * np.prod(ratios, axis=1)).astype(float)
+    return float(M), np.sqrt(odd).astype(float), (-M * ratios.prod(axis=1)).astype(float)
 
 
 def _sncn(frac, kc):
@@ -196,10 +200,10 @@ def _filled(levels: np.ndarray, fill):
     per stacked row): ``fill``, checked at its boundary levels[F] - levels[F - 1]
     alone, or every negative one, with the errors of :func:`particle_ground_state`."""
     if fill is None:
-        scale = np.maximum(1.0, np.max(np.abs(levels), axis=-1))
-        if np.any(np.min(np.abs(levels), axis=-1) <= ZERO_TOL * scale):
+        size = np.abs(levels)
+        if (size.min(axis=-1) <= ZERO_TOL * np.maximum(1.0, size.max(axis=-1))).any():
             raise GaplessError("Hamiltonian is gapless; flattening undefined")
-        return np.count_nonzero(levels < 0, axis=-1)
+        return (levels < 0).sum(axis=-1)
     L, F = levels.shape[-1], np.asarray(fill)
     fills, flat = F.ravel().tolist() * (levels.size // L // F.size), levels.ravel()  # one a row
     if min(fills, default=0) < 0 or max(fills, default=0) > L:
@@ -284,13 +288,14 @@ def open_ssh_ground_state(N: int, t1, t2, fill=None):
     ``t1``, ``t2`` and ``fill`` may also be 1-D arrays over B chains, solved
     together and each as alone: levels (B, 2N), Wick data (B, pairs).  The
     solve holds about 16 length-N floats per chain."""
-    if not np.isscalar(t1):  # a batch: (B, 1) columns against the roots
-        t1, t2 = np.asarray(t1, float).reshape(-1, 1), np.asarray(t2, float).reshape(-1, 1)
+    t1, t2 = np.asarray(t1, float), np.asarray(t2, float)
+    if t1.ndim:  # a batch: (B, 1) columns against the roots
+        t1, t2 = t1.reshape(-1, 1), t2.reshape(-1, 1)
     neg1, neg2, t1, t2 = t1 < 0, t2 < 0, abs(t1), abs(t2)
     root, y = np.arange(1, N), np.arange(1, N + 1)
     k, norm2, psi = _bulk_roots(N, t1, t2)
-    roots = [_last_root(N, a, b) for a, b in zip(np.ravel(t1).tolist(), np.ravel(t2).tolist())]
-    kappa, q, level = np.array(roots).T.reshape(3, *np.shape(t1)[:-1], -1)  # (B, 1) or (1,)
+    roots = [_last_root(N, a, b) for a, b in zip(t1.ravel().tolist(), t2.ravel().tolist())]
+    kappa, q, level = np.array(roots).T.reshape(3, *t1.shape[:-1], -1)  # (B, 1) or (1,)
     # 2 e^{-N kappa} sinh(kappa y) of the edge pair, or sin(q y)
     last = np.exp(kappa * (y - N)) * (np.sin(q * y) - np.expm1(-2.0 * kappa * y))
     eps = np.concatenate([np.sqrt((t1 - t2) ** 2 + 4.0 * t1 * t2 * np.cos(k / 2.0) ** 2),
@@ -329,7 +334,7 @@ def particle_correlations(V: np.ndarray, i, j):
     """Wick data ``(n_i, n_j, G_ij, 0)`` of mode pairs from the eigenvectors
     of :func:`particle_ground_state`: ``n_i = sum V_i^2``, ``G_ij = sum V_i
     V_j``; elementwise over index arrays and over a stack of states."""
-    return _gram_wick(lambda r: (R := V[..., r, :]) @ np.swapaxes(R, -1, -2), V.shape[-2], i, j)
+    return _gram_wick(lambda r: (R := V[..., r, :]) @ R.swapaxes(-1, -2), V.shape[-2], i, j)
 
 
 def _gram_wick(gram, num_modes: int, i, j):
@@ -349,5 +354,5 @@ def _polar_wick(Q: np.ndarray, i, j):
     """``reference.pair_correlations`` of ``majorana_matrix(Q)`` read off the L x L Q:
     n = (1 - Q_ii) / 2, G_ij = -(Q_ij + Q_ji) / 4, F_ij = (Q_ji - Q_ij) / 4."""
     i, j = _check_pairs(i, j, len(Q))
-    n = (1.0 - np.diagonal(Q)) / 2.0
+    n = (1.0 - Q.diagonal()) / 2.0
     return n[i], n[j], -(Q[i, j] + Q[j, i]) / 4.0, (Q[j, i] - Q[i, j]) / 4.0

@@ -134,6 +134,17 @@ def momentum_grid(N: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(N) / N
 
 
+def linspace(start: float, stop: float, num: int) -> np.ndarray:
+    """``np.linspace(start, stop, num)`` bit for bit for finite floats and num >= 2:
+    ``arange * step + start``, a zero (denormal) step as ``arange / (num - 1) * span``,
+    and the last point ``stop``."""
+    y, div, span = np.arange(num, dtype=float), num - 1, stop - start
+    y = y / div * span if span / div == 0 else y * (span / div)
+    y += start
+    y[-1] = stop
+    return y
+
+
 # Bloch vectors: plain components (hx, hy, hz), with the model parameter
 # broadcast against k: a column of parameters against a row of momenta gives
 # a whole (parameter, k) grid.  A constant zero component is the scalar 0.0.
@@ -155,7 +166,7 @@ def kitaev_scale(mu, t, delta, amplitude=0.0) -> float:
     at most 7 times the largest float, and a power of two is exact (h/|h| and the
     eigenvectors do not change), so every input that cannot overflow keeps its bits."""
     t, delta, amplitude = (abs(float(x)) for x in (t, delta, amplitude))  # Python floats:
-    bound = float(np.max(np.abs(mu), initial=0.0)) + 2.0 * (t + delta + amplitude)  # inf, unwarned
+    bound = float(np.abs(mu).max(initial=0.0)) + 2.0 * (t + delta + amplitude)  # inf, unwarned
     return 0.125 if bound == math.inf else 1.0
 
 
@@ -222,7 +233,7 @@ def bz_mean(term, bloch, N: int | None = None, points=None) -> float:
         val, _ = quad(integrand, 0.0, np.pi, points=points,
                       epsabs=1e-12, epsrel=1e-12, limit=400)
         return val / np.pi
-    return float(np.mean(term(*gapped_grid(bloch, N))))
+    return float(term(*gapped_grid(bloch, N)).mean())
 
 
 def band_touching(r, k) -> str:
@@ -236,7 +247,7 @@ def gapped_grid(bloch, N: int):
     k = momentum_grid(N)
     h = bloch(k)
     r = bloch_norm(h)
-    i = int(np.argmin(r))
+    i = int(r.argmin())
     if r[i] < GAP_TOL:
         raise GaplessError(band_touching(r[i], k[i]))
     return k, h, r
@@ -279,12 +290,11 @@ def particle_matrix(spec: ModelSpec) -> np.ndarray:
     n = np.arange(L if spec.boundary is Boundary.PERIODIC else L - 1)
     m = (n + 1) % L
     if spec.family is Family.SSH:
-        hop, pair, onsite = np.resize([spec.t1, spec.t2], len(n)), 0.0, 0.0
+        hop, pair, onsite = np.where(n % 2, spec.t2, spec.t1), 0.0, 0.0
     else:
         hop, pair, onsite = -spec.t, spec.delta, -spec.mu
-    H = np.diag(np.full(L, onsite))
-    if spec.disorder is not None:
-        H += np.diag(spec.disorder.onsite_energies(L))
+    H = np.zeros((L, L))
+    H.flat[::L + 1] = onsite if spec.disorder is None else onsite + spec.disorder.onsite_energies(L)
     H[n, m] += hop + pair  # bonds are distinct, so += adds each once
     H[m, n] += hop - pair
     return H

@@ -26,7 +26,7 @@ def sweep_rows(result) -> list:
     n = "thermodynamic" if result.N is None else result.N
     dc2 = result.dc2_dlambda
     columns = [result.lambdas, result.eta1, result.eta2, result.c1, result.c2,
-               np.full(len(result.lambdas), np.nan) if dc2 is None else dc2]
+               result.lambdas + np.nan if dc2 is None else dc2]
     return [[lam, e1, e2, c1, c2, None if d != d else d, n, "periodic", None]
             for lam, e1, e2, c1, c2, d in zip(*[c.tolist() for c in columns])
             if e1 == e1]
@@ -82,7 +82,8 @@ def emit_plot_data(result, outdir) -> list:
     if np.isnan(result.eta1).all():
         warnings.warn("empty sweep: no plot data written")
         return []
-    os.makedirs(outdir, exist_ok=True)
+    if not os.path.isdir(outdir):
+        os.makedirs(outdir, exist_ok=True)
     lams, written = result.lambdas.tolist(), []
     for name, col in (("c1", result.c1), ("c2", result.c2), ("dc2", result.dc2_dlambda)):
         if col is not None:

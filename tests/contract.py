@@ -64,6 +64,8 @@ ROWS = [
     row("sweep --N 8 --grid 0.1:0.3:3", rows=3),
     row("sweep --N 8 --gri 0.1:0.3:3", same_as="sweep --N 8 --grid 0.1:0.3:3", no_module=QUIET),
     row("sweep --N=--", 2, stderr="error: ..."),
+    # an --outdir that is a file, not a directory: one error line, nothing written
+    row("sweep --grid 0.1:0.5:3 --outdir /dev/null", 2, stderr_lines=1, nothing_written=True),
     row("graph --N 6 --lambda -1e-3", edges=True),
     # sweep and critical on the momentum route, and verify on the oracles
     row("sweep --N 8 --grid 0.1:0.5:3", rows=3, no_module=QUIET),
