@@ -30,7 +30,7 @@ from .errors import (
     ParityError,
     WindowError,
 )
-from .gaussian import open_ssh_ground_state, pair_projector
+from .gaussian import open_ssh_wick, pair_projector
 from .models import (
     Boundary,
     GAP_TOL,
@@ -496,7 +496,7 @@ def obc_center_derivative(N: int, lambda_grid, fill: str = "below") -> ObcTable:
 
     The grid must increase strictly; log-spaced grids resolve the peak near 0.
     dC2 is np.gradient's on the actual grid (:func:`_gradient`).  C2 comes from batched
-    :func:`gaussian.open_ssh_ground_state` solves of _STACK_BYTES // (128 N)
+    :func:`gaussian.open_ssh_wick` solves of _STACK_BYTES // (128 N)
     lambdas (16 length-N floats each) or fewer: one at a time above N = 32,768.
     """
     lams = np.asarray(lambda_grid, dtype=float)
@@ -512,7 +512,7 @@ def obc_center_derivative(N: int, lambda_grid, fill: str = "below") -> ObcTable:
     c2, step = np.empty(len(lams)), max(1, _STACK_BYTES // (128 * N))
     for s in range(0, len(lams), step):
         lam = lams[s:s + step]  # the solve is dropped before the next one starts
-        wick = open_ssh_ground_state(N, 1.0 - lam, 1.0 + lam, fills[s:s + step])[1](*pair)
+        wick = open_ssh_wick(N, 1.0 - lam, 1.0 + lam, fills[s:s + step])[1](*pair)
         c2[s:s + step] = x_concurrence(*wick)
     dc2 = _gradient(list(c2), list(lams))
     ipk = max((i for i, d in enumerate(dc2) if d == d), key=dc2.__getitem__)  # nanargmax

@@ -27,7 +27,7 @@ from .gaussian import (
     _check_pairs,
     _filled,
     _polar_wick,
-    open_ssh_ground_state,
+    open_ssh_wick,
     particle_correlations,
     particle_ground_state,
 )
@@ -102,7 +102,7 @@ def _ground_state(spec: ModelSpec, fill: int | None):
         return _bloch_correlations(spec)
     if spec.family is Family.SSH and spec.disorder is None \
             and spec.boundary is Boundary.OPEN:
-        return open_ssh_ground_state(spec.N, spec.t1, spec.t2, fill)[1]
+        return open_ssh_wick(spec.N, spec.t1, spec.t2, fill)[1]
     if spec.family is Family.SSH or fill is not None:
         _, V = particle_ground_state(particle_matrix(spec), fill)
         return partial(particle_correlations, V)

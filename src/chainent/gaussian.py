@@ -2,7 +2,7 @@
 
 Number-conserving chains are solved as L x L particle matrices
 (:func:`particle_ground_state`, :func:`particle_correlations`), clean open SSH
-chains in closed form (:func:`open_ssh_ground_state`), and one neighbour pair of
+chains in closed form (:func:`open_ssh_wick`), and one neighbour pair of
 many chains in O(L) each from resolvents of A / W (:func:`pair_projector`); Kitaev
 chains read their Wick data off the particle matrix's polar factor
 (:func:`_polar_wick`).  Every route returns the Wick data ``(n_i, n_j, G_ij, F_ij)``
@@ -26,10 +26,13 @@ DEGENERACY_TOL = 1e-10
 
 
 def _check_pairs(i, j, num_modes: int):
-    i, j = np.asarray(i, dtype=int), np.asarray(j, dtype=int)
-    if (i == j).any():
+    ints = type(i) is int and type(j) is int  # one pair of Python ints is checked in Python
+    if not ints:
+        i, j = np.asarray(i, dtype=int), np.asarray(j, dtype=int)
+    if i == j if ints else (i == j).any():
         raise IndexError("a pair needs two distinct modes")
-    if ((np.minimum(i, j) < 0) | (np.maximum(i, j) >= num_modes)).any():
+    if (min(i, j) < 0 or max(i, j) >= num_modes) if ints else (
+            (np.minimum(i, j) < 0) | (np.maximum(i, j) >= num_modes)).any():
         raise IndexError("mode index out of range")
     return i, j
 
@@ -43,7 +46,7 @@ def particle_ground_state(A: np.ndarray, fill: int | None = None):
     ``reference.spectral_flatten`` does (``eig(iM) = +-levels``); an explicit fill
     raises ValueError outside 0..L and DegenerateFillError inside a
     degenerate pair.  Clean open SSH chains take the closed form,
-    :func:`open_ssh_ground_state`; this full-size solve is its test oracle."""
+    :func:`open_ssh_wick`; this full-size solve is its test oracle."""
     A = np.asarray(A, dtype=float)
     if (np.abs(A - A.swapaxes(-1, -2)).max(initial=0.0)
             > SKEW_TOL * max(1.0, np.abs(A).max())):
@@ -217,10 +220,12 @@ def _filled(levels: np.ndarray, fill):
 
 def _last_root(N: int, t1: float, t2: float):
     """``(kappa, 0, level)`` of the edge pair ``k = pi + i kappa`` of
-    :func:`open_ssh_ground_state` (t1, t2 >= 0) if ``t2 N > t1 (N + 1)``, else
+    :func:`open_ssh_wick` (t1, t2 >= 0) if ``t2 N > t1 (N + 1)``, else
     ``(0, q, level)`` of ``k = pi - q``.  At that threshold the root merges with
     x = 0, so Newton runs on u = x^2 with x = 0 divided out (the slope at small
     u from its series); concave in u, it lands at or below the root, then climbs."""
+    if t1 == t2 == 0.0:  # a zero chain: the t1 = t2 standing wave, at level 0
+        return 0.0, math.pi / (2 * N + 1), 0.0
     s, top = N + 0.5, t2 * N > t1 * (N + 1)
     c, half = (t2 + t1) / (t2 - t1) if t2 != t1 else math.inf, (math.pi / (2 * N + 1)) ** 2
     if top and c == 1.0:  # t1 under half an ulp of t2: tanh(kappa / 2) = 1 / c, e^-kappa = t1 / t2
@@ -251,16 +256,21 @@ def _last_root(N: int, t1: float, t2: float):
 
 
 def _bulk_roots(N: int, t1, t2):
-    """Roots k_j of :func:`open_ssh_ground_state` (t1, t2 >= 0, scalars or (B, 1)
-    columns), the slope N + psi' and psi at each: Newton on f = N k + psi - j pi
-    from j pi / N, a root stopping at its first step within f / slope's rounding."""
-    jpi, sq, cross = np.arange(1, N) * np.pi, t1 * t1 + t2 * t2, 2.0 * t1 * t2
-    k = jpi / N
+    """Roots k_j of :func:`open_ssh_wick` (t1, t2 >= 0, scalars or (B, 1) columns),
+    the slope N + psi' and psi at each: Newton on f = N k + psi - j pi from j pi/(N +
+    1/2), the roots at t1 = t2, a root stopping at its first step within f / slope's
+    rounding.  psi = arg(t2 + t1 e^{ik}) = k/2 - arctan(rho u), psi' = 1/2 - rho (1 +
+    u^2) / (2 + 2 rho^2 u^2), u = tan(k/2), rho = (t2 - t1) / (t2 + t1), 0 on a zero
+    chain.  f = -arctan(rho u) at the start and f'' = t1 t2 (t1^2 - t2^2) sin k / |t2 +
+    t1 e^{ik}|^4 on (0, pi) have the sign of t1 - t2, and f' > 0.84 N (shown in the README):
+    by Fourier's condition the steps climb onto the root from one side, unguarded."""
+    jpi, rho = np.arange(1, N) * np.pi, (t2 - t1) / np.maximum(t2 + t1, 5e-324)
+    k, half = jpi / (N + 0.5), 0.5 * rho
     tol = 8e-16 * np.maximum(k, 1.0)
     for _ in range(64):
-        cos = np.cos(k)
-        psi = np.arctan2(t1 * np.sin(k), t2 + t1 * cos)
-        slope = N + t1 * (t1 + t2 * cos) / (sq + cross * cos)
+        u = np.tan(h := k / 2.0)
+        psi = h - np.arctan(ru := rho * u)
+        slope = N + 0.5 - half * (1.0 + u * u) / (1.0 + ru * ru)
         new = k - (N * k + psi - jpi) / slope
         if (done := np.abs(new - k) <= tol).all():
             break
@@ -269,25 +279,25 @@ def _bulk_roots(N: int, t1, t2):
 
 
 def open_ssh_ground_state(N: int, t1, t2, fill=None):
-    """Ascending levels and Wick data ``corr(i, j)`` (as
-    :func:`particle_correlations`) of the clean open SSH chain of N cells,
-    bonds t1, t2, ..., t1, from its standing waves (Delplace, Ullmo &
-    Montambaux, PRB 84, 195452 (2011)): levels ``+-|t1 + t2 e^{ik}|`` over
-    the roots of ``t1 sin((N+1)k) + t2 sin(Nk)``, one per
-    ``(j pi/(N+1), j pi/N)``, j < N (:func:`_bulk_roots`: plain Newton on
-    ``f = N k + psi - j pi``, psi = arg(t2 + t1 e^{ik}), from j pi/N, where f
-    = psi > 0; psi' >= 0 on [0, pi/2] and >= 1/2 - 1/(2 sin k) beyond, so f' >
-    (1 - 1/(2 pi)) N on [0, (N-1) pi/N] for every N, and f'' = t1 t2 (t1^2 -
-    t2^2) sin k / |t2 + t1 e^{ik}|^4 keeps one sign on (0, pi): the steps fall
-    onto the root, t1 > t2, or pass it once and climb back), then ``k = pi - q`` or, if
-    ``t2 N > t1 (N+1)``, the edge pair ``k = pi + i kappa``
-    (:func:`_last_root`, one chain at a time in Python floats).  ``fill`` and the
-    errors are those of :func:`particle_ground_state`, checked at the boundary alone.
-    The Wick data are two half-sums, the filled -eps and +eps levels, over the rows of
-    the requested modes: bulk columns plus the edge pair's.  A negative bond is gauged away.
-    ``t1``, ``t2`` and ``fill`` may also be 1-D arrays over B chains, solved
-    together and each as alone: levels (B, 2N), Wick data (B, pairs).  The
-    solve holds about 16 length-N floats per chain."""
+    """Ascending levels (-eps, then eps reversed) and Wick data of :func:`open_ssh_wick`."""
+    eps, corr = open_ssh_wick(N, t1, t2, fill)
+    return np.concatenate([-eps, eps[..., ::-1]], axis=-1), corr
+
+
+def open_ssh_wick(N: int, t1, t2, fill=None):
+    """Descending levels ``eps = |t1 + t2 e^{ik}|`` (the ground state's are -eps) and
+    Wick data ``corr(i, j)`` (as :func:`particle_correlations`) of the clean open SSH
+    chain of N cells, bonds t1, t2, ..., t1, from its standing waves (Delplace, Ullmo
+    & Montambaux, PRB 84, 195452 (2011)) over the roots of ``t1 sin((N+1)k) + t2
+    sin(Nk)``: one per ``(j pi/(N+1), j pi/N)``, j < N (:func:`_bulk_roots`), then
+    ``k = pi - q`` or, if ``t2 N > t1 (N+1)``, the edge pair ``k = pi + i kappa``
+    (:func:`_last_root`, one chain at a time).  ``fill`` and the errors are those of
+    :func:`particle_ground_state`, from :func:`_filled` on the least and greatest eps,
+    or on levels[F - 1] and levels[F] alone.  The Wick data are two half-sums, the
+    filled -eps and +eps levels, over the rows of the requested modes: bulk columns
+    plus the edge pair's.  A negative bond is gauged away.  ``t1``, ``t2`` and ``fill``
+    may also be 1-D arrays over B chains, solved together and each as alone: eps (B,
+    N), Wick data (B, pairs); about 16 length-N floats per chain."""
     t1, t2 = np.asarray(t1, float), np.asarray(t2, float)
     if t1.ndim:  # a batch: (B, 1) columns against the roots
         t1, t2 = t1.reshape(-1, 1), t2.reshape(-1, 1)
@@ -296,15 +306,13 @@ def open_ssh_ground_state(N: int, t1, t2, fill=None):
     k, norm2, psi = _bulk_roots(N, t1, t2)
     roots = [_last_root(N, a, b) for a, b in zip(t1.ravel().tolist(), t2.ravel().tolist())]
     kappa, q, level = np.array(roots).T.reshape(3, *t1.shape[:-1], -1)  # (B, 1) or (1,)
-    # 2 e^{-N kappa} sinh(kappa y) of the edge pair, or sin(q y)
-    last = np.exp(kappa * (y - N)) * (np.sin(q * y) - np.expm1(-2.0 * kappa * y))
     eps = np.concatenate([np.sqrt((t1 - t2) ** 2 + 4.0 * t1 * t2 * np.cos(k / 2.0) ** 2),
                           level], axis=-1)  # descending
-    levels = np.concatenate([-eps, eps[..., ::-1]], axis=-1)
-    if fill is None:  # levels[N - 1] = -eps[-1] and eps[0]: the least and greatest |level|
-        _filled(levels[..., N - 1::N], None)
-    F = np.asarray(N if fill is None else _filled(levels, fill))[..., None, None]  # per chain
-    last /= np.sqrt(2.0 * (last * last).sum(axis=-1, keepdims=True))
+    F = np.asarray(N if fill is None else fill)[..., None, None]  # per chain
+    if fill is None:  # the least and greatest |level|
+        _filled(eps[..., [0, -1]], None)
+    else:  # levels[F - 1], levels[F]: the gap at F is the one at 2N - F, in -eps, eps[-1]
+        _filled(np.concatenate([-eps, eps[..., -1:]], axis=-1), np.minimum(F, 2 * N - F))
     norm = np.sqrt(norm2)[..., None, :]
     # filled: at -eps columns c < F (the edge pair's from N), at +eps c >= 2N - F (from N + 1)
     lo, hi = min(F.flat), max(F.flat)  # a mask only where some chain needs one
@@ -319,15 +327,19 @@ def open_ssh_ground_state(N: int, t1, t2, fill=None):
         # k m reduced mod 2 pi exactly: k = (j pi - psi) / N; a_n = +-b_{N+1-n}
         R = np.sin(np.pi / N * (m[:, None] * root % (2 * N))
                    + (1 - b - m / N)[:, None] * psi[..., None, :]) / norm * h[..., None]
-        e = (-1.0) ** n * h * last[..., np.where(b, n, N - 1 - n)]
-        E = e[..., :, None] * e[..., None, :]
-        H = (R if low is None else R * low) @ R.swapaxes(-1, -2) + (F >= N) * E
+        H = (R if low is None else R * low) @ R.swapaxes(-1, -2)
+        if hi >= N:  # 2 e^{-N kappa} sinh(kappa y) of the edge pair, or sin(q y)
+            last = np.exp(kappa * (y - N)) * (np.sin(q * y) - np.expm1(-2.0 * kappa * y))
+            e = (-1.0) ** n * h * (last[..., np.where(b, n, N - 1 - n)]
+                                   / np.sqrt(2.0 * (last * last).sum(axis=-1, keepdims=True)))
+            E = e[..., :, None] * e[..., None, :]
+            H += (F >= N) * E
         if hi > N:  # the +eps half, its a_n flipped back
             H += flip[:, None] * flip * ((F > N) * E + (
                 0.0 if high is None else (R * high) @ R.swapaxes(-1, -2)))
         return H
 
-    return levels, partial(_gram_wick, gram, 2 * N)
+    return eps, partial(_gram_wick, gram, 2 * N)
 
 
 def particle_correlations(V: np.ndarray, i, j):
@@ -342,11 +354,14 @@ def _gram_wick(gram, num_modes: int, i, j):
     filled eigenvector rows of the modes r: one over the distinct modes the
     pairs touch, indexed for n and G."""
     i, j = _check_pairs(i, j, num_modes)
-    touched = np.zeros(num_modes, dtype=int)
-    touched[i] = touched[j] = 1
-    H = gram(touched.nonzero()[0])
-    at = touched.cumsum() - 1  # mode -> its row of the Gram matrix
-    a, b = at[i], at[j]
+    if type(i) is int:  # one pair: its two rows
+        H, a, b = gram(np.array([i, j])), 0, 1
+    else:
+        touched = np.zeros(num_modes, dtype=int)
+        touched[i] = touched[j] = 1
+        H = gram(touched.nonzero()[0])
+        at = touched.cumsum() - 1  # mode -> its row of the Gram matrix
+        a, b = at[i], at[j]
     return H[..., a, a], H[..., b, b], H[..., a, b], 0.0
 
 

@@ -519,7 +519,7 @@ def test_last_root_converges_quadratically_at_the_threshold(N, monkeypatch):
 
 
 def test_bulk_newton_converges_inside_each_bracket():
-    """Plain Newton from j pi / N needs no safeguard: over every N from 2 to
+    """Plain Newton from j pi / (N + 1/2) needs no safeguard: over every N from 2 to
     300 and four sizes up to 20,000, at 241 lambda on [-3, 3] (25 above N =
     300, to keep the arrays small) and 0, +-1, nextafter(1, 0) and the
     edge-pair threshold with one ulp either side, each bulk root has
@@ -539,6 +539,70 @@ def test_bulk_newton_converges_inside_each_bracket():
         assert np.all((jpi / (N + 1) - tol <= k) & (k <= jpi / N + tol)), N
 
 
+def _bulk_roots_arctan2(N, t1, t2):
+    """The bulk Newton before the half-angle form, the oracle of
+    :func:`gaussian._bulk_roots`: psi = arctan2(t1 sin k, t2 + t1 cos k), from j pi / N."""
+    jpi, sq, cross = np.arange(1, N) * np.pi, t1 * t1 + t2 * t2, 2.0 * t1 * t2
+    k = jpi / N
+    tol = 8e-16 * np.maximum(k, 1.0)
+    for _ in range(64):
+        cos = np.cos(k)
+        psi = np.arctan2(t1 * np.sin(k), t2 + t1 * cos)
+        slope = N + t1 * (t1 + t2 * cos) / (sq + cross * cos)
+        new = k - (N * k + psi - jpi) / slope
+        if (done := np.abs(new - k) <= tol).all():
+            break
+        k = np.where(done, k, new)
+    return k, slope, psi
+
+
+def test_half_angle_roots_match_the_arctan2_newton():
+    """On the sweep of the bracket test the half-angle roots from j pi / (N + 1/2)
+    are the arctan2 Newton's from j pi / N within twice the stop tolerance."""
+    for N in (*range(2, 301), 1000, 4096, 9999, 20000):
+        thr = _threshold(N)
+        lams = np.concatenate([np.linspace(-3.0, 3.0, 241 if N <= 300 else 25), [
+            0.0, 1.0, -1.0, np.nextafter(1.0, 0.0),
+            thr, np.nextafter(thr, 0.0), np.nextafter(thr, 1.0)]])
+        t1, t2 = np.abs(1.0 - lams)[:, None], np.abs(1.0 + lams)[:, None]
+        tol = 8e-16 * np.maximum(np.arange(1, N) * np.pi / N, 1.0)
+        k = gaussian._bulk_roots(N, t1, t2)[0]
+        assert np.all(np.abs(k - _bulk_roots_arctan2(N, t1, t2)[0]) <= 2.0 * tol), N
+
+
+def _wick_or_error(N, lams, fill, i, j):
+    """(n_i, n_j, G_ij) of each open chain t1, t2 = 1 -+ lambda, or the class and
+    message it raises: one batch where none raises, else chain by chain."""
+    try:
+        return list(np.stack(gaussian.open_ssh_ground_state(
+            N, 1.0 - lams, 1.0 + lams, fill)[1](i, j)[:3], axis=1))
+    except (ChainentError, ValueError):
+        return [_raised(lambda: gaussian.open_ssh_ground_state(N, 1.0 - lam, 1.0 + lam, fill))
+                or np.array(gaussian.open_ssh_ground_state(
+                    N, 1.0 - lam, 1.0 + lam, fill)[1](i, j)[:3]) for lam in lams]
+
+
+def test_half_angle_wick_data_match_the_arctan2_newton(monkeypatch):
+    """For N from 2 to 60 at fills N - 1, N and N + 1, and lambda on [-0.95, 0.95]
+    with the edge-pair threshold and one ulp either side, the half-angle roots give
+    the arctan2 Newton's n and G of every mode pair within 1e-14, and its errors."""
+    for N in range(2, 61):
+        thr = _threshold(N)
+        lams = np.concatenate([np.linspace(-0.95, 0.95, 39),
+                               [thr, np.nextafter(thr, 0.0), np.nextafter(thr, 1.0)]])
+        i, j = np.triu_indices(2 * N, k=1)
+        for fill in (N - 1, N, N + 1):
+            got = _wick_or_error(N, lams, fill, i, j)
+            with monkeypatch.context() as m:
+                m.setattr(gaussian, "_bulk_roots", _bulk_roots_arctan2)
+                want = _wick_or_error(N, lams, fill, i, j)
+            for lam, g, w in zip(lams, got, want):
+                if isinstance(w, tuple) or isinstance(g, tuple):
+                    assert g == w, (N, fill, lam)
+                else:
+                    assert np.max(np.abs(g - w)) < 1e-14, (N, fill, lam)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("N", [2, 3, 8, 255])
 def test_closed_form_open_chain_batch_equals_each_chain(N):
@@ -548,7 +612,8 @@ def test_closed_form_open_chain_batch_equals_each_chain(N):
     at lambda = +-1, negative bonds beyond) equals each
     chain solved alone, bit for bit, with a fill per chain or one for all; a
     chain that fails alone (a zero edge level at fill None, a degenerate
-    fill) fails the batch the same way."""
+    fill, the zero chain) fails the batch the same way, as the dense route
+    does, with no warning."""
     thr = _threshold(N)
     lams = np.array([-3.0, -1.0, -0.4, -thr, 0.0, 1e-9, thr / 2.0, np.nextafter(thr, 0.0),
                      thr, np.nextafter(thr, 1.0), 0.3, np.nextafter(1.0, 0.0), 1.0, 1.7])
@@ -569,9 +634,14 @@ def test_closed_form_open_chain_batch_equals_each_chain(N):
             assert np.array_equal(levels[b], alone[0])
             for w, v in zip(wick[:3], alone[1](i, j)[:3]):
                 assert np.array_equal(w[b], v)
-    for fill, lam, error in ((None, 1.0, gaussian.GaplessError),
-                             (N + 1, -1.0, gaussian.DegenerateFillError)):
+    for fill, a, b, error in ((None, 0.0, 2.0, gaussian.GaplessError),  # lambda = 1
+                              (N + 1, 2.0, 0.0, gaussian.DegenerateFillError),  # lambda = -1
+                              (None, 0.0, 0.0, gaussian.GaplessError),  # the zero chain
+                              (N, 0.0, 0.0, gaussian.DegenerateFillError)):
+        A = np.diag(np.resize([a, b], 2 * N - 1), 1)
         with pytest.raises(error):
-            gaussian.open_ssh_ground_state(N, 1.0 - lam, 1.0 + lam, fill)
+            gaussian.particle_ground_state(A + A.T, fill)
         with pytest.raises(error):
-            gaussian.open_ssh_ground_state(N, t1, t2, fill)
+            gaussian.open_ssh_ground_state(N, a, b, fill)
+        with pytest.raises(error):
+            gaussian.open_ssh_ground_state(N, np.append(t1, a), np.append(t2, b), fill)
